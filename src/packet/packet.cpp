@@ -7,10 +7,12 @@
 namespace hmcsim {
 
 u32 packet_crc(const PacketBuffer& p) {
-  // CRC over the whole packet with the tail's CRC field zeroed.
-  PacketBuffer scratch = p;
-  scratch.tail() = deposit(scratch.tail(), 32, 32, 0);
-  return crc::crc32k_words({scratch.words.data(), scratch.word_count()});
+  // CRC over the whole packet with the tail's CRC field [63:32] zeroed:
+  // fold every word before the tail, then the tail with that field masked.
+  const u64 tail = deposit(p.tail(), 32, 32, 0);
+  const u32 state =
+      crc::update_words(crc::init(), {p.words.data(), p.word_count() - 1});
+  return crc::finish(crc::update_words(state, {&tail, 1}));
 }
 
 void seal_crc(PacketBuffer& p) {
@@ -133,24 +135,6 @@ Status decode_response(const PacketBuffer& in, ResponseFields& out) {
   out.dinv = extract(tail, 19, 1) != 0;
   out.errstat = field::errstat_of(tail);
   out.rtc = static_cast<u8>(extract(tail, 27, 3));
-  return Status::Ok;
-}
-
-Status validate_packet(const PacketBuffer& p) {
-  if (p.flits < spec::kMinPacketFlits || p.flits > spec::kMaxPacketFlits) {
-    return Status::MalformedPacket;
-  }
-  const u8 raw_cmd = static_cast<u8>(extract(p.header(), 0, 6));
-  if (!is_valid_command(raw_cmd)) return Status::MalformedPacket;
-  const Command cmd = static_cast<Command>(raw_cmd);
-  const u32 lng = field::lng_of(p.header());
-  if (lng != p.flits || lng != field::dln_of(p.header())) {
-    return Status::MalformedPacket;
-  }
-  if (is_request(cmd) && lng != request_flits(cmd)) {
-    return Status::MalformedPacket;
-  }
-  if (!check_crc(p)) return Status::MalformedPacket;
   return Status::Ok;
 }
 

@@ -196,8 +196,10 @@ namespace field {
                                     std::span<const u64> payload,
                                     PacketBuffer& out);
 
-/// Decode a request packet.  Validates command, length consistency (LNG ==
-/// DLN == request_flits(cmd)) and CRC.
+/// Decode a request packet.  This is the structural check at host ingress:
+/// flit count in range, known request or flow command, length consistency
+/// (LNG == DLN == flits == request_flits(cmd)) and CRC.  Any failure is
+/// MalformedPacket and leaves `out` untouched.
 [[nodiscard]] Status decode_request(const PacketBuffer& in,
                                     RequestFields& out);
 
@@ -211,6 +213,7 @@ namespace field {
                                      ResponseFields& out);
 
 /// Compute the CRC-32K of `p` with the tail CRC field treated as zero.
+/// `p.flits` must be 1..9.
 [[nodiscard]] u32 packet_crc(const PacketBuffer& p);
 
 /// Recompute and deposit the CRC into the tail.
@@ -218,10 +221,5 @@ void seal_crc(PacketBuffer& p);
 
 /// True when the deposited CRC matches the recomputed one.
 [[nodiscard]] bool check_crc(const PacketBuffer& p);
-
-/// Structural validation used at queue ingress: known command, LNG within
-/// range and consistent with both the command table and the buffer's flit
-/// count, CRC intact.
-[[nodiscard]] Status validate_packet(const PacketBuffer& p);
 
 }  // namespace hmcsim

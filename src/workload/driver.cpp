@@ -190,6 +190,14 @@ void HostDriver::inject(DriverResult& result) {
       have_pending_ = false;
       continue;
     }
+    have_pending_ = false;
+    if (is_posted(pending_.cmd)) {
+      // A posted request never gets a response, so it completes here and
+      // keeps no tag or in-flight slot; any tag value rides the wire.
+      ++result.sent;
+      ++result.completed;
+      continue;
+    }
     port->free_tags.pop_back();
     InFlight& fl = port->inflight[tag];
     fl.desc = pending_;
@@ -197,8 +205,7 @@ void HostDriver::inject(DriverResult& result) {
     fl.attempts = pending_attempts_;
     fl.sent_at = sim_.now();
     fl.zombie = false;
-    fl.deadline = (cfg_.response_timeout_cycles != 0 &&
-                   !is_posted(pending_.cmd))
+    fl.deadline = cfg_.response_timeout_cycles != 0
                       ? sim_.now() + cfg_.response_timeout_cycles
                       : 0;
     ++port->outstanding;
@@ -207,8 +214,6 @@ void HostDriver::inject(DriverResult& result) {
     } else {
       ++result.sent;
     }
-    have_pending_ = false;
-    if (is_posted(pending_.cmd)) ++result.completed;  // no response due
   }
 }
 

@@ -302,7 +302,7 @@ TEST(LinkLayer, CorruptPacketsRejectedAtEveryIngress) {
   // Companion to the legacy-replay bugfix: the stored-copy CRC
   // re-validation in the fault model is defense-in-depth, because no
   // ingress path may seat a corrupt packet in a queue in the first
-  // place.  Both host send paths — standard requests (validate_packet)
+  // place.  Both host send paths — standard requests (decode_request)
   // and custom commands (decode_custom_request) — must bounce a packet
   // whose CRC no longer matches its bits.
   DeviceConfig dc = small_device();

@@ -14,6 +14,16 @@ std::vector<u8> bytes_of(const std::string& s) {
   return std::vector<u8>(s.begin(), s.end());
 }
 
+std::vector<u8> le_bytes_of(const std::vector<u64>& words) {
+  std::vector<u8> bytes;
+  for (const u64 w : words) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<u8>((w >> (8 * i)) & 0xff));
+    }
+  }
+  return bytes;
+}
+
 TEST(Crc32k, PolynomialForms) {
   // The reflected form is the bit-reversal of the normal Koopman polynomial.
   u32 reversed = 0;
@@ -41,12 +51,27 @@ TEST(Crc32k, IncrementalMatchesOneShot) {
   SplitMix64 rng(42);
   std::vector<u8> data(137);
   for (auto& b : data) b = static_cast<u8>(rng.next());
-  // Split at several boundaries.
-  for (const usize split : {usize{0}, usize{1}, usize{64}, usize{136}}) {
+  // Split at every offset, so both halves start on and off 8-byte
+  // boundaries and end with every possible byte remainder.
+  for (usize split = 0; split <= data.size(); ++split) {
     u32 state = init();
     state = update(state, {data.data(), split});
     state = update(state, {data.data() + split, data.size() - split});
-    EXPECT_EQ(finish(state), crc32k(data));
+    EXPECT_EQ(finish(state), crc32k(data)) << "split " << split;
+  }
+}
+
+TEST(Crc32k, WordsMatchesBitwiseReference) {
+  // The word fold against the independent bit-serial oracle, at every word
+  // count a packet can have (0..18).
+  SplitMix64 rng(0x6b6f6f70);
+  for (usize count = 0; count <= 18; ++count) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<u64> words(count);
+      for (auto& w : words) w = rng.next();
+      ASSERT_EQ(crc32k_words(words), crc32k_reference(le_bytes_of(words)))
+          << "count " << count << " trial " << trial;
+    }
   }
 }
 
@@ -76,13 +101,7 @@ TEST(Crc32k, DetectsAdjacentSwaps) {
 TEST(Crc32k, WordsMatchesBytesLittleEndian) {
   const std::vector<u64> words = {0x0123456789abcdefull, 0xfedcba9876543210ull,
                                   0x0000000000000001ull};
-  std::vector<u8> bytes;
-  for (const u64 w : words) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<u8>((w >> (8 * i)) & 0xff));
-    }
-  }
-  EXPECT_EQ(crc32k_words(words), crc32k(bytes));
+  EXPECT_EQ(crc32k_words(words), crc32k(le_bytes_of(words)));
 }
 
 TEST(Crc32k, Deterministic) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.hpp"
+#include "packet/crc32.hpp"
 
 namespace hmcsim {
 namespace {
@@ -106,7 +108,6 @@ TEST_P(FlowRoundTrip, SingleFlitEncodeDecode) {
   EXPECT_EQ(out.rrp, 0x11);
   EXPECT_EQ(out.frp, 0x22);
   EXPECT_EQ(out.rtc, 3);
-  EXPECT_EQ(validate_packet(pkt), Status::Ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(FlowCommands, FlowRoundTrip,
@@ -245,22 +246,42 @@ TEST(PacketValidation, CrcCoversHeaderAndTailFields) {
 }
 
 TEST(PacketValidation, ValidatePacketChecksLngConsistency) {
-  const RequestFields f = sample_request(Command::Wr16);
-  PacketBuffer pkt;
-  ASSERT_EQ(encode_request(f, make_payload(2), pkt), Status::Ok);
-  EXPECT_EQ(validate_packet(pkt), Status::Ok);
+  PacketBuffer rq;
+  ASSERT_EQ(encode_request(sample_request(Command::Wr16), make_payload(2), rq),
+            Status::Ok);
+  RequestFields rq_out;
+  EXPECT_EQ(decode_request(rq, rq_out), Status::Ok);
 
-  // Corrupt LNG (and reseal the CRC so only the length check can fire).
-  PacketBuffer bad = pkt;
-  bad.words[0] = deposit(bad.words[0], 7, 4, 5);
-  seal_crc(bad);
-  EXPECT_EQ(validate_packet(bad), Status::MalformedPacket);
+  ResponseFields rf;
+  rf.cmd = Command::ReadResponse;
+  PacketBuffer rs;
+  ASSERT_EQ(encode_response(rf, make_payload(2), rs), Status::Ok);
+  ResponseFields rs_out;
+  EXPECT_EQ(decode_response(rs, rs_out), Status::Ok);
 
-  // DLN mismatch is also caught.
-  bad = pkt;
-  bad.words[0] = deposit(bad.words[0], 11, 4, 7);
+  // Corrupt LNG, then DLN (and reseal the CRC so only the length check can
+  // fire).
+  for (const u32 lo : {7u, 11u}) {
+    PacketBuffer bad = rq;
+    bad.words[0] = deposit(bad.words[0], lo, 4, 5);
+    seal_crc(bad);
+    EXPECT_EQ(decode_request(bad, rq_out), Status::MalformedPacket)
+        << "bit " << lo;
+    bad = rs;
+    bad.words[0] = deposit(bad.words[0], lo, 4, 5);
+    seal_crc(bad);
+    EXPECT_EQ(decode_response(bad, rs_out), Status::MalformedPacket)
+        << "bit " << lo;
+  }
+
+  // A request whose LNG == DLN == flits still has to match the command's
+  // own length: Wr16 is two FLITs, never three.
+  PacketBuffer bad = rq;
+  bad.flits = 3;
+  bad.words[0] = deposit(deposit(bad.words[0], 7, 4, 3), 11, 4, 3);
+  bad.words[5] = rq.words[3];
   seal_crc(bad);
-  EXPECT_EQ(validate_packet(bad), Status::MalformedPacket);
+  EXPECT_EQ(decode_request(bad, rq_out), Status::MalformedPacket);
 }
 
 TEST(PacketValidation, ValidatePacketRejectsUnknownCommand) {
@@ -271,7 +292,59 @@ TEST(PacketValidation, ValidatePacketRejectsUnknownCommand) {
   pkt.words[0] = deposit(pkt.words[0], 11, 4, 1);
   pkt.words[1] = 0;
   seal_crc(pkt);
-  EXPECT_EQ(validate_packet(pkt), Status::MalformedPacket);
+  RequestFields rq_out;
+  EXPECT_EQ(decode_request(pkt, rq_out), Status::MalformedPacket);
+  ResponseFields rs_out;
+  EXPECT_EQ(decode_response(pkt, rs_out), Status::MalformedPacket);
+}
+
+/// The packet's live words as little-endian bytes with the tail's CRC field
+/// (tail bytes 4..7) zeroed: the byte string the CRC is defined over.
+std::vector<u8> crc_image(const PacketBuffer& p) {
+  std::vector<u8> bytes;
+  for (usize i = 0; i < p.word_count(); ++i) {
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<u8>(p.words[i] >> (8 * b)));
+    }
+  }
+  std::fill(bytes.end() - 4, bytes.end(), u8{0});
+  return bytes;
+}
+
+TEST(PacketCrc, MatchesBitwiseReferenceAtEveryLength) {
+  // The packet CRC against the independent bit-serial oracle, on sealed
+  // requests and responses of every length 1..9 FLITs.
+  constexpr Command kRequestOfFlits[] = {
+      Command::Rd64, Command::Wr16, Command::Wr32,  Command::Wr48,
+      Command::Wr64, Command::Wr80, Command::Wr96, Command::Wr112,
+      Command::Wr128};
+  for (u32 flits = 1; flits <= spec::kMaxPacketFlits; ++flits) {
+    SCOPED_TRACE(flits);
+    const Command cmd = kRequestOfFlits[flits - 1];
+    ASSERT_EQ(request_flits(cmd), flits);
+    PacketBuffer rq;
+    ASSERT_EQ(encode_request(sample_request(cmd),
+                             make_payload(request_data_bytes(cmd) / 8, flits),
+                             rq),
+              Status::Ok);
+    const u32 rq_ref = crc::crc32k_reference(crc_image(rq));
+    EXPECT_EQ(packet_crc(rq), rq_ref);
+    EXPECT_EQ(field::crc_of(rq.tail()), rq_ref);
+
+    ResponseFields rf;
+    rf.cmd = Command::ReadResponse;
+    rf.tag = 0x0AB;
+    rf.slid = 3;
+    rf.rrp = 0x5A;
+    PacketBuffer rs;
+    ASSERT_EQ(encode_response(rf, make_payload((flits - 1) * 2, 100 + flits),
+                              rs),
+              Status::Ok);
+    ASSERT_EQ(rs.flits, flits);
+    const u32 rs_ref = crc::crc32k_reference(crc_image(rs));
+    EXPECT_EQ(packet_crc(rs), rs_ref);
+    EXPECT_EQ(field::crc_of(rs.tail()), rs_ref);
+  }
 }
 
 TEST(PacketValidation, ZeroAndOversizedFlitCounts) {

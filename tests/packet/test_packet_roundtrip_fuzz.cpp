@@ -120,7 +120,6 @@ TEST(PacketRoundTripFuzz, EveryRequestVariantRoundTripsExactly) {
       ASSERT_EQ(encode_request(f, payload, pkt), Status::Ok);
       ASSERT_EQ(pkt.flits, request_flits(cmd));
       ASSERT_TRUE(check_crc(pkt));
-      ASSERT_EQ(validate_packet(pkt), Status::Ok);
 
       RequestFields out;
       ASSERT_EQ(decode_request(pkt, out), Status::Ok);
@@ -163,7 +162,6 @@ TEST(PacketRoundTripFuzz, EveryResponseVariantRoundTripsAtEveryLength) {
         ASSERT_EQ(encode_response(f, payload, pkt), Status::Ok);
         ASSERT_EQ(pkt.flits, lng);
         ASSERT_TRUE(check_crc(pkt));
-        ASSERT_EQ(validate_packet(pkt), Status::Ok);
 
         ResponseFields out;
         ASSERT_EQ(decode_response(pkt, out), Status::Ok);
@@ -203,7 +201,6 @@ TEST(PacketRoundTripFuzz, BitFlipsRejectedForEveryVariant) {
       EXPECT_FALSE(check_crc(pkt));
       RequestFields out;
       EXPECT_EQ(decode_request(pkt, out), Status::MalformedPacket);
-      EXPECT_EQ(validate_packet(pkt), Status::MalformedPacket);
     }
   }
   for (const Command cmd : kResponseVariants) {

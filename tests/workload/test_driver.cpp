@@ -151,12 +151,24 @@ TEST(HostDriver, PostedTrafficCompletesWithoutResponses) {
   } gen(gc);
 
   DriverConfig dcfg;
-  dcfg.total_requests = 200;
+  // More posted sends than the 4 ports x 512 tags: a posted send must never
+  // hold a tag, since no response will ever free it.
+  dcfg.total_requests = 4 * 512 + 100;
   dcfg.max_cycles = 10000;
   HostDriver driver(sim, gen, dcfg);
-  const DriverResult r = driver.run();
-  EXPECT_EQ(r.completed, 200u);
+  DriverResult r;
+  std::string detail;
+  bool running = true;
+  while (running) {
+    running = driver.step(r);
+    ASSERT_TRUE(driver.invariants_ok(r, &detail))
+        << "cycle " << sim.now() << ": " << detail;
+  }
+  driver.finish(r);
+  EXPECT_EQ(r.sent, dcfg.total_requests);
+  EXPECT_EQ(r.completed, dcfg.total_requests);
   EXPECT_EQ(r.latency.count, 0u);  // no responses to time
+  EXPECT_EQ(driver.outstanding_total(), 0u);
   EXPECT_FALSE(r.hit_cycle_cap);
 }
 
