@@ -367,7 +367,6 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     json.kv("link_stuck_interval_cycles", u64{dc.link_stuck_interval_cycles});
     json.kv("link_stuck_window_cycles", u64{dc.link_stuck_window_cycles});
     json.kv("link_fail_threshold", u64{dc.link_fail_threshold});
-    json.kv("sim_threads", u64{sim.sim_threads()});
     json.kv("fast_forward", dc.fast_forward);
     json.kv("self_profile", dc.self_profile);
     json.kv("telemetry_interval_cycles", u64{dc.telemetry_interval_cycles});

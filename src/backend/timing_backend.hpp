@@ -22,10 +22,9 @@
 //     (--wedge-vaults) and tests read — and sometimes write — them
 //     directly.  A backend must honor external writes to the arrays (a
 //     wedged bank stays wedged) and must keep them current on issue().
-//   * All methods are called from exactly one shard at a time (the clock
-//     engine shards by (device, vault)), so backends need no locking, but
+//   * The clock engine is serial, so backends need no locking, but they
 //     must be deterministic: identical call sequences produce identical
-//     state for any sim_threads / fast_forward setting.
+//     state for either fast_forward setting.
 //   * Timing decisions compare against the absolute cycle `now`; a
 //     backend never mutates state merely because time passed (required
 //     for idle-cycle fast-forward).

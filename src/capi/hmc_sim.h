@@ -174,10 +174,9 @@ int hmcsim_util_decode_quad(struct hmcsim_t* hmc, uint64_t addr,
                             uint32_t* quad);
 
 /* Current per-device counters (Table I quantities).  The key
- * "sim_threads" additionally reports the resolved clock-engine worker
- * count, and "cycles_skipped" the clocks advanced via the idle-cycle
- * fast-forward path (simulation results never depend on either; see
- * docs/TESTING.md). */
+ * "cycles_skipped" additionally reports the clocks advanced via the
+ * idle-cycle fast-forward path (simulation results never depend on it;
+ * see docs/TESTING.md). */
 int hmcsim_get_stat(struct hmcsim_t* hmc, uint32_t dev, const char* name,
                     uint64_t* value);
 

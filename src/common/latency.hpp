@@ -52,7 +52,7 @@ struct LatencyStats {
 
   /// Exact histogram equality (count/sum/extremes/buckets), used by the
   /// differential test harness to prove latency attribution is independent
-  /// of the clock-engine thread count.
+  /// of the execution strategy (fast-forward, observability).
   bool operator==(const LatencyStats&) const = default;
 
   [[nodiscard]] double mean() const {

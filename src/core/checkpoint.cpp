@@ -55,11 +55,10 @@ constexpr char kTrailer[8] = {'H', 'M', 'C', 'S', 'I', 'M', 'E', 'N'};
 // the fault-injection RNG state (previously lost across restore, so
 // fault-injected runs diverged), the DRAM fault sidecar, scrubber/
 // degradation state, and the forward-progress watchdog state.
-// Version 4 sharded the DRAM fault RNG per vault (parallel clock engine):
-// each vault block now carries its generator state.  sim_threads is
-// deliberately NOT serialized — it is an execution knob, and checkpoints
-// must be byte-identical for every thread count (the differential harness
-// asserts exactly that); the same goes for fast_forward.
+// Version 4 gave every vault its own DRAM fault RNG: each vault block now
+// carries its generator state.  Execution knobs such as fast_forward are
+// deliberately NOT serialized — checkpoints must be byte-identical whatever
+// the execution strategy (the differential harness asserts exactly that).
 //
 // Version 5 added the spec link-layer reliability protocol: the
 // link_protocol config knobs, 13 link-layer stats counters, two RAS
@@ -1073,9 +1072,9 @@ Status Simulator::restore_checkpoint_legacy_(std::istream& is, u32 version,
     }
   }
 
-  // sim_threads and fast_forward are not serialized (checkpoints are
-  // agnostic to the execution strategy); a restored simulator keeps the
-  // parallelism and skip setting it already had.  The observability knobs
+  // fast_forward is not serialized (checkpoints are agnostic to the
+  // execution strategy); a restored simulator keeps the skip setting it
+  // already had.  The observability knobs
   // (self_profile / telemetry_interval_cycles / flight_recorder_depth) are
   // likewise pure observation: checkpoint bytes are identical with them on
   // or off, and a restore keeps the current simulator's settings.  The
@@ -1083,7 +1082,6 @@ Status Simulator::restore_checkpoint_legacy_(std::istream& is, u32 version,
   // snapshots itself must not leak into the snapshot, and neither does the
   // chaos_invariants check cadence (the campaign itself travels in CHAO).
   if (initialized()) {
-    config.device.sim_threads = config_.device.sim_threads;
     config.device.fast_forward = config_.device.fast_forward;
     config.device.self_profile = config_.device.self_profile;
     config.device.telemetry_interval_cycles =
@@ -1325,7 +1323,6 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
   // simulator keeps its own (see restore_checkpoint_legacy_ for the full
   // rationale).
   if (initialized()) {
-    config.device.sim_threads = config_.device.sim_threads;
     config.device.fast_forward = config_.device.fast_forward;
     config.device.self_profile = config_.device.self_profile;
     config.device.telemetry_interval_cycles =

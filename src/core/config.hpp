@@ -231,13 +231,9 @@ struct DeviceConfig {
   u32 watchdog_cycles{0};
 
   // ---- execution ----------------------------------------------------------
-  /// Worker threads the clock engine fans sub-cycle stages across (stages
-  /// 1-2 per device, stages 3-4 per vault).  Scheduling is deterministic —
-  /// static shard partitioning with fixed-order merges — so simulation
-  /// results are bit-identical for every value of this knob; it only
-  /// changes wall-clock speed.  1 = serial (default), 0 = one thread per
-  /// hardware core.  Not serialized into checkpoints (an execution knob,
-  /// not device state).
+  /// No effect: the clock engine is serial.  Kept only because the
+  /// committed benchmark program assigns it; delete it with the next
+  /// benchmark change.
   u32 sim_threads{1};
   /// Idle-cycle fast-forward: when every crossbar and vault queue is empty
   /// the clock engine skips the six sub-cycle stages and advances time with
@@ -245,16 +241,15 @@ struct DeviceConfig {
   /// refills, refresh events, watchdog stall accounting) in closed form at
   /// the moment traffic resumes.  Bit-identical to the slow path — the
   /// differential harness proves stats, checkpoint bytes, and latency
-  /// histograms match with the knob on and off.  Like sim_threads, this is
-  /// an execution knob, not device state, and is not serialized into
-  /// checkpoints.
+  /// histograms match with the knob on and off.  This is an execution knob,
+  /// not device state, and is not serialized into checkpoints.
   bool fast_forward{true};
 
   // ---- observability (execution knobs, never serialized) ------------------
   /// Time the six clock stages with the monotonic clock, attributed per
   /// device and per vault (src/profile/profiler.hpp).  Pure observation:
-  /// simulation results are bit-identical with the knob on or off.  Like
-  /// sim_threads, not serialized into checkpoints.
+  /// simulation results are bit-identical with the knob on or off.  Not
+  /// serialized into checkpoints.
   bool self_profile{false};
   /// Sample queue/token/retry-buffer occupancy into high-water marks and
   /// histograms every this-many clocks (src/profile/telemetry.hpp); 0

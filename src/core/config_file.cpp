@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -30,6 +31,48 @@ ConfigParseResult fail(usize line, const std::string& message) {
   r.error = std::to_string(line) + ": " + message;
   return r;
 }
+
+/// Keys whose value is a plain number stored in a 32-bit DeviceConfig field.
+constexpr struct {
+  const char* key;
+  u32 DeviceConfig::*field;
+} kU32Keys[] = {
+    {"num_links", &DeviceConfig::num_links},
+    {"banks_per_vault", &DeviceConfig::banks_per_vault},
+    {"drams_per_bank", &DeviceConfig::drams_per_bank},
+    {"bank_busy_cycles", &DeviceConfig::bank_busy_cycles},
+    {"xbar_flits_per_cycle", &DeviceConfig::xbar_flits_per_cycle},
+    {"vault_drain_limit", &DeviceConfig::vault_drain_limit},
+    {"nonlocal_penalty_cycles", &DeviceConfig::nonlocal_penalty_cycles},
+    {"conflict_window", &DeviceConfig::conflict_window},
+    {"link_error_rate_ppm", &DeviceConfig::link_error_rate_ppm},
+    {"link_retry_limit", &DeviceConfig::link_retry_limit},
+    {"link_tokens", &DeviceConfig::link_tokens},
+    {"link_retry_buffer_flits", &DeviceConfig::link_retry_buffer_flits},
+    {"link_retry_latency", &DeviceConfig::link_retry_latency},
+    {"link_error_burst_len", &DeviceConfig::link_error_burst_len},
+    {"link_stuck_interval_cycles", &DeviceConfig::link_stuck_interval_cycles},
+    {"link_stuck_window_cycles", &DeviceConfig::link_stuck_window_cycles},
+    {"link_fail_threshold", &DeviceConfig::link_fail_threshold},
+    {"dram_sbe_rate_ppm", &DeviceConfig::dram_sbe_rate_ppm},
+    {"dram_dbe_rate_ppm", &DeviceConfig::dram_dbe_rate_ppm},
+    {"scrub_interval_cycles", &DeviceConfig::scrub_interval_cycles},
+    {"vault_fail_threshold", &DeviceConfig::vault_fail_threshold},
+    {"watchdog_cycles", &DeviceConfig::watchdog_cycles},
+    {"checkpoint_interval_cycles", &DeviceConfig::checkpoint_interval_cycles},
+    {"chaos_invariants", &DeviceConfig::chaos_invariants},
+    {"refresh_interval_cycles", &DeviceConfig::refresh_interval_cycles},
+    {"refresh_busy_cycles", &DeviceConfig::refresh_busy_cycles},
+    {"row_hit_cycles", &DeviceConfig::row_hit_cycles},
+    {"row_miss_cycles", &DeviceConfig::row_miss_cycles},
+    {"ddr_tcl", &DeviceConfig::ddr_tcl},
+    {"ddr_trcd", &DeviceConfig::ddr_trcd},
+    {"ddr_trp", &DeviceConfig::ddr_trp},
+    {"ddr_tras", &DeviceConfig::ddr_tras},
+    {"pcm_read_cycles", &DeviceConfig::pcm_read_cycles},
+    {"pcm_write_cycles", &DeviceConfig::pcm_write_cycles},
+    {"pcm_write_gap_cycles", &DeviceConfig::pcm_write_gap_cycles},
+};
 
 }  // namespace
 
@@ -66,19 +109,22 @@ ConfigParseResult parse_config(std::istream& in) {
     u64 number = 0;
     const bool is_number = parse_number(value, number);
 
-    if (key == "num_devices") {
-      if (!is_number) return fail(line_no, "num_devices needs a number");
-      config.num_devices = static_cast<u32>(number);
-    } else if (key == "num_links") {
-      if (!is_number) return fail(line_no, "num_links needs a number");
-      dc.num_links = static_cast<u32>(number);
-    } else if (key == "banks_per_vault") {
-      if (!is_number) return fail(line_no, "banks_per_vault needs a number");
-      dc.banks_per_vault = static_cast<u32>(number);
-    } else if (key == "drams_per_bank") {
-      if (!is_number) return fail(line_no, "drams_per_bank needs a number");
-      dc.drams_per_bank = static_cast<u32>(number);
-    } else if (key == "xbar_depth") {
+    // Plain 32-bit numbers: a value the field cannot hold is an error, never
+    // a silent truncation.
+    u32* u32_field = key == "num_devices" ? &config.num_devices : nullptr;
+    for (const auto& k : kU32Keys) {
+      if (key == k.key) u32_field = &(dc.*k.field);
+    }
+    if (u32_field != nullptr) {
+      if (!is_number) return fail(line_no, key + " needs a number");
+      if (number > std::numeric_limits<u32>::max()) {
+        return fail(line_no, key + " does not fit in 32 bits: " + value);
+      }
+      *u32_field = static_cast<u32>(number);
+      continue;
+    }
+
+    if (key == "xbar_depth") {
       if (!is_number) return fail(line_no, "xbar_depth needs a number");
       dc.xbar_depth = static_cast<usize>(number);
     } else if (key == "vault_depth") {
@@ -86,40 +132,16 @@ ConfigParseResult parse_config(std::istream& in) {
       dc.vault_depth = static_cast<usize>(number);
     } else if (key == "capacity_gb") {
       if (!is_number) return fail(line_no, "capacity_gb needs a number");
+      if (number > (std::numeric_limits<u64>::max() >> 30)) {
+        return fail(line_no, "capacity_gb is too large: " + value);
+      }
       dc.capacity_bytes = number << 30;
     } else if (key == "max_block_bytes") {
       if (!is_number) return fail(line_no, "max_block_bytes needs a number");
       dc.max_block_bytes = number;
-    } else if (key == "bank_busy_cycles") {
-      if (!is_number) return fail(line_no, "bank_busy_cycles needs a number");
-      dc.bank_busy_cycles = static_cast<u32>(number);
-    } else if (key == "xbar_flits_per_cycle") {
-      if (!is_number) {
-        return fail(line_no, "xbar_flits_per_cycle needs a number");
-      }
-      dc.xbar_flits_per_cycle = static_cast<u32>(number);
-    } else if (key == "vault_drain_limit") {
-      if (!is_number) return fail(line_no, "vault_drain_limit needs a number");
-      dc.vault_drain_limit = static_cast<u32>(number);
-    } else if (key == "nonlocal_penalty_cycles") {
-      if (!is_number) {
-        return fail(line_no, "nonlocal_penalty_cycles needs a number");
-      }
-      dc.nonlocal_penalty_cycles = static_cast<u32>(number);
-    } else if (key == "conflict_window") {
-      if (!is_number) return fail(line_no, "conflict_window needs a number");
-      dc.conflict_window = static_cast<u32>(number);
-    } else if (key == "link_error_rate_ppm") {
-      if (!is_number) {
-        return fail(line_no, "link_error_rate_ppm needs a number");
-      }
-      dc.link_error_rate_ppm = static_cast<u32>(number);
     } else if (key == "fault_seed") {
       if (!is_number) return fail(line_no, "fault_seed needs a number");
       dc.fault_seed = number;
-    } else if (key == "link_retry_limit") {
-      if (!is_number) return fail(line_no, "link_retry_limit needs a number");
-      dc.link_retry_limit = static_cast<u32>(number);
     } else if (key == "link_protocol") {
       if (value == "true" || value == "1") {
         dc.link_protocol = true;
@@ -128,58 +150,9 @@ ConfigParseResult parse_config(std::istream& in) {
       } else {
         return fail(line_no, "link_protocol must be true/false");
       }
-    } else if (key == "link_tokens") {
-      if (!is_number) return fail(line_no, "link_tokens needs a number");
-      dc.link_tokens = static_cast<u32>(number);
-    } else if (key == "link_retry_buffer_flits") {
-      if (!is_number) {
-        return fail(line_no, "link_retry_buffer_flits needs a number");
-      }
-      dc.link_retry_buffer_flits = static_cast<u32>(number);
-    } else if (key == "link_retry_latency") {
-      if (!is_number) {
-        return fail(line_no, "link_retry_latency needs a number");
-      }
-      dc.link_retry_latency = static_cast<u32>(number);
-    } else if (key == "link_error_burst_len") {
-      if (!is_number) {
-        return fail(line_no, "link_error_burst_len needs a number");
-      }
-      dc.link_error_burst_len = static_cast<u32>(number);
-    } else if (key == "link_stuck_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "link_stuck_interval_cycles needs a number");
-      }
-      dc.link_stuck_interval_cycles = static_cast<u32>(number);
-    } else if (key == "link_stuck_window_cycles") {
-      if (!is_number) {
-        return fail(line_no, "link_stuck_window_cycles needs a number");
-      }
-      dc.link_stuck_window_cycles = static_cast<u32>(number);
-    } else if (key == "link_fail_threshold") {
-      if (!is_number) {
-        return fail(line_no, "link_fail_threshold needs a number");
-      }
-      dc.link_fail_threshold = static_cast<u32>(number);
-    } else if (key == "dram_sbe_rate_ppm") {
-      if (!is_number) return fail(line_no, "dram_sbe_rate_ppm needs a number");
-      dc.dram_sbe_rate_ppm = static_cast<u32>(number);
-    } else if (key == "dram_dbe_rate_ppm") {
-      if (!is_number) return fail(line_no, "dram_dbe_rate_ppm needs a number");
-      dc.dram_dbe_rate_ppm = static_cast<u32>(number);
-    } else if (key == "scrub_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "scrub_interval_cycles needs a number");
-      }
-      dc.scrub_interval_cycles = static_cast<u32>(number);
     } else if (key == "scrub_window_bytes") {
       if (!is_number) return fail(line_no, "scrub_window_bytes needs a number");
       dc.scrub_window_bytes = number;
-    } else if (key == "vault_fail_threshold") {
-      if (!is_number) {
-        return fail(line_no, "vault_fail_threshold needs a number");
-      }
-      dc.vault_fail_threshold = static_cast<u32>(number);
     } else if (key == "failed_vault_mask") {
       if (!is_number) return fail(line_no, "failed_vault_mask needs a number");
       dc.failed_vault_mask = number;
@@ -191,29 +164,6 @@ ConfigParseResult parse_config(std::istream& in) {
       } else {
         return fail(line_no, "vault_remap must be true/false");
       }
-    } else if (key == "watchdog_cycles") {
-      if (!is_number) return fail(line_no, "watchdog_cycles needs a number");
-      dc.watchdog_cycles = static_cast<u32>(number);
-    } else if (key == "checkpoint_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "checkpoint_interval_cycles needs a number");
-      }
-      dc.checkpoint_interval_cycles = static_cast<u32>(number);
-    } else if (key == "chaos_invariants") {
-      if (!is_number) {
-        return fail(line_no, "chaos_invariants needs a number");
-      }
-      dc.chaos_invariants = static_cast<u32>(number);
-    } else if (key == "refresh_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "refresh_interval_cycles needs a number");
-      }
-      dc.refresh_interval_cycles = static_cast<u32>(number);
-    } else if (key == "refresh_busy_cycles") {
-      if (!is_number) {
-        return fail(line_no, "refresh_busy_cycles needs a number");
-      }
-      dc.refresh_busy_cycles = static_cast<u32>(number);
     } else if (key == "row_policy") {
       if (value == "closed_page") {
         dc.row_policy = RowPolicy::ClosedPage;
@@ -222,15 +172,11 @@ ConfigParseResult parse_config(std::istream& in) {
       } else {
         return fail(line_no, "row_policy must be closed_page/open_page");
       }
-    } else if (key == "row_hit_cycles") {
-      if (!is_number) return fail(line_no, "row_hit_cycles needs a number");
-      dc.row_hit_cycles = static_cast<u32>(number);
-    } else if (key == "row_miss_cycles") {
-      if (!is_number) return fail(line_no, "row_miss_cycles needs a number");
-      dc.row_miss_cycles = static_cast<u32>(number);
     } else if (key == "sim_threads") {
+      // Accepted and ignored: the clock engine is serial, but files saved by
+      // earlier versions carry this line.  Delete with the next benchmark
+      // change.
       if (!is_number) return fail(line_no, "sim_threads needs a number");
-      dc.sim_threads = static_cast<u32>(number);
     } else if (key == "fast_forward") {
       if (value == "true" || value == "1") {
         dc.fast_forward = true;
@@ -308,29 +254,6 @@ ConfigParseResult parse_config(std::istream& in) {
         }
         dc.vault_backends.emplace_back(static_cast<u32>(v), backend);
       }
-    } else if (key == "ddr_tcl") {
-      if (!is_number) return fail(line_no, "ddr_tcl needs a number");
-      dc.ddr_tcl = static_cast<u32>(number);
-    } else if (key == "ddr_trcd") {
-      if (!is_number) return fail(line_no, "ddr_trcd needs a number");
-      dc.ddr_trcd = static_cast<u32>(number);
-    } else if (key == "ddr_trp") {
-      if (!is_number) return fail(line_no, "ddr_trp needs a number");
-      dc.ddr_trp = static_cast<u32>(number);
-    } else if (key == "ddr_tras") {
-      if (!is_number) return fail(line_no, "ddr_tras needs a number");
-      dc.ddr_tras = static_cast<u32>(number);
-    } else if (key == "pcm_read_cycles") {
-      if (!is_number) return fail(line_no, "pcm_read_cycles needs a number");
-      dc.pcm_read_cycles = static_cast<u32>(number);
-    } else if (key == "pcm_write_cycles") {
-      if (!is_number) return fail(line_no, "pcm_write_cycles needs a number");
-      dc.pcm_write_cycles = static_cast<u32>(number);
-    } else if (key == "pcm_write_gap_cycles") {
-      if (!is_number) {
-        return fail(line_no, "pcm_write_gap_cycles needs a number");
-      }
-      dc.pcm_write_gap_cycles = static_cast<u32>(number);
     } else if (key == "vault_schedule") {
       if (value == "bank_ready") {
         dc.vault_schedule = VaultSchedule::BankReady;
@@ -426,7 +349,6 @@ void write_config(std::ostream& os, const SimConfig& config) {
   os << "pcm_read_cycles = " << dc.pcm_read_cycles << '\n';
   os << "pcm_write_cycles = " << dc.pcm_write_cycles << '\n';
   os << "pcm_write_gap_cycles = " << dc.pcm_write_gap_cycles << '\n';
-  os << "sim_threads = " << dc.sim_threads << '\n';
   os << "fast_forward = " << (dc.fast_forward ? "true" : "false") << '\n';
   os << "model_data = " << (dc.model_data ? "true" : "false") << '\n';
 }

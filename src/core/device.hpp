@@ -135,11 +135,9 @@ struct VaultState {
   /// Per-bank open row under RowPolicy::OpenPage (kNoOpenRow when closed).
   std::vector<u64> open_row;
   /// Deterministic DRAM fault-injection source for accesses retired by THIS
-  /// vault.  Sharding the DRAM fault domain per vault (rather than drawing
-  /// from the device-wide generator) is what lets stage 4 retire vaults on
-  /// parallel threads without the draw order — and therefore the fault
-  /// pattern — depending on thread count.  Seeded from (fault_seed, device,
-  /// vault); checkpointed.
+  /// vault, so one vault's fault pattern does not depend on the traffic
+  /// other vaults retire.  Seeded from (fault_seed, device, vault);
+  /// checkpointed since format v4, so it is simulated state.
   SplitMix64 dram_rng{0};
   /// Bank-timing backend (src/backend/): decides when banks accept
   /// commands and how long they stay busy.  Owns only backend-private

@@ -24,11 +24,11 @@
 //
 // The state for one link direction lives in `LinkProtoState`, owned by the
 // RECEIVING device (the input-buffer side): the token pool, the expected
-// SEQ, and a model of the upstream transmitter's retry buffer.  That single
-// ownership is what keeps the layer deterministic under the parallel clock
-// engine — stages 1-2 mutate a link's state only from its owning device's
-// shard, and cross-device arrivals only from the serial flush at the stage
-// barrier.
+// SEQ, and a model of the upstream transmitter's retry buffer.  Stages 1-2
+// mutate a link's state only while processing its owning device, and
+// cross-device arrivals only from the outbox flush after every device of
+// the stage has run, so one device's crossbar pass never sees another's
+// arrivals from the same stage.
 //
 // Fault modes beyond the uniform per-packet ppm roll:
 //   * burst errors (`link_error_burst_len`): one roll corrupts the next N

@@ -19,20 +19,22 @@
 // A packet progresses by at most one internal stage per clock — it cannot
 // move from the crossbar interface to a memory bank in a single cycle.
 //
-// Parallel execution (DeviceConfig::sim_threads): within one clock, stages
-// 1-2 fan out per device and stages 3-4 per (device, vault) across a
-// deterministic thread pool, with a barrier between stages preserving the
-// one-stage-per-clock contract.  Every shard owns its state exclusively;
-// the shared state a stage would otherwise update in interleaved order —
-// stats counters, trace records, dynamic vault-failure bits, the RAS error
-// log — accumulates per shard and merges in fixed shard order at the
-// barrier, and the DRAM fault RNG is sharded per vault.  Results are
-// therefore bit-identical for every thread count (the differential harness
-// in tests/integration/test_differential.cpp enforces this).  Stage 5 runs
-// serially by design: link response queues are shared across all vaults
-// and exit-link selection balances on live queue occupancy, so the stage
-// is inherently order-coupled — and it is cheap queue movement, not the
-// hot loop.  See docs/TESTING.md.
+// The stages run serially, in the order above.  Two rules make the work
+// done for one device (stages 1-2) or one vault (stages 3-4) independent of
+// the devices or vaults visited before it in the same stage.  Both define
+// simulated behaviour, so the goldens and checkpoint fixtures depend on
+// them:
+//   * a cross-device request forward is two-phase: process_xbar reserves
+//     space against a stage-start snapshot of every destination queue and
+//     stages the packet in the source device's outbox; flush_outboxes then
+//     pushes the outboxes in device order and bounces losers back to the
+//     head of their source queue;
+//   * stage 4 skips vaults that were already failed at stage start and
+//     drains them after every live vault, so a vault that fails mid-stage
+//     still finishes its own pass.
+// Stages 3 and 4 run back to back per vault (scan, then retire), and each
+// vault draws DRAM faults from its own generator (VaultState::dram_rng).
+// See docs/INTERNALS.md.
 #pragma once
 
 #include <functional>
@@ -42,7 +44,6 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
-#include "common/thread_pool.hpp"
 #include "core/checkpoint.hpp"
 #include "core/custom_command.hpp"
 #include "core/device.hpp"
@@ -153,10 +154,9 @@ class Simulator {
   // ---- observability -----------------------------------------------------------
 
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  /// Resolved clock-engine worker count (sim_threads with 0 resolved to the
-  /// hardware concurrency at init time).  Purely an execution property:
-  /// simulation results are identical for every value.
-  [[nodiscard]] u32 sim_threads() const { return resolved_threads_; }
+  /// Always 1: the clock engine is serial.  Kept only because the committed
+  /// benchmark program prints it; delete it with the next benchmark change.
+  [[nodiscard]] u32 sim_threads() const { return 1; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] u32 num_devices() const {
     return static_cast<u32>(devices_.size());
@@ -298,37 +298,10 @@ class Simulator {
                                 CheckpointError* err,
                                 std::string* host_blob_out);
 
-  /// Per-shard mutable context for one parallel stage execution.  Stage
-  /// code funnels every update to logically-shared state through this so
-  /// that (a) no two shards write the same cache line and (b) the merge at
-  /// the stage barrier applies updates in fixed shard order, independent of
-  /// thread count.  In device-exclusive contexts (stages 1-2, where shard ==
-  /// device) `stats` points directly at the device's counters and `trace`
-  /// buffers only for emission ordering; in vault shards `stats` points at
-  /// a scratch accumulator merged with DeviceStats::operator+=.
-  struct ShardCtx {
-    DeviceStats* stats{nullptr};
-    /// Null: emit trace records directly (serial context).  Non-null:
-    /// buffer; the stage merge emits buffers in shard order.
-    std::vector<TraceRecord>* trace{nullptr};
-    /// Flight-recorder events, following the same buffering discipline as
-    /// `trace`: null = record into the ring directly (serial context),
-    /// non-null = buffer and merge in fixed shard order at the barrier.
-    std::vector<FlightEvent>* events{nullptr};
-    /// Vault-failure bits discovered this stage; OR-merged into
-    /// RasState::failed_vaults at the barrier.
-    u64 pending_failed_vaults{0};
-    /// RAS error-log update (last writer in shard order wins, matching the
-    /// serial engine's last-writer-in-vault-order).
-    u64 last_error_addr{0};
-    u8 last_error_stat{0};
-    bool has_last_error{false};
-  };
-
-  /// A cross-device request forward staged during the parallel crossbar
-  /// phase and flushed serially at the stage barrier (two-phase push: the
-  /// destination queue is shared between devices, so the actual push must
-  /// happen in fixed device order).
+  /// A cross-device request forward staged by process_xbar and pushed by
+  /// flush_outboxes after every device of the stage has run (two-phase
+  /// push: the destination queue belongs to another device, so the push
+  /// happens in fixed device order).
   struct StagedForward {
     RequestEntry entry;
     u32 src_link{0};      ///< source-device queue the entry left
@@ -342,25 +315,12 @@ class Simulator {
     bool src_penalty{false};
   };
 
-  /// Per-device scratch for the stage 1-2 parallel phase.
+  /// Per-device state for the stage 1-2 two-phase forward.
   struct XbarScratch {
-    std::vector<TraceRecord> trace;
-    std::vector<FlightEvent> events;
     std::vector<StagedForward> outbox;
     /// Forwards staged toward each global (device, link) request queue,
     /// checked against the pre-stage free-slot snapshot `xbar_free_`.
     std::vector<u32> staged;
-  };
-
-  /// Per-(device, vault) scratch for the fused stage 3-4 parallel phase.
-  struct VaultScratch {
-    DeviceStats stats;
-    std::vector<TraceRecord> trace;
-    std::vector<FlightEvent> events;
-    u64 pending_failed_vaults{0};
-    u64 last_error_addr{0};
-    u8 last_error_stat{0};
-    bool has_last_error{false};
   };
 
   // Sub-cycle stages.
@@ -370,38 +330,29 @@ class Simulator {
   void stage5_responses();
   void stage6_clock_update();
 
-  /// Dispatch `fn(0..num_shards)` across the pool (deterministic static
-  /// partition), or inline ascending when running serial.
-  void run_shards(u32 num_shards, const std::function<void(u32)>& fn);
-
   /// Stages 1-2 driver: snapshot destination capacity, run process_xbar
-  /// over `devs` in parallel, then merge trace buffers and flush the
-  /// cross-device outboxes serially in shard order.
+  /// over `devs` in order, then flush the cross-device outboxes.
   void run_xbar_stage(const std::vector<u32>& devs, u8 stage);
   void flush_outboxes(const std::vector<u32>& devs, u8 stage);
 
   /// Shared crossbar logic for stages 1 and 2.
-  void process_xbar(Device& dev, u8 stage, ShardCtx& ctx, XbarScratch& sc);
+  void process_xbar(Device& dev, u8 stage, XbarScratch& sc);
 
   /// Stage 3 for one vault: scan the request queue's conflict window.
-  void scan_bank_conflicts(Device& dev, u32 vault_index, ShardCtx& ctx);
+  void scan_bank_conflicts(Device& dev, u32 vault_index);
   /// Stage 4 helpers.
-  void process_vault(Device& dev, u32 vault_index, ShardCtx& ctx);
+  void process_vault(Device& dev, u32 vault_index);
   /// Drain a failed vault's queued requests as VAULT_FAILED errors.
-  /// Serial-only (touches the shared mode_rsp staging queue).
   void drain_failed_vault(Device& dev, u32 vault_index);
   /// Retire one request at a bank: perform the memory/register operation
   /// and enqueue the response (when non-posted).  Returns false when the
   /// vault response queue is full (the entry must stay queued).
-  bool retire_request(Device& dev, u32 vault_index, RequestEntry& entry,
-                      ShardCtx& ctx);
+  bool retire_request(Device& dev, u32 vault_index, RequestEntry& entry);
 
-  /// Build an error response for a failed request and route it home.
-  /// Returns false when the destination staging queue is full.  Only called
-  /// from device-exclusive or serial contexts (writes dev.mode_rsp and the
-  /// RAS error log directly).
+  /// Build an error response for a failed request and stage it in
+  /// dev.mode_rsp.  Returns false when that queue is full.
   bool emit_error_response(Device& dev, const RequestEntry& entry,
-                           ErrStat errstat, u8 stage, ShardCtx& ctx);
+                           ErrStat errstat, u8 stage);
 
   /// Outcome of the legacy (link_protocol off) per-transmission fault roll.
   enum class LegacyFault : u8 {
@@ -418,13 +369,13 @@ class Simulator {
   /// the budget is spent.  No-op (no RNG draw) when the spec link protocol
   /// is on — injection then happens at link arrival instead.
   LegacyFault legacy_link_fault(Device& dev, LinkState& link_state,
-                                RequestEntry& entry, u8 stage, ShardCtx& ctx);
+                                RequestEntry& entry, u8 stage);
 
   /// Link-layer protocol prologue for one crossbar link: drain a dead
   /// link's queue as LINK_FAILED errors, account retraining cycles, and
   /// step the error-abort replay machine.  Returns false when the link is
   /// dead (the caller skips normal processing).
-  bool step_link_protocol(Device& dev, u32 link, u8 stage, ShardCtx& ctx);
+  bool step_link_protocol(Device& dev, u32 link, u8 stage);
 
   /// Stage 5 helpers.
   void drain_response_queue(Device& dev, BoundedQueue<ResponseEntry>& queue,
@@ -438,11 +389,6 @@ class Simulator {
 
   void trace(TraceEvent event, u8 stage, u32 dev, u32 link, u32 quad,
              u32 vault, u32 bank, PhysAddr addr, Tag tag, Command cmd);
-  /// As trace(), but routed through the shard context: buffered when the
-  /// context carries a buffer, emitted directly otherwise.
-  void trace_to(ShardCtx& ctx, TraceEvent event, u8 stage, u32 dev, u32 link,
-                u32 quad, u32 vault, u32 bank, PhysAddr addr, Tag tag,
-                Command cmd);
 
   /// Register read with live status-register interception (FEAT geometry,
   /// IBTC token counts, ERR error totals, RAS error log); shared by the
@@ -454,19 +400,19 @@ class Simulator {
 
   /// Roll the DRAM fault model for one retired access and plant the
   /// resulting bit flips (transient on read, latent on write).  Draws from
-  /// the serving vault's sharded generator.
+  /// the serving vault's own generator.
   void inject_dram_fault(Device& dev, u32 vault_index, PhysAddr addr,
                          usize bytes);
   /// Run the SECDED codec over a read footprint.  Returns true when an
   /// uncorrectable error poisons the access (the caller must answer
   /// DRAM_DBE instead of data).
   bool ras_check_read(Device& dev, u32 vault_index, PhysAddr addr,
-                      usize bytes, ShardCtx& ctx);
+                      usize bytes);
   /// One background-scrubber step over the device's next window.
   void scrub_step(Device& dev);
   /// Count one uncorrectable error against a vault; marks it failed at the
-  /// configured threshold (deferred to the stage merge via the context).
-  void note_vault_uncorrectable(Device& dev, u32 vault_index, ShardCtx& ctx);
+  /// configured threshold.
+  void note_vault_uncorrectable(Device& dev, u32 vault_index);
   /// Forward-progress tracking (end of stage 6).
   [[nodiscard]] u64 progress_fingerprint() const;
   void check_watchdog();
@@ -478,13 +424,9 @@ class Simulator {
 
   // ---- observability helpers (src/profile/ wiring) -------------------------
 
-  /// Record one flight-recorder event through the shard context (buffered in
-  /// parallel contexts, direct otherwise).  No-op when the recorder is off.
-  void record_event(ShardCtx& ctx, FlightEventType type, u32 dev, u8 stage,
-                    u16 unit, u64 arg);
-  /// As record_event() from serial / device-exclusive contexts.
-  void record_event_direct(FlightEventType type, u32 dev, u8 stage, u16 unit,
-                           u64 arg);
+  /// Record one flight-recorder event.  No-op when the recorder is off.
+  void record_event(FlightEventType type, u32 dev, u8 stage, u16 unit,
+                    u64 arg);
   /// One telemetry sampling pass over every device's queues/token pools.
   void sample_telemetry();
   /// Close an open fast-forward skip span: bump the profiler span count and
@@ -531,19 +473,15 @@ class Simulator {
   /// Device processing order caches for stages 1/2/5.
   std::vector<u32> root_devices_;
   std::vector<u32> child_devices_;
-  /// Clock-engine parallelism (see DeviceConfig::sim_threads).  The pool is
-  /// only instantiated for resolved_threads_ > 1; the sharded algorithm and
-  /// fixed-order merges run identically either way.
-  u32 resolved_threads_{1};
-  std::unique_ptr<ThreadPool> pool_;
-  /// Stage scratch, sized at init so the hot loop never allocates.
+  /// Stage 1-2 outboxes, one per device in stage order, sized at init so
+  /// the hot loop never allocates.
   std::vector<XbarScratch> xbar_scratch_;
-  std::vector<VaultScratch> vault_scratch_;
   /// Pre-stage snapshot of every (device, link) request queue's free slots
   /// (capacity reservation base for the two-phase cross-device forward).
   std::vector<u32> xbar_free_;
-  /// Start-of-stage-4 failed-vault masks (shard selection reads a stable
-  /// copy; bits earned during the stage merge at the barrier).
+  /// Start-of-stage-4 failed-vault masks: vaults set here skip stage 4 and
+  /// drain after every live vault; bits earned during the stage wait for
+  /// the next cycle.
   std::vector<u64> failed_snapshot_;
   /// flush_outboxes working state (members to avoid per-cycle allocation).
   std::vector<u8> bounce_mark_;
@@ -554,8 +492,8 @@ class Simulator {
   u64 watchdog_fingerprint_{0};
   std::string watchdog_report_;
   /// Idle-cycle fast-forward state (see DeviceConfig::fast_forward).  Not
-  /// serialized: like sim_threads, an execution property — checkpoints are
-  /// byte-identical with the knob on or off.
+  /// serialized: an execution property — checkpoints are byte-identical
+  /// with the knob on or off.
   u64 cycles_skipped_{0};
   bool ff_armed_{false};
   /// First cycle whose clock() call must run the staged path (exclusive

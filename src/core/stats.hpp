@@ -139,8 +139,8 @@ struct DeviceStats {
     return reads + writes + atomics + custom_ops;
   }
 
-  /// Field-wise equality; the differential test harness compares serial and
-  /// parallel runs with it.
+  /// Field-wise equality; the differential test harness compares runs
+  /// across execution strategies with it.
   bool operator==(const DeviceStats&) const = default;
 };
 

@@ -10,16 +10,15 @@
 // controller's block granularity), but arbitrary byte spans are supported
 // for host-side convenience and tests.
 //
-// Concurrency: the parallel clock engine retires requests for different
-// vaults on different threads, and a 4 KiB page spans many vaults'
-// interleaved blocks — so the page table is a flat array of atomic page
-// pointers.  Lookups are lock-free loads; first-touch materialization is a
-// compare-exchange (the loser frees its zero-filled candidate, so page
-// contents are identical regardless of which thread wins).  Concurrent
-// accesses to one page always target disjoint byte ranges (each vault owns
-// its interleaved blocks), which is race-free by the C++ memory model.
-// The flat table also makes page iteration order deterministic by
-// construction (ascending index), which checkpointing relies on.
+// Concurrency: the clock engine is serial, but the store stays safe for
+// callers that access it from several threads at once, provided each
+// thread works on its own vaults' blocks (a 4 KiB page spans many vaults'
+// interleaved blocks).  The page table is a flat array of atomic page
+// pointers: lookups are lock-free loads, and first-touch materialization
+// is a compare-exchange (the loser frees its zero-filled candidate, so
+// page contents are identical regardless of which thread wins).  The flat
+// table also makes page iteration order deterministic by construction
+// (ascending index), which checkpointing relies on.
 //
 // DRAM fault domain: faults are planted per 64-bit word as real bit flips in
 // the stored data plus a sidecar record of the ground-truth flip masks.  The
@@ -27,11 +26,11 @@
 // the word's SECDED check byte and run a genuine syndrome decode — a
 // "corrected" SBE is an actual codec repair, an uncorrectable DBE an actual
 // detection, not a counter bump.  Writes overwrite faults (fresh data means
-// fresh check bits).  The sidecar map is guarded by a mutex (different
-// vaults only ever touch faults in their own address ranges, so the lock
-// protects map structure, never logical state), and the hot-path "any
-// faults at all?" gate is a relaxed atomic counter — with no faults planted
-// every fault hook is a single load, so the RAS-off cost stays ~0.
+// fresh check bits).  The sidecar map is guarded by a mutex (under the
+// same one-thread-per-vault rule the lock protects map structure, never
+// logical state), and the hot-path "any faults at all?" gate is a relaxed
+// atomic counter — with no faults planted every fault hook is a single
+// load, so the RAS-off cost stays ~0.
 #pragma once
 
 #include <array>

@@ -1,14 +1,10 @@
 // Simulator self-profiler: steady-clock wall-time attribution for the
 // six-stage clock engine.
 //
-// The clock() dispatch loop times each stage serially (the span includes
-// thread-pool fan-out and the fixed-order merge), while the shard lambdas
-// additionally time their own bodies — per device for the crossbar stages
-// (1-2, where shard == device) and per vault for the fused stage 3-4.  Each
-// shard owns its accounting slot exclusively (the shard *is* the device or
-// (device, vault)), so concurrent shards never write the same counter and
-// no merge step is needed: the accumulation order per slot is the shard's
-// own execution order, and cross-slot totals are order-independent sums.
+// The clock() dispatch loop times each stage as a whole, and the stage
+// loops additionally time each device for the crossbar stages (1-2) and
+// each vault for the fused stage 3-4, each into a slot of its own.  The
+// clock engine is serial, so every counter is a plain add.
 //
 // The profiler is pure observation: it reads the monotonic clock and adds
 // to counters, never branching simulation behavior — runs with it on are
@@ -49,15 +45,15 @@ class StageProfiler {
   /// Monotonic nanoseconds (std::chrono::steady_clock).
   [[nodiscard]] static u64 now_ns();
 
-  // ---- recording (hot path; plain adds, no locking needed — see header) --
+  // ---- recording (hot path; plain adds) ------------------------------------
   void add_stage(ProfileStage stage, u64 ns) {
     stage_ns_[static_cast<usize>(stage)] += ns;
   }
-  /// Shard-side attribution for the crossbar stages (slot owner: device).
+  /// Per-device attribution for the crossbar stages.
   void add_device(ProfileStage stage, u32 dev, u64 ns) {
     device_ns_[static_cast<usize>(stage)][dev] += ns;
   }
-  /// Shard-side attribution for stage 3-4 (slot owner: (device, vault)).
+  /// Per-(device, vault) attribution for stage 3-4.
   /// The engine feeds this on a 1-in-16-cycle sample (keyed to the
   /// deterministic cycle counter), so vault_ns values are relative weights
   /// for ranking vaults, not wall-time totals.
@@ -97,7 +93,7 @@ class StageProfiler {
   u64 staged_cycles_{0};
   u64 fast_cycles_{0};
   u64 skip_spans_{0};
-  /// Per-device shard time for Stage1Xbar / Stage2RootXbar (other stages
+  /// Per-device time for Stage1Xbar / Stage2RootXbar (other stages
   /// unused but kept uniform for simple indexing).
   std::vector<u64> device_ns_[kProfileStageCount];
   std::vector<u64> vault_ns_;  ///< [dev * vaults_per_device + vault]

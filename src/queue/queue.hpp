@@ -65,10 +65,11 @@ class BoundedQueue {
   }
 
   /// Reinstate an entry at the FIFO head, bypassing the capacity check.
-  /// Used only to bounce an optimistically removed entry back (the parallel
-  /// crossbar's two-phase forward when the destination filled up in the
-  /// meantime); the queue may transiently exceed its capacity until the
-  /// entry moves on, during which free_slots() saturates at zero.
+  /// Used only to bounce an optimistically removed entry back (the
+  /// crossbar's two-phase forward, when other devices filled the
+  /// destination before this device's outbox was flushed); the queue may
+  /// transiently exceed its capacity until the entry moves on, during which
+  /// free_slots() saturates at zero.
   void push_front(Entry e) {
     entries_.insert(entries_.begin(), std::move(e));
     stats_.high_water = std::max(stats_.high_water, entries_.size());

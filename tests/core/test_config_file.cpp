@@ -26,6 +26,7 @@ vault_depth   = 64
 capacity_gb   = 4        # cross-checked against the geometry
 map_mode      = low_interleave
 vault_schedule = bank_ready
+sim_threads   = 4        # written by earlier versions; accepted, no effect
 )");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.config.device.num_links, 8u);
@@ -56,6 +57,22 @@ TEST(ConfigFile, MalformedLinesAreErrors) {
   EXPECT_FALSE(parse_config_string("num_links = four").ok);     // not number
   EXPECT_FALSE(parse_config_string("map_mode = diagonal").ok);  // bad enum
   EXPECT_FALSE(parse_config_string("model_data = maybe").ok);
+  // A value too large for its field is an error naming the line and key,
+  // never a silent truncation.
+  const struct {
+    const char* key;
+    const char* value;
+  } kTooLarge[] = {
+      {"num_links", "4294967300"},            // would wrap to 4
+      {"link_error_rate_ppm", "4294967296"},  // would wrap to 0
+      {"capacity_gb", "17179869186"},         // would wrap to 2 GiB
+  };
+  for (const auto& [key, value] : kTooLarge) {
+    const auto r =
+        parse_config_string(std::string(key) + " = " + value + "\n");
+    ASSERT_FALSE(r.ok) << key;
+    EXPECT_EQ(r.error.rfind(std::string("1: ") + key, 0), 0u) << r.error;
+  }
 }
 
 TEST(ConfigFile, SemanticValidationStillApplies) {
@@ -244,7 +261,7 @@ TEST(ConfigFile, ChaosInvariantsKnobParsesAndRoundTrips) {
 TEST(ConfigFile, OverlongLinesAreRefusedWithALineNumber) {
   // A hostile or corrupt file must not balloon memory line by line: any
   // line past the 64 KiB bound is a typed error, not a silent read.
-  std::string text = "num_links = 4\nsim_threads = ";
+  std::string text = "num_links = 4\nfault_seed = ";
   text.append(70000, '1');
   text += "\n";
   const auto r = parse_config_string(text);

@@ -18,9 +18,9 @@
 //     fast-forward engine is off, and positive when it is on and the
 //     workload has idle windows to skip.
 //
-// The metamorphic axis: the same workload re-run across thread counts and
-// fast-forward settings must produce identical device stats and finish
-// cycle while cycles_skipped (pure execution bookkeeping) is free to vary.
+// The metamorphic axis: the same workload re-run with fast-forward off and
+// on must produce identical device stats and finish cycle while
+// cycles_skipped (pure execution bookkeeping) is free to vary.
 //
 // Every law above is backend-independent, so the whole matrix also runs
 // under each vault timing backend (hmc_dram / generic_ddr / pcm_like):
@@ -32,7 +32,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/link_layer.hpp"
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
@@ -160,12 +159,10 @@ struct RunResult {
   u64 failed_vaults{0};
 };
 
-RunResult run_conservation(bool ras, TimingBackend backend, u32 threads,
-                           bool fast_forward,
+RunResult run_conservation(bool ras, TimingBackend backend, bool fast_forward,
                            const std::vector<RequestDesc>& trace) {
   RunResult out;
   DeviceConfig dc = conservation_device(ras, backend);
-  dc.sim_threads = threads;
   dc.fast_forward = fast_forward;
   Simulator sim;
   std::string diag;
@@ -198,13 +195,12 @@ RunResult run_conservation(bool ras, TimingBackend backend, u32 threads,
   return out;
 }
 
-void check_conservation(bool ras, TimingBackend backend, u32 threads,
-                        bool fast_forward,
+void check_conservation(bool ras, TimingBackend backend, bool fast_forward,
                         const std::vector<RequestDesc>& trace,
                         const RunResult& run) {
   SCOPED_TRACE(std::string(ras ? "ras" : "clean") + " " +
-               to_string(backend) + " @" + std::to_string(threads) +
-               " threads, fast_forward " + (fast_forward ? "on" : "off"));
+               to_string(backend) + " @fast_forward " +
+               (fast_forward ? "on" : "off"));
   const DeviceConfig dc = conservation_device(ras, backend);
   const DeviceStats& s = run.stats;
 
@@ -283,22 +279,10 @@ TEST_P(Conservation, CountsSumToInjectedTotals) {
   const std::vector<RequestDesc> trace =
       conservation_trace(conservation_device(ras).derived_capacity());
 
-  struct Cfg {
-    u32 threads;
-    bool fast_forward;
-  };
-  const Cfg cfgs[] = {{1, false},
-                      {1, true},
-                      {2, true},
-                      {2, false},
-                      {std::max(4u, ThreadPool::hardware_threads()), true}};
-
   std::vector<RunResult> runs;
-  for (const Cfg& c : cfgs) {
-    runs.push_back(
-        run_conservation(ras, backend, c.threads, c.fast_forward, trace));
-    check_conservation(ras, backend, c.threads, c.fast_forward, trace,
-                       runs.back());
+  for (const bool fast_forward : {false, true}) {
+    runs.push_back(run_conservation(ras, backend, fast_forward, trace));
+    check_conservation(ras, backend, fast_forward, trace, runs.back());
   }
 
   // Metamorphic equality: simulation-visible outputs agree across every

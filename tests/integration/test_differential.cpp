@@ -1,19 +1,16 @@
-// Differential proof that the parallel clock engine is equivalent to the
-// serial one, and that the idle-cycle fast-forward engine is equivalent to
-// the staged path.
+// Differential proof that the idle-cycle fast-forward engine is equivalent
+// to the staged path, that the observability layer changes nothing it
+// observes, and that a run repeats itself exactly.
 //
-// The clock engine (core/simulator.cpp) promises bit-identical simulation
-// for every sim_threads value — static index-range sharding, per-shard
-// mutable state, and fixed-shard-order merges make the parallel schedule a
-// pure reordering of independent work — and for either fast_forward value:
-// the fast path only arms once every per-cycle idle mutation has reached
+// The fast path only arms once every per-cycle idle mutation has reached
 // its fixed point, and disarms before any cycle with a bounded event
-// (scrub, refresh, hook), so skipping is unobservable.  This harness
+// (scrub, refresh, hook), so skipping must be unobservable; the profiler,
+// telemetry and flight recorder are pure observation.  This harness
 // *proves* both promises over a matrix of seeded workloads: each scenario
-// runs under 1 thread (reference), 2 threads, and a saturated worker
-// count, with the fast-forward axis injecting idle windows between request
-// bursts so the skip engine genuinely engages, and every observable output
-// must match exactly —
+// runs staged (reference) and with fast-forward on, with idle windows
+// injected between request bursts so the skip engine genuinely engages, and
+// with observability off and on.  Every observable output must match
+// exactly —
 //
 //   * final per-device DeviceStats (field-wise),
 //   * the complete checkpoint byte stream (queues, banks, RNGs, memory),
@@ -32,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "tests/core/helpers.hpp"
 #include "topo/topology.hpp"
 #include "trace/lifecycle.hpp"
@@ -74,7 +70,8 @@ struct Scenario {
   TimingBackend backend{TimingBackend::HmcDram};
 };
 
-// Keep runtimes modest: each scenario runs 3x (plus 2x more on failure).
+// Keep runtimes modest: each scenario runs a few times (plus 2x more on
+// failure).
 constexpr Scenario kScenarios[] = {
     // links, devices, kind, ras, requests, name [, storm]
     {4, 1, Kind::Random, false, 3000, "random_4link"},
@@ -204,7 +201,6 @@ struct Outcome {
 
 /// One run's execution strategy (never simulation-visible).
 struct RunCfg {
-  u32 threads{1};
   bool fast_forward{false};
   /// Interleave idle windows between request bursts and append an idle
   /// tail, so fast-forward runs genuinely enter and leave the skip path
@@ -220,7 +216,6 @@ struct RunCfg {
 Status build_sim(const Scenario& s, const RunCfg& cfg, Simulator& sim,
                  std::string* diag) {
   DeviceConfig dc = scenario_device(s);
-  dc.sim_threads = cfg.threads;
   dc.fast_forward = cfg.fast_forward;
   if (cfg.observability) {
     dc.self_profile = true;
@@ -305,9 +300,8 @@ Outcome run_scenario(const Scenario& s, const RunCfg& cfg) {
 }
 
 std::string describe(const RunCfg& cfg) {
-  return std::to_string(cfg.threads) + " threads, fast_forward " +
-         (cfg.fast_forward ? "on" : "off") + ", observability " +
-         (cfg.observability ? "on" : "off");
+  return std::string("fast_forward ") + (cfg.fast_forward ? "on" : "off") +
+         ", observability " + (cfg.observability ? "on" : "off");
 }
 
 /// Failure diagnostics: re-run configuration `a` vs `b` in lockstep,
@@ -395,21 +389,14 @@ void expect_equivalent(const Scenario& s, const RunCfg& ref_cfg,
   }
 }
 
-u32 saturated_threads() {
-  // On small CI machines hardware_threads() can be 1; the engine still
-  // spawns the requested workers, so force a genuinely oversubscribed
-  // count to stress the shard scheduler.
-  return std::max(4u, ThreadPool::hardware_threads());
-}
+/// Bursty pacing with the skip engine on, and the same pacing staged: the
+/// pair the fast-forward comparisons below run.
+constexpr RunCfg kSkipping{/*fast_forward=*/true, /*idle_windows=*/true};
+constexpr RunCfg kStagedIdle{/*fast_forward=*/false, /*idle_windows=*/true};
 
-class Differential : public ::testing::TestWithParam<Scenario> {};
-
-TEST_P(Differential, ParallelMatchesSerialExactly) {
-  const Scenario& s = GetParam();
-  const RunCfg ref_cfg{};
-  const Outcome ref = run_scenario(s, ref_cfg);
-  // The reference run must itself be a real run, or the comparisons below
-  // are vacuous.
+/// Non-vacuity: a reference run must be a real run that exercises its
+/// scenario's fault axis, or the comparisons against it prove nothing.
+void expect_exercised(const Scenario& s, const Outcome& ref) {
   ASSERT_EQ(ref.sent, s.requests);
   ASSERT_EQ(ref.completed, s.requests);
   ASSERT_FALSE(ref.checkpoint.empty());
@@ -436,28 +423,24 @@ TEST_P(Differential, ParallelMatchesSerialExactly) {
       EXPECT_GT(retrain, 0u) << "retraining storm never held a window open";
     }
   }
-
-  for (const u32 threads : {2u, saturated_threads()}) {
-    const RunCfg got_cfg{threads};
-    expect_equivalent(s, ref_cfg, got_cfg, ref, run_scenario(s, got_cfg));
-  }
 }
 
-TEST_P(Differential, NonDefaultBackendsParallelMatchSerialExactly) {
+class Differential : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(Differential, NonDefaultBackendsFastForwardMatchStagedExactly) {
   // The backend axis: every scenario re-run under the generic_ddr and
-  // pcm_like vault timing backends, serial reference vs 2 threads and a
-  // saturated worker count, with the same lockstep first-divergence
-  // diagnosis on mismatch.  (The default hmc_dram backend is what every
-  // other test in this file runs under.)  Backends keep per-vault private
-  // state (e.g. pcm_like's write-gap deadline), so this is the proof that
-  // the sharded stage-3/4 schedule never races that state either.
+  // pcm_like vault timing backends, staged reference vs fast-forward with
+  // idle windows, with the same lockstep first-divergence diagnosis on
+  // mismatch.  (The default hmc_dram backend is what every other test in
+  // this file runs under.)  Backends keep per-vault private state (e.g.
+  // pcm_like's write-gap deadline) that a skip must leave exactly as the
+  // staged path would.
   for (const TimingBackend backend :
        {TimingBackend::GenericDdr, TimingBackend::PcmLike}) {
     Scenario s = GetParam();
     s.backend = backend;
     SCOPED_TRACE(std::string("backend ") + to_string(backend));
-    const RunCfg ref_cfg{};
-    const Outcome ref = run_scenario(s, ref_cfg);
+    const Outcome ref = run_scenario(s, kStagedIdle);
     ASSERT_EQ(ref.sent, s.requests);
     ASSERT_EQ(ref.completed, s.requests);
     ASSERT_FALSE(ref.checkpoint.empty());
@@ -468,40 +451,32 @@ TEST_P(Differential, NonDefaultBackendsParallelMatchSerialExactly) {
       }
       EXPECT_GT(throttle, 0u)
           << "pcm_like run never hit the write-bandwidth throttle; the "
-             "backend-state race coverage is weaker than intended";
+             "backend-state coverage is weaker than intended";
     }
-    for (const u32 threads : {2u, saturated_threads()}) {
-      const RunCfg got_cfg{threads};
-      expect_equivalent(s, ref_cfg, got_cfg, ref, run_scenario(s, got_cfg));
-    }
+    const Outcome got = run_scenario(s, kSkipping);
+    expect_equivalent(s, kStagedIdle, kSkipping, ref, got);
+    EXPECT_GT(got.cycles_skipped, 0u) << "skip engine never engaged";
   }
 }
 
 TEST_P(Differential, FastForwardMatchesStagedExactly) {
   // The fast-forward axis: the same bursty workload — idle windows between
   // request bursts plus a long idle tail — run with the skip engine off
-  // (reference) and on, at 1, 2, and oversubscribed thread counts.  Every
-  // observable (stats, checkpoint bytes, latency histograms, finish cycle)
-  // must match exactly, and the skip runs must actually skip, or the proof
-  // is vacuous.
+  // (reference) and on.  Every observable (stats, checkpoint bytes, latency
+  // histograms, finish cycle) must match exactly, and the skip run must
+  // actually skip, or the proof is vacuous.
   const Scenario& s = GetParam();
-  const RunCfg ref_cfg{1, /*fast_forward=*/false, /*idle_windows=*/true};
-  const Outcome ref = run_scenario(s, ref_cfg);
+  const Outcome ref = run_scenario(s, kStagedIdle);
   ASSERT_EQ(ref.sent, s.requests);
   ASSERT_EQ(ref.completed, s.requests);
   ASSERT_EQ(ref.cycles_skipped, 0u)
       << "reference run must take the staged path every cycle";
 
-  u64 min_skipped = ~u64{0};
-  for (const u32 threads : {1u, 2u, saturated_threads()}) {
-    const RunCfg got_cfg{threads, /*fast_forward=*/true, /*idle_windows=*/true};
-    const Outcome got = run_scenario(s, got_cfg);
-    expect_equivalent(s, ref_cfg, got_cfg, ref, got);
-    min_skipped = std::min(min_skipped, got.cycles_skipped);
-  }
+  const Outcome got = run_scenario(s, kSkipping);
+  expect_equivalent(s, kStagedIdle, kSkipping, ref, got);
   // The idle tail alone is thousands of cycles with no bounded event for
   // long stretches, so a healthy skip engine fast-forwards plenty.
-  EXPECT_GT(min_skipped, 100u)
+  EXPECT_GT(got.cycles_skipped, 100u)
       << "skip engine never meaningfully engaged; the fast-forward "
          "equivalence above is vacuous";
 }
@@ -510,39 +485,37 @@ TEST_P(Differential, ObservabilityOnMatchesOffExactly) {
   // The observability axis: profiler + telemetry + flight recorder all on
   // versus all off.  Every simulation observable — stats, checkpoint
   // bytes, lifecycle histograms, finish cycle — must match exactly on the
-  // staged path (serial and parallel) and on the fast-forward path, where
-  // telemetry sampling bounds the skip spans.  (cycles_skipped is NOT an
-  // observable: sampling legitimately splits skip spans.)
+  // staged path and on the fast-forward path, where telemetry sampling
+  // bounds the skip spans.  (cycles_skipped is NOT an observable: sampling
+  // legitimately splits skip spans.)
   const Scenario& s = GetParam();
   const RunCfg ref_cfg{};
   const Outcome ref = run_scenario(s, ref_cfg);
   ASSERT_EQ(ref.completed, s.requests);
 
-  for (const u32 threads : {1u, saturated_threads()}) {
-    RunCfg got_cfg{threads};
-    got_cfg.observability = true;
-    expect_equivalent(s, ref_cfg, got_cfg, ref, run_scenario(s, got_cfg));
-  }
+  RunCfg got_cfg{};
+  got_cfg.observability = true;
+  expect_equivalent(s, ref_cfg, got_cfg, ref, run_scenario(s, got_cfg));
 
-  const RunCfg ff_ref{1, /*fast_forward=*/true, /*idle_windows=*/true};
-  const Outcome ff_off = run_scenario(s, ff_ref);
-  RunCfg ff_got{1, /*fast_forward=*/true, /*idle_windows=*/true};
+  const Outcome ff_off = run_scenario(s, kSkipping);
+  RunCfg ff_got = kSkipping;
   ff_got.observability = true;
   const Outcome ff_on = run_scenario(s, ff_got);
-  expect_equivalent(s, ff_ref, ff_got, ff_off, ff_on);
+  expect_equivalent(s, kSkipping, ff_got, ff_off, ff_on);
   EXPECT_GT(ff_on.cycles_skipped, 0u)
       << "telemetry sampling must shorten skip spans, not disable skipping";
 }
 
 TEST_P(Differential, SerialRerunIsBitIdentical) {
-  // Harness self-check: two identical serial runs must agree, otherwise
-  // the scenario itself is nondeterministic and the parallel comparison
-  // proves nothing.
+  // Harness self-check: two identical runs must agree, otherwise the
+  // scenario itself is nondeterministic and every comparison in this file
+  // proves nothing.  The run must also exercise the scenario's axis, so a
+  // scenario that silently stops faulting fails here.
   const Scenario& s = GetParam();
-  const Outcome a = run_scenario(s, RunCfg{});
-  const Outcome b = run_scenario(s, RunCfg{});
-  EXPECT_EQ(a.checkpoint, b.checkpoint);
-  EXPECT_EQ(a.cycles, b.cycles);
+  const RunCfg cfg{};
+  const Outcome a = run_scenario(s, cfg);
+  expect_exercised(s, a);
+  expect_equivalent(s, cfg, cfg, a, run_scenario(s, cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, Differential,
@@ -550,40 +523,6 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, Differential,
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
-
-TEST(DifferentialExtras, ThreadsZeroResolvesToHardwareConcurrency) {
-  DeviceConfig dc = test::small_device();
-  dc.sim_threads = 0;
-  Simulator sim;
-  ASSERT_EQ(sim.init_simple(dc), Status::Ok);
-  EXPECT_EQ(sim.sim_threads(), ThreadPool::hardware_threads());
-}
-
-TEST(DifferentialExtras, CheckpointBytesOmitThreadCount) {
-  // sim_threads is an execution-strategy knob, not simulated state: a
-  // checkpoint taken under N threads must restore cleanly into a 1-thread
-  // simulator and vice versa, and the bytes must not encode N.
-  DeviceConfig dc = test::small_device();
-  dc.sim_threads = 3;
-  Simulator sim;
-  ASSERT_EQ(sim.init_simple(dc), Status::Ok);
-  std::ostringstream os;
-  ASSERT_EQ(sim.save_checkpoint(os), Status::Ok);
-  const std::string bytes = std::move(os).str();
-
-  Simulator restored;
-  DeviceConfig dc1 = test::small_device();
-  dc1.sim_threads = 1;
-  ASSERT_EQ(restored.init_simple(dc1), Status::Ok);
-  std::istringstream is(bytes);
-  ASSERT_EQ(restored.restore_checkpoint(is), Status::Ok);
-  // The restoring simulator keeps its own execution strategy...
-  EXPECT_EQ(restored.sim_threads(), 1u);
-  // ...and re-saving reproduces the identical bytes.
-  std::ostringstream os2;
-  ASSERT_EQ(restored.save_checkpoint(os2), Status::Ok);
-  EXPECT_EQ(std::move(os2).str(), bytes);
-}
 
 TEST(DifferentialExtras, CheckpointBytesOmitFastForward) {
   // fast_forward is likewise an execution-strategy knob: a checkpoint from

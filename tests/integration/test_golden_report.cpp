@@ -45,7 +45,6 @@ std::string mask_floats(const std::string& json) {
 
 std::string render_report() {
   DeviceConfig dc = test::small_device();
-  dc.sim_threads = 1;
   dc.dram_sbe_rate_ppm = 500;
   dc.dram_dbe_rate_ppm = 100;
   dc.scrub_interval_cycles = 256;

@@ -82,6 +82,11 @@ TEST_F(ExitCodes, TwoOnUsageErrors) {
   EXPECT_EQ(run(tool() + " --no-such-flag"), 2);
   EXPECT_EQ(run(tool() + " --requests 10abc"), 2);
   EXPECT_EQ(run(tool() + " --resume"), 2);  // --resume needs a directory
+  // A value too large for the 32-bit setting it feeds is refused, not
+  // truncated (these would silently turn the watchdog and recorder off).
+  EXPECT_EQ(run(tool() + " --requests 64 --watchdog 4294967296"), 2);
+  EXPECT_EQ(run(tool() + " --requests 64 --flight-recorder-depth 4294967296"),
+            2);
 }
 
 TEST_F(ExitCodes, ThreeOnWatchdog) {

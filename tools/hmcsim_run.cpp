@@ -25,8 +25,6 @@
 //     --metrics-interval <n> sample queue occupancies/stalls every n cycles
 //     --metrics-csv <file>  write the metric samples as CSV
 //     --seed <n>            generator seed (default 1)
-//     --threads <n>         clock-engine worker threads (0 = all cores;
-//                           results are bit-identical for every value)
 //
 //   RAS / fault injection (see docs/RAS.md):
 //     --dram-sbe-ppm <n>    single-bit DRAM fault odds per access, ppm
@@ -100,7 +98,7 @@
 //     --chaos-plan <file>   arm a deterministic fault campaign (at/every/
 //                           ramp/storm/quiet directives); events fire from
 //                           the clock loop at exact cycles, bit-identical
-//                           for every thread count and with fast-forward
+//                           with and without fast-forward
 //     --chaos-invariants <n>      run the live invariant suite every n
 //                           cycles (defaults to 1024 when a plan is armed;
 //                           0 disables)
@@ -109,7 +107,8 @@
 //                           invariant at the same cycle and write it here
 //
 //   Every option also accepts the --flag=value spelling; numeric values are
-//   parsed strictly (trailing junk is a usage error).
+//   parsed strictly (trailing junk, or a value too large for the setting it
+//   feeds, is a usage error).
 //
 //   Exit status: 0 success, 1 incomplete run, 2 usage error, 3 watchdog
 //   fired (diagnostic dump on stderr, including link-protocol state and
@@ -168,7 +167,6 @@ struct Args {
   std::string metrics_csv;
   u64 metrics_interval = 0;
   u32 seed = 1;
-  i64 threads = -1;  ///< -1: leave the config file's sim_threads value
   bool no_fast_forward = false;  ///< disable the idle-cycle fast path
   // RAS / fault injection; -1 sentinels mean "leave the config file value".
   i64 dram_sbe_ppm = -1;
@@ -210,8 +208,8 @@ struct Args {
   bool profile = false;
   std::string flight_recorder_out;
   std::string flight_recorder_chrome;
-  u64 flight_recorder_depth = 0;
-  u64 telemetry_interval = 0;
+  u32 flight_recorder_depth = 0;
+  u32 telemetry_interval = 0;
   u64 wedge_vaults = 0;
   // Chaos orchestration (docs/CHAOS.md).
   std::string chaos_plan;
@@ -228,7 +226,7 @@ void usage(const char* argv0) {
                "       [--policy rr|local] [--json FILE|-] "
                "[--fig5-csv FILE] [--trace-out FILE]\n"
                "       [--chrome-trace FILE] [--metrics-interval N] "
-               "[--metrics-csv FILE] [--seed N] [--threads N] "
+               "[--metrics-csv FILE] [--seed N] "
                "[--no-fast-forward]\n"
                "       [--profile] [--telemetry-interval N] "
                "[--flight-recorder FILE] [--flight-recorder-chrome FILE]\n"
@@ -291,7 +289,13 @@ bool parse_args(int argc, char** argv, Args& args) {
   struct StrOpt { const char* flag; std::string Args::* field; };
   struct U64Opt { const char* flag; u64 Args::* field; };
   struct U32Opt { const char* flag; u32 Args::* field; };
-  struct I64Opt { const char* flag; i64 Args::* field; };
+  // Most -1-sentinel options feed a 32-bit config field; `max` widens the
+  // two that feed 64-bit ones.
+  struct I64Opt {
+    const char* flag;
+    i64 Args::* field;
+    u64 max = 0xffffffffULL;
+  };
   static constexpr StrOpt kStrOpts[] = {
       {"--config", &Args::config_file},
       {"--backend", &Args::backend},
@@ -314,8 +318,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       {"--metrics-interval", &Args::metrics_interval},
       {"--timeout", &Args::timeout},
       {"--backoff", &Args::backoff},
-      {"--telemetry-interval", &Args::telemetry_interval},
-      {"--flight-recorder-depth", &Args::flight_recorder_depth},
       {"--wedge-vaults", &Args::wedge_vaults},
       {"--checkpoint-interval", &Args::checkpoint_interval},
       {"--checkpoint-keep", &Args::checkpoint_keep},
@@ -325,16 +327,17 @@ bool parse_args(int argc, char** argv, Args& args) {
       {"--request-bytes", &Args::request_bytes},
       {"--seed", &Args::seed},
       {"--retries", &Args::retries},
+      {"--telemetry-interval", &Args::telemetry_interval},
+      {"--flight-recorder-depth", &Args::flight_recorder_depth},
   };
   // RAS / link overrides share the -1 "leave the config value" sentinel.
   static constexpr I64Opt kI64Opts[] = {
-      {"--threads", &Args::threads},
       {"--dram-sbe-ppm", &Args::dram_sbe_ppm},
       {"--dram-dbe-ppm", &Args::dram_dbe_ppm},
       {"--scrub-interval", &Args::scrub_interval},
-      {"--scrub-window", &Args::scrub_window},
+      {"--scrub-window", &Args::scrub_window, INT64_MAX},
       {"--vault-fail-threshold", &Args::vault_fail_threshold},
-      {"--failed-vaults", &Args::failed_vaults},
+      {"--failed-vaults", &Args::failed_vaults, INT64_MAX},
       {"--vault-remap", &Args::vault_remap},
       {"--watchdog", &Args::watchdog},
       {"--link-error-ppm", &Args::link_error_ppm},
@@ -433,8 +436,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = take_value();
       u64 parsed = 0;
       if (v == nullptr || !parse_u64_strict(flag, v, parsed)) return false;
-      if (parsed > static_cast<u64>(INT64_MAX)) {
-        return value_error(flag, v, "a smaller number");
+      if (parsed > opt.max) {
+        return value_error(flag, v,
+                           opt.max == 0xffffffffULL ? "a 32-bit number"
+                                                    : "a smaller number");
       }
       args.*opt.field = static_cast<i64>(parsed);
       handled = true;
@@ -683,11 +688,10 @@ int main(int argc, char** argv) {
     if (args.link_fail_threshold >= 0) {
       dc.link_fail_threshold = static_cast<u32>(args.link_fail_threshold);
     }
-    if (args.threads >= 0) dc.sim_threads = static_cast<u32>(args.threads);
     if (args.no_fast_forward) dc.fast_forward = false;
     // Checkpoint cadence: the flag wins over the config file value; a
     // --checkpoint-dir with neither falls back to every 10000 cycles.  An
-    // execution knob like sim_threads — never serialized into checkpoints.
+    // execution knob like fast_forward — never serialized into checkpoints.
     if (args.checkpoint_interval != 0) {
       dc.checkpoint_interval_cycles = static_cast<u32>(
           std::min<u64>(args.checkpoint_interval, 0xffffffffULL));
@@ -698,10 +702,10 @@ int main(int argc, char** argv) {
     // Observability knobs (pure observation; see docs/OBSERVABILITY.md).
     if (args.profile) dc.self_profile = true;
     if (args.telemetry_interval != 0) {
-      dc.telemetry_interval_cycles = static_cast<u32>(args.telemetry_interval);
+      dc.telemetry_interval_cycles = args.telemetry_interval;
     }
     if (args.flight_recorder_depth != 0) {
-      dc.flight_recorder_depth = static_cast<u32>(args.flight_recorder_depth);
+      dc.flight_recorder_depth = args.flight_recorder_depth;
     }
     if ((!args.flight_recorder_out.empty() ||
          !args.flight_recorder_chrome.empty()) &&
@@ -807,7 +811,7 @@ int main(int argc, char** argv) {
   // ---- resume ---------------------------------------------------------------
   // Before any sinks attach: a restore rebuilds the device array, so wedge
   // injection and observers must come after it.  The restored checkpoint
-  // keeps this invocation's execution knobs (threads, fast-forward, cadence).
+  // keeps this invocation's execution knobs (fast-forward, cadence).
   u64 resumed_gen = 0;
   bool resumed = false;
   std::string resumed_host_blob;
