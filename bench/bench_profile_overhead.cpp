@@ -4,9 +4,10 @@
 //
 // The perf contract (docs/OBSERVABILITY.md) is that every observability
 // entry point sits behind a null-pointer or interval check in the clock
-// path, so the shipping default — everything off — pays ~0 for the
-// subsystem's existence, and even the everything-on configuration stays a
-// small tax on a busy workload.  The harness measures the off path twice
+// path, or behind the tracer's inline event-mask test (the flight
+// recorder is a ring sink of the tracer), so the shipping default —
+// everything off — pays ~0 for the subsystem's existence, and even the
+// everything-on configuration stays a small tax on a busy workload.  The harness measures the off path twice
 // with the on mode between, and gates:
 //
 //   off        all observability off (the shipping default)

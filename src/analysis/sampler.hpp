@@ -1,10 +1,9 @@
 // Periodic metrics sampler.
 //
-// Complements the OccupancyProbe (mean fill fractions) with the raw view a
-// dashboard wants: absolute queue occupancies per class plus the cumulative
-// stall/conflict counters, snapshotted every N cycles.  Deltas between
-// consecutive samples localize *when* contention happened in a run, which
-// end-of-run totals cannot.
+// The raw view a dashboard wants: absolute queue occupancies per class
+// plus the cumulative stall/conflict counters, snapshotted every N cycles.
+// Deltas between consecutive samples localize *when* contention happened
+// in a run, which end-of-run totals cannot.
 //
 // Attach to a simulator with attach() — it installs the simulator's cycle
 // hook so samples land exactly every `interval` cycles without the host

@@ -117,6 +117,8 @@ void ChaosEngine::apply_event(Simulator& sim, const ChaosEvent& ev) {
         LinkProtoState& st = dev->links[ev.a].proto;
         st.dead = false;
         st.fail_count = 0;  // a revived link earns a fresh escalation budget
+        // Its next death is a new escalation and traces LINK_FAILED again.
+        sim.fr_dead_logged_[dev->id()] &= ~(u64{1} << ev.a);
       }
       break;
     case ChaosAction::DramSbePpm:

@@ -49,13 +49,15 @@ bool Simulator::ras_check_read(Device& dev, u32 vault_index, PhysAddr addr,
   const SparseStore::FaultSummary sum = dev.store.check_and_repair(addr, bytes);
   dev.stats.dram_sbes += sum.corrected;
   if (sum.corrected != 0) {
-    record_event(FlightEventType::RasSbe, dev.id(), 4,
-                 static_cast<u16>(vault_index), sum.corrected);
+    trace(TraceEvent::RasSbe, 4, dev.id(), kNoCoord,
+          dev.quad_of_vault(vault_index), vault_index, kNoCoord, addr, 0,
+          Command::Null, sum.corrected);
   }
   if (sum.uncorrectable == 0) return false;
   dev.stats.dram_dbes += sum.uncorrectable;
-  record_event(FlightEventType::RasDbe, dev.id(), 4,
-               static_cast<u16>(vault_index), sum.uncorrectable);
+  trace(TraceEvent::RasDbe, 4, dev.id(), kNoCoord,
+        dev.quad_of_vault(vault_index), vault_index, kNoCoord, addr, 0,
+        Command::Null, sum.uncorrectable);
   dev.ras.last_error_addr = addr;
   dev.ras.last_error_stat = static_cast<u8>(ErrStat::DramDbe);
   note_vault_uncorrectable(dev, vault_index);
@@ -76,9 +78,9 @@ void Simulator::note_vault_uncorrectable(Device& dev, u32 vault_index) {
     trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
           dev.quad_of_vault(vault_index), vault_index, kNoCoord, 0, 0,
           Command::Error);
-    record_event(FlightEventType::VaultFailed, dev.id(), 4,
-                 static_cast<u16>(vault_index),
-                 dev.ras.vault_uncorrectable[vault_index]);
+    trace(TraceEvent::VaultFailed, 4, dev.id(), kNoCoord,
+          dev.quad_of_vault(vault_index), vault_index, kNoCoord, 0, 0,
+          Command::Null, dev.ras.vault_uncorrectable[vault_index]);
   }
 }
 
@@ -139,29 +141,30 @@ u64 Simulator::progress_fingerprint() const {
   return f;
 }
 
-void Simulator::check_watchdog() {
-  if (quiescent()) {
+bool Simulator::check_watchdog(bool idle, u64 fingerprint) {
+  if (idle) {
     watchdog_stall_cycles_ = 0;
-    return;
+    return false;
   }
-  const u64 fp = progress_fingerprint();
-  if (fp != watchdog_fingerprint_) {
-    watchdog_fingerprint_ = fp;
+  if (fingerprint != watchdog_fingerprint_) {
+    watchdog_fingerprint_ = fingerprint;
     watchdog_stall_cycles_ = 0;
-    return;
+    return false;
   }
+  // The watchdog is a whole-simulator condition (dev = kNoCoord): every
+  // device's post-mortem window shows the transition.
   if (++watchdog_stall_cycles_ == 1) {
     // Stall onset: the watchdog is now counting toward the threshold.
-    record_watchdog_event(FlightEventType::WatchdogArm,
-                          config_.device.watchdog_cycles);
+    trace(TraceEvent::WatchdogArm, 0, kNoCoord, kNoCoord, kNoCoord, kNoCoord,
+          kNoCoord, 0, 0, Command::Null, config_.device.watchdog_cycles);
   }
-  if (watchdog_stall_cycles_ >= config_.device.watchdog_cycles) {
-    watchdog_fired_ = true;
-    ff_close_skip_span();
-    record_watchdog_event(FlightEventType::WatchdogFire,
-                          watchdog_stall_cycles_);
-    watchdog_report_ = build_watchdog_report();
-  }
+  if (watchdog_stall_cycles_ < config_.device.watchdog_cycles) return false;
+  watchdog_fired_ = true;
+  ff_close_skip_span();
+  trace(TraceEvent::WatchdogFire, 0, kNoCoord, kNoCoord, kNoCoord, kNoCoord,
+        kNoCoord, 0, 0, Command::Null, watchdog_stall_cycles_);
+  watchdog_report_ = build_watchdog_report();
+  return true;
 }
 
 std::string Simulator::build_watchdog_report() const {

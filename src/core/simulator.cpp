@@ -99,6 +99,9 @@ Status Simulator::init(const SimConfig& config, Topology topo,
   // observability axis of the differential harness proves it.
   profiler_.reset();
   telemetry_.reset();
+  // Exactly one ring stays attached however often init() runs (a checkpoint
+  // restore runs it too); the caller's own sinks stay attached.
+  if (recorder_) tracer_.remove_sink(recorder_.get());
   recorder_.reset();
   if (config.device.self_profile) {
     profiler_ = std::make_unique<StageProfiler>(config.num_devices, vaults);
@@ -107,8 +110,9 @@ Status Simulator::init(const SimConfig& config, Topology topo,
     telemetry_ = std::make_unique<Telemetry>(config.num_devices);
   }
   if (config.device.flight_recorder_depth != 0) {
-    recorder_ = std::make_unique<FlightRecorder>(
+    recorder_ = std::make_shared<FlightRecorder>(
         config.num_devices, config.device.flight_recorder_depth);
+    tracer_.add_sink(recorder_, FlightRecorder::kKinds);
   }
   ff_span_len_ = 0;
   fr_dead_logged_.assign(config.num_devices, 0);
@@ -184,25 +188,6 @@ bool Simulator::quiescent() const {
   return true;
 }
 
-void Simulator::trace(TraceEvent event, u8 stage, u32 dev, u32 link, u32 quad,
-                      u32 vault, u32 bank, PhysAddr addr, Tag tag,
-                      Command cmd) {
-  if (!tracer_.enabled(event)) return;
-  TraceRecord rec;
-  rec.event = event;
-  rec.stage = stage;
-  rec.cycle = cycle_;
-  rec.dev = dev;
-  rec.link = link;
-  rec.quad = quad;
-  rec.vault = vault;
-  rec.bank = bank;
-  rec.addr = addr;
-  rec.tag = tag;
-  rec.cmd = cmd;
-  tracer_.emit(rec);
-}
-
 // ---------------------------------------------------------------------------
 // Host-edge interface.
 // ---------------------------------------------------------------------------
@@ -260,8 +245,8 @@ Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
       case LinkArrival::Corrupted:
         // Corrupted still counts as a successful injection: the wire event
         // is the link layer's to recover (replay) or escalate.
-        record_event(FlightEventType::LinkIrtry, dev, 0,
-                     static_cast<u16>(link), tag);
+        trace(TraceEvent::LinkIrtry, 0, dev, link, kNoCoord, kNoCoord,
+              kNoCoord, addr, tag, cmd, tag);
         break;
       case LinkArrival::Accepted:
         break;
@@ -486,21 +471,19 @@ void Simulator::clock() {
     stage5_responses();
     stage6_clock_update();
   }
-  if (config_.device.watchdog_cycles != 0) check_watchdog();
+  if (config_.device.watchdog_cycles != 0) {
+    const bool idle = quiescent();
+    check_watchdog(idle, idle ? 0 : progress_fingerprint());
+  }
 }
 
 void Simulator::ff_close_skip_span() {
   if (ff_span_len_ == 0) return;
   if (profiler_) profiler_->note_skip_span();
-  if (recorder_) {
-    // Spans are global (the whole device set was idle); record once, on
-    // device 0's ring.  cycle_ is the first cycle after the span.
-    FlightEvent ev;
-    ev.cycle = cycle_;
-    ev.arg = ff_span_len_;
-    ev.type = FlightEventType::FfSkipSpan;
-    recorder_->record(0, ev);
-  }
+  // Spans are global (the whole device set was idle): traced once, on
+  // device 0.  cycle_ is the first cycle after the span.
+  trace(TraceEvent::FfSkipSpan, 0, 0, kNoCoord, kNoCoord, kNoCoord, kNoCoord,
+        0, 0, Command::Null, ff_span_len_);
   ff_span_len_ = 0;
 }
 
@@ -516,28 +499,6 @@ bool Simulator::dump_flight_recorder_chrome(std::ostream& os) {
   ff_close_skip_span();
   recorder_->dump_chrome(os);
   return true;
-}
-
-void Simulator::record_event(FlightEventType type, u32 dev, u8 stage, u16 unit,
-                             u64 arg) {
-  if (!recorder_) return;
-  FlightEvent ev;
-  ev.cycle = cycle_;
-  ev.arg = arg;
-  ev.dev = dev;
-  ev.unit = unit;
-  ev.stage = stage;
-  ev.type = type;
-  recorder_->record(dev, ev);
-}
-
-void Simulator::record_watchdog_event(FlightEventType type, u64 arg) {
-  if (!recorder_) return;
-  // The watchdog is a whole-simulator condition: every device's post-mortem
-  // window should show the transition.
-  for (u32 d = 0; d < num_devices(); ++d) {
-    record_event(type, d, 0, 0, arg);
-  }
 }
 
 void Simulator::sample_telemetry() {
@@ -692,35 +653,17 @@ bool Simulator::ff_fast_cycle() {
   }
   ++cycle_;
   ++cycles_skipped_;
-  if (profiler_ || recorder_) {
+  if (profiler_ || tracer_.enabled(TraceEvent::FfSkipSpan)) {
     if (profiler_) profiler_->note_fast_cycle();
     ++ff_span_len_;
   }
-  // check_watchdog(), verbatim, against the frozen arm-time facts.  Host
-  // responses awaiting recv() keep quiescence false with a constant
-  // fingerprint, so the stall count must keep climbing during a skip —
-  // and may trip the watchdog mid-skip, freezing the machine exactly as
-  // the staged path would.
-  if (config_.device.watchdog_cycles != 0) {
-    if (ff_quiescent_) {
-      watchdog_stall_cycles_ = 0;
-    } else if (watchdog_fingerprint_ != ff_fingerprint_) {
-      watchdog_fingerprint_ = ff_fingerprint_;
-      watchdog_stall_cycles_ = 0;
-    } else {
-      if (++watchdog_stall_cycles_ == 1) {
-        record_watchdog_event(FlightEventType::WatchdogArm,
-                              config_.device.watchdog_cycles);
-      }
-      if (watchdog_stall_cycles_ >= config_.device.watchdog_cycles) {
-        watchdog_fired_ = true;
-        ff_close_skip_span();
-        record_watchdog_event(FlightEventType::WatchdogFire,
-                              watchdog_stall_cycles_);
-        watchdog_report_ = build_watchdog_report();
-        ff_armed_ = false;
-      }
-    }
+  // Host responses awaiting recv() keep quiescence false with a constant
+  // fingerprint, so the stall count keeps climbing during a skip — and may
+  // trip the watchdog mid-skip, freezing the machine exactly as the staged
+  // path would.
+  if (config_.device.watchdog_cycles != 0 &&
+      check_watchdog(ff_quiescent_, ff_fingerprint_)) {
+    ff_armed_ = false;
   }
   return true;
 }
@@ -787,8 +730,8 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
           const u8 src_frp = fwd.entry.req.frp;
           switch (LinkLayer::arrive(peer, fwd.dst_link, fwd.entry, cycle_)) {
             case LinkArrival::Corrupted:
-              record_event(FlightEventType::LinkIrtry, fwd.dst_dev, stage,
-                           static_cast<u16>(fwd.dst_link), tag);
+              trace(TraceEvent::LinkIrtry, stage, fwd.dst_dev, fwd.dst_link,
+                    kNoCoord, kNoCoord, kNoCoord, addr, tag, cmd, tag);
               [[fallthrough]];
             case LinkArrival::Accepted:
               // Either way the transmission left this device — a corrupted
@@ -823,10 +766,8 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
         bounce_mark_[slot] = 1;
         ++src.stats.xbar_rqst_stalls;
         trace(TraceEvent::XbarRqstStall, stage, src.id(), fwd.src_link,
-              kNoCoord, kNoCoord, kNoCoord, addr, tag, cmd);
-        record_event(FlightEventType::Backpressure, src.id(), stage,
-                     static_cast<u16>(fwd.src_link),
-                     /*kind: cross-device bounce*/ 2);
+              kNoCoord, kNoCoord, kNoCoord, addr, tag, cmd,
+              /*kind: cross-device bounce*/ 2);
         // Restore the ingress fields process_xbar rewrote for the
         // destination; the consumed link budget stays consumed (the wasted
         // transmission time is the cost of the lost arbitration).
@@ -863,9 +804,10 @@ Simulator::LegacyFault Simulator::legacy_link_fault(Device& dev,
     ++entry.retries;
     ++dev.stats.link_retries;
     link_state.rqst_budget -= entry.pkt.flits;  // wasted link time
-    record_event(FlightEventType::LinkRetry, dev.id(), stage,
-                 static_cast<u16>(&link_state - dev.links.data()),
-                 entry.retries);
+    trace(TraceEvent::LinkRetry, stage, dev.id(),
+          static_cast<u32>(&link_state - dev.links.data()), kNoCoord,
+          kNoCoord, kNoCoord, entry.req.addr, entry.req.tag, entry.req.cmd,
+          entry.retries);
     return LegacyFault::Replay;
   }
   if (emit_error_response(dev, entry, ErrStat::CrcFailure, stage)) {
@@ -879,13 +821,14 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage) {
   LinkState& link_state = dev.links[link];
   LinkProtoState& st = link_state.proto;
   if (st.dead) {
-    // First sighting of the escalation: one LINK_FAILED event per link.
+    // First sighting of the escalation: one LINK_FAILED event per death.
     // (LinkProtoState is checkpointed, so the logged bit lives simulator-
-    // side in fr_dead_logged_.)
-    if (recorder_ && (fr_dead_logged_[dev.id()] >> link & 1) == 0) {
+    // side in fr_dead_logged_; a chaos revive clears it.)
+    if (tracer_.enabled(TraceEvent::LinkFailed) &&
+        (fr_dead_logged_[dev.id()] >> link & 1) == 0) {
       fr_dead_logged_[dev.id()] |= u64{1} << link;
-      record_event(FlightEventType::LinkFailed, dev.id(), stage,
-                   static_cast<u16>(link), st.fail_count);
+      trace(TraceEvent::LinkFailed, stage, dev.id(), link, kNoCoord, kNoCoord,
+            kNoCoord, 0, 0, Command::Null, st.fail_count);
     }
     // Dead-link drain: every queued request was accepted (tokens debited)
     // before escalation, so completion returns its credits and the
@@ -907,11 +850,11 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage) {
     ++dev.stats.link_retrain_cycles;
     // Record the window-open edge only (a loaded retraining window can
     // last hundreds of cycles; one event per window keeps the ring useful).
-    if (recorder_ &&
+    if (tracer_.enabled(TraceEvent::LinkRetrain) &&
         (cycle_ == 0 || !LinkLayer::retraining(dev, link, cycle_ - 1))) {
-      record_event(FlightEventType::LinkRetrain, dev.id(), stage,
-                   static_cast<u16>(link),
-                   st.retrain_until > cycle_ ? st.retrain_until - cycle_ : 0);
+      trace(TraceEvent::LinkRetrain, stage, dev.id(), link, kNoCoord, kNoCoord,
+            kNoCoord, 0, 0, Command::Null,
+            st.retrain_until > cycle_ ? st.retrain_until - cycle_ : 0);
     }
   }
   if (st.replay_pending && !dev.mode_rsp.full()) {
@@ -1017,9 +960,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
           ++dev.stats.xbar_rqst_stalls;
           trace(TraceEvent::XbarRqstStall, stage, dev.id(), link, kNoCoord,
                 kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
-                entry.req.cmd);
-          record_event(FlightEventType::Backpressure, dev.id(), stage,
-                       static_cast<u16>(link), /*kind: peer reserve full*/ 0);
+                entry.req.cmd, /*kind: peer reserve full*/ 0);
           blocked_links |= 1u << out_link;
           ++i;
           continue;
@@ -1192,9 +1133,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
         ++dev.stats.xbar_rqst_stalls;
         trace(TraceEvent::XbarRqstStall, stage, dev.id(), link,
               dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
-              entry.req.tag, entry.req.cmd);
-        record_event(FlightEventType::Backpressure, dev.id(), stage,
-                     static_cast<u16>(link), /*kind: vault queue full*/ 1);
+              entry.req.tag, entry.req.cmd, /*kind: vault queue full*/ 1);
         blocked_vaults |= u64{1} << vault;
         ++i;
         continue;
@@ -1340,10 +1279,8 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
       if (!rsp_stalled_logged) {
         trace(TraceEvent::VaultRspStall, 4, dev.id(), kNoCoord,
               dev.quad_of_vault(vault_index), vault_index, bank,
-              entry.req.addr, entry.req.tag, entry.req.cmd);
-        record_event(FlightEventType::Backpressure, dev.id(), 4,
-                     static_cast<u16>(vault_index),
-                     /*kind: vault rsp full*/ 3);
+              entry.req.addr, entry.req.tag, entry.req.cmd,
+              /*kind: vault rsp full*/ 3);
         rsp_stalled_logged = true;
       }
       if (strict) break;

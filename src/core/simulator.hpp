@@ -387,8 +387,16 @@ class Simulator {
   [[nodiscard]] u32 response_exit_link(const Device& dev,
                                        const ResponseEntry& e) const;
 
+  /// Emit one trace record stamped with the current cycle.  The gate is
+  /// the tracer's inline mask test, so a kind no sink wants builds nothing.
   void trace(TraceEvent event, u8 stage, u32 dev, u32 link, u32 quad,
-             u32 vault, u32 bank, PhysAddr addr, Tag tag, Command cmd);
+             u32 vault, u32 bank, PhysAddr addr, Tag tag, Command cmd,
+             u64 arg = 0) {
+    if (tracer_.enabled(event)) {
+      tracer_.emit({event, stage, cycle_, dev, link, quad, vault, bank, addr,
+                    tag, cmd, arg});
+    }
+  }
 
   /// Register read with live status-register interception (FEAT geometry,
   /// IBTC token counts, ERR error totals, RAS error log); shared by the
@@ -415,7 +423,10 @@ class Simulator {
   void note_vault_uncorrectable(Device& dev, u32 vault_index);
   /// Forward-progress tracking (end of stage 6).
   [[nodiscard]] u64 progress_fingerprint() const;
-  void check_watchdog();
+  /// One watchdog step: the staged path passes live facts, the fast path
+  /// the quiescence and fingerprint frozen at arm time.  `fingerprint` is
+  /// ignored when `idle`.  Returns true when the watchdog fires.
+  bool check_watchdog(bool idle, u64 fingerprint);
   [[nodiscard]] std::string build_watchdog_report() const;
   /// Machine snapshot (queues, link protocol state, in-flight entries,
   /// flight-recorder tail) shared by the watchdog report and the chaos
@@ -424,16 +435,11 @@ class Simulator {
 
   // ---- observability helpers (src/profile/ wiring) -------------------------
 
-  /// Record one flight-recorder event.  No-op when the recorder is off.
-  void record_event(FlightEventType type, u32 dev, u8 stage, u16 unit,
-                    u64 arg);
   /// One telemetry sampling pass over every device's queues/token pools.
   void sample_telemetry();
   /// Close an open fast-forward skip span: bump the profiler span count and
-  /// record the FF_SKIP_SPAN event (on device 0's ring — spans are global).
+  /// trace FF_SKIP_SPAN (on device 0 — spans are global).
   void ff_close_skip_span();
-  /// Record the watchdog transition on every device's ring.
-  void record_watchdog_event(FlightEventType type, u64 arg);
 
   // ---- idle-cycle fast-forward engine (core/simulator.cpp) -----------------
 
@@ -446,9 +452,9 @@ class Simulator {
   /// registers awaiting their self-clearing edge).
   bool ff_arm();
   /// One fast cycle: re-verify queue emptiness (guarding against direct
-  /// Device mutation between calls), advance the clock, and emulate the
-  /// watchdog bookkeeping against the quiescence/fingerprint facts frozen
-  /// at arm time.  Returns false when the staged path must run instead.
+  /// Device mutation between calls), advance the clock, and step the
+  /// watchdog against the quiescence/fingerprint facts frozen at arm time.
+  /// Returns false when the staged path must run instead.
   bool ff_fast_cycle();
   /// Every queue a clock stage would consume is empty.  Host-link response
   /// queues are exempt: stage 5 never touches them (they drain via recv()),
@@ -509,13 +515,14 @@ class Simulator {
   /// influence simulated state (differential-proven).
   std::unique_ptr<StageProfiler> profiler_;
   std::unique_ptr<Telemetry> telemetry_;
-  std::unique_ptr<FlightRecorder> recorder_;
+  /// The flight recorder's ring, attached to tracer_ for its fixed kinds.
+  std::shared_ptr<FlightRecorder> recorder_;
   /// Fast cycles in the currently open skip span (0 = no open span); only
-  /// tracked when the profiler or recorder is on.
+  /// tracked when the profiler is on or FF_SKIP_SPAN is traced.
   u64 ff_span_len_{0};
-  /// Per-device bitmask of links whose dead-escalation event has been
-  /// recorded (LinkProtoState itself is checkpointed and must not grow a
-  /// bookkeeping field).
+  /// Per-device bitmask of dead links whose LINK_FAILED event has been
+  /// traced; a revive clears the bit (LinkProtoState itself is checkpointed
+  /// and must not grow a bookkeeping field).
   std::vector<u64> fr_dead_logged_;
   /// Chaos-orchestration engine (src/chaos/engine.cpp); created by init()
   /// when chaos_invariants != 0, by set_chaos_plan(), or by a checkpoint

@@ -5,118 +5,37 @@
 
 namespace hmcsim {
 
-const char* flight_event_name(FlightEventType type) {
-  switch (type) {
-    case FlightEventType::LinkRetry:
-      return "LINK_RETRY";
-    case FlightEventType::LinkIrtry:
-      return "LINK_IRTRY";
-    case FlightEventType::LinkRetrain:
-      return "LINK_RETRAIN";
-    case FlightEventType::LinkFailed:
-      return "LINK_FAILED";
-    case FlightEventType::RasSbe:
-      return "RAS_SBE";
-    case FlightEventType::RasDbe:
-      return "RAS_DBE";
-    case FlightEventType::VaultFailed:
-      return "VAULT_FAILED";
-    case FlightEventType::WatchdogArm:
-      return "WATCHDOG_ARM";
-    case FlightEventType::WatchdogFire:
-      return "WATCHDOG_FIRE";
-    case FlightEventType::Backpressure:
-      return "BACKPRESSURE";
-    case FlightEventType::FfSkipSpan:
-      return "FF_SKIP_SPAN";
-  }
-  return "UNKNOWN";
-}
-
-namespace {
-
-void put_u64(u8* out, u64 v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<u8>(v >> (8 * i));
-}
-
-u64 get_u64(const u8* in) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= u64{in[i]} << (8 * i);
-  return v;
-}
-
-}  // namespace
-
-void flight_event_encode(const FlightEvent& ev, u8* out) {
-  put_u64(out, ev.cycle);
-  put_u64(out + 8, ev.arg);
-  out[16] = static_cast<u8>(ev.dev);
-  out[17] = static_cast<u8>(ev.dev >> 8);
-  out[18] = static_cast<u8>(ev.dev >> 16);
-  out[19] = static_cast<u8>(ev.dev >> 24);
-  out[20] = static_cast<u8>(ev.unit);
-  out[21] = static_cast<u8>(ev.unit >> 8);
-  out[22] = ev.stage;
-  out[23] = static_cast<u8>(ev.type);
-}
-
-bool flight_event_decode(const u8* in, FlightEvent& out) {
-  if (in[23] >= kFlightEventTypeCount) return false;
-  out.cycle = get_u64(in);
-  out.arg = get_u64(in + 8);
-  out.dev = u32{in[16]} | u32{in[17]} << 8 | u32{in[18]} << 16 |
-            u32{in[19]} << 24;
-  out.unit = static_cast<u16>(u32{in[20]} | u32{in[21]} << 8);
-  out.stage = in[22];
-  out.type = static_cast<FlightEventType>(in[23]);
-  return true;
-}
-
 FlightRecorder::FlightRecorder(u32 num_devices, u32 depth)
-    : depth_(std::max(depth, 1u)), rings_(num_devices) {
-  for (Ring& r : rings_) r.events.resize(depth_);
-}
+    : depth_(std::max(depth, 1u)), rings_(num_devices, TraceRing(depth_)) {}
 
-void FlightRecorder::record(u32 dev, const FlightEvent& ev) {
-  Ring& r = rings_[dev];
-  r.events[r.head] = ev;
-  r.head = (r.head + 1) % depth_;
-  ++r.total;
-}
-
-u32 FlightRecorder::size(u32 dev) const {
-  const Ring& r = rings_[dev];
-  return static_cast<u32>(std::min<u64>(r.total, depth_));
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot(u32 dev) const {
-  const Ring& r = rings_[dev];
-  const u32 n = size(dev);
-  std::vector<FlightEvent> out;
-  out.reserve(n);
-  // Oldest first: when wrapped, the oldest entry sits at head.
-  const u32 start = (r.total > depth_) ? r.head : 0;
-  for (u32 i = 0; i < n; ++i) out.push_back(r.events[(start + i) % depth_]);
-  return out;
+void FlightRecorder::record(const TraceRecord& rec) {
+  if (rec.dev != kNoCoord) {
+    rings_[rec.dev].push(rec);
+    return;
+  }
+  for (TraceRing& ring : rings_) ring.push(rec);
 }
 
 void FlightRecorder::clear() {
-  for (Ring& r : rings_) {
-    r.head = 0;
-    r.total = 0;
-  }
+  for (TraceRing& ring : rings_) ring.clear();
+}
+
+u32 FlightRecorder::unit_of(const TraceRecord& rec) {
+  if (rec.link != kNoCoord) return rec.link;
+  if (rec.vault != kNoCoord) return rec.vault;
+  return 0;
 }
 
 void FlightRecorder::dump_text(std::ostream& os) const {
   for (u32 dev = 0; dev < num_devices(); ++dev) {
-    const std::vector<FlightEvent> events = snapshot(dev);
-    os << "flight recorder dev " << dev << ": " << events.size()
+    const std::vector<TraceRecord> records = snapshot(dev);
+    os << "flight recorder dev " << dev << ": " << records.size()
        << " retained of " << recorded(dev) << " recorded (depth " << depth_
        << ")\n";
-    for (const FlightEvent& ev : events) {
-      os << "  cycle " << ev.cycle << "  " << flight_event_name(ev.type);
-      if (ev.stage != 0) os << "  stage=" << u32{ev.stage};
-      os << "  unit=" << ev.unit << "  arg=" << ev.arg << "\n";
+    for (const TraceRecord& rec : records) {
+      os << "  cycle " << rec.cycle << "  " << to_string(rec.event);
+      if (rec.stage != 0) os << "  stage=" << u32{rec.stage};
+      os << "  unit=" << unit_of(rec) << "  arg=" << rec.arg << "\n";
     }
   }
 }
@@ -132,21 +51,21 @@ void FlightRecorder::dump_chrome(std::ostream& os) const {
     comma();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << dev
        << ",\"args\":{\"name\":\"cube " << dev << " flight recorder\"}}";
-    for (const FlightEvent& ev : snapshot(dev)) {
+    for (const TraceRecord& rec : snapshot(dev)) {
       comma();
-      if (ev.type == FlightEventType::FfSkipSpan) {
-        // The span ends at ev.cycle and covers the previous `arg` cycles.
-        const Cycle start = ev.cycle >= ev.arg ? ev.cycle - ev.arg : 0;
-        os << "{\"name\":\"" << flight_event_name(ev.type)
-           << "\",\"ph\":\"X\",\"ts\":" << start << ",\"dur\":" << ev.arg
-           << ",\"pid\":" << dev << ",\"tid\":" << ev.unit
-           << ",\"args\":{\"cycles\":" << ev.arg << "}}";
+      if (rec.event == TraceEvent::FfSkipSpan) {
+        // The span ends at rec.cycle and covers the previous `arg` cycles.
+        const Cycle start = rec.cycle >= rec.arg ? rec.cycle - rec.arg : 0;
+        os << "{\"name\":\"" << to_string(rec.event)
+           << "\",\"ph\":\"X\",\"ts\":" << start << ",\"dur\":" << rec.arg
+           << ",\"pid\":" << dev << ",\"tid\":" << unit_of(rec)
+           << ",\"args\":{\"cycles\":" << rec.arg << "}}";
       } else {
-        os << "{\"name\":\"" << flight_event_name(ev.type)
-           << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ev.cycle
-           << ",\"pid\":" << dev << ",\"tid\":" << ev.unit
-           << ",\"args\":{\"stage\":" << u32{ev.stage} << ",\"arg\":" << ev.arg
-           << "}}";
+        os << "{\"name\":\"" << to_string(rec.event)
+           << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << rec.cycle
+           << ",\"pid\":" << dev << ",\"tid\":" << unit_of(rec)
+           << ",\"args\":{\"stage\":" << u32{rec.stage}
+           << ",\"arg\":" << rec.arg << "}}";
       }
     }
   }

@@ -1,17 +1,20 @@
-// Post-mortem flight recorder: a fixed-capacity per-device ring buffer of
-// compact structured events (link retries, IRTRY recoveries, RAS faults,
-// vault degradation, watchdog transitions, backpressure stalls, fast-forward
-// skip spans).
+// Post-mortem flight recorder: a trace sink that keeps a fixed-capacity
+// ring of TraceRecords per device for link retries, IRTRY recoveries, RAS
+// faults, vault degradation, watchdog transitions, crossbar and vault
+// backpressure stalls, and fast-forward skip spans.
 //
-// The recorder is pure observation: recording an event never influences
-// simulation state, so runs with the recorder on are bit-identical to runs
-// with it off (the differential harness proves this).  Each device owns an
-// independent ring; once full, the oldest events are overwritten — the tail
-// of history is exactly what a post-mortem wants.
+// The simulator attaches it to its Tracer with the fixed kind set kKinds,
+// so it records those kinds whatever the trace level.  It is pure
+// observation: recording never influences simulation state, so runs with
+// the recorder on are bit-identical to runs with it off (the differential
+// harness proves this).  Each device owns an independent ring; once full,
+// the oldest records are overwritten — the tail of history is exactly what
+// a post-mortem wants.
 //
-// Events are cycle-stamped, not wall-clock-stamped, so the ring contents
-// are themselves deterministic for a given workload.  Renders:
-//   * text  — one line per event, chronological, for the watchdog report
+// Records are cycle-stamped, not wall-clock-stamped, so the ring contents
+// are themselves deterministic for a given workload.  Each record is filed
+// under one unit: its link, else its vault, else 0.  Renders:
+//   * text  — one line per record, chronological, for the watchdog report
 //             and `hmcsim_run --flight-recorder=<path>`;
 //   * Chrome trace — instant events on per-unit tracks (skip spans as
 //             durations), loadable in chrome://tracing / Perfetto alongside
@@ -21,56 +24,26 @@
 #include <iosfwd>
 #include <vector>
 
-#include "common/types.hpp"
+#include "trace/ring.hpp"
+#include "trace/sink.hpp"
 
 namespace hmcsim {
 
-enum class FlightEventType : u8 {
-  LinkRetry,      ///< packet replayed from a retry buffer (unit = link)
-  LinkIrtry,      ///< receiver entered IRTRY error-abort (unit = link)
-  LinkRetrain,    ///< stuck-link retraining window opened (unit = link)
-  LinkFailed,     ///< link escalated to dead (unit = link)
-  RasSbe,         ///< single-bit DRAM error corrected (unit = vault)
-  RasDbe,         ///< uncorrectable DRAM error surfaced (unit = vault)
-  VaultFailed,    ///< vault dynamically marked failed (unit = vault)
-  WatchdogArm,    ///< first cycle of a no-progress streak
-  WatchdogFire,   ///< forward-progress watchdog tripped
-  Backpressure,   ///< crossbar forwarding refused (unit = link, arg = kind)
-  FfSkipSpan,     ///< fast-forward span ended (arg = cycles skipped)
-};
-
-/// Number of distinct FlightEventType values (decode bound).
-inline constexpr u8 kFlightEventTypeCount = 11;
-
-[[nodiscard]] const char* flight_event_name(FlightEventType type);
-
-/// One recorded event.  Compact and trivially copyable; `arg` carries the
-/// event-specific payload (retry count, ERRSTAT, skipped-cycle count, ...).
-struct FlightEvent {
-  Cycle cycle{0};
-  u64 arg{0};
-  u32 dev{0};
-  u16 unit{0};  ///< link or vault index, 0 when not applicable
-  u8 stage{0};  ///< sub-cycle stage that observed the event (0 = none)
-  FlightEventType type{FlightEventType::LinkRetry};
-
-  bool operator==(const FlightEvent&) const = default;
-};
-
-/// Wire size of one encoded event (little-endian packed).
-inline constexpr usize kFlightEventEncodedSize = 24;
-
-/// Encode `ev` into exactly kFlightEventEncodedSize bytes (little-endian,
-/// layout independent of host padding — the dump-file format).
-void flight_event_encode(const FlightEvent& ev, u8* out);
-
-/// Decode an event previously produced by flight_event_encode.  Returns
-/// false (leaving `out` untouched) when the type byte is out of range.
-[[nodiscard]] bool flight_event_decode(const u8* in, FlightEvent& out);
-
-class FlightRecorder {
+class FlightRecorder final : public TraceSink {
  public:
-  /// One ring of `depth` events per device.  depth is clamped to >= 1.
+  /// The kinds the ring records: every kind of no trace level plus the two
+  /// backpressure stalls.
+  static constexpr TraceMask kKinds =
+      trace_bit(TraceEvent::XbarRqstStall) |
+      trace_bit(TraceEvent::VaultRspStall) |
+      trace_bit(TraceEvent::LinkRetry) | trace_bit(TraceEvent::LinkIrtry) |
+      trace_bit(TraceEvent::LinkRetrain) | trace_bit(TraceEvent::LinkFailed) |
+      trace_bit(TraceEvent::RasSbe) | trace_bit(TraceEvent::RasDbe) |
+      trace_bit(TraceEvent::VaultFailed) |
+      trace_bit(TraceEvent::WatchdogArm) |
+      trace_bit(TraceEvent::WatchdogFire) | trace_bit(TraceEvent::FfSkipSpan);
+
+  /// One ring of `depth` records per device.  depth is clamped to >= 1.
   FlightRecorder(u32 num_devices, u32 depth);
 
   [[nodiscard]] u32 num_devices() const {
@@ -78,38 +51,41 @@ class FlightRecorder {
   }
   [[nodiscard]] u32 depth() const { return depth_; }
 
-  void record(u32 dev, const FlightEvent& ev);
+  /// File a record on its device's ring; a record whose dev is kNoCoord
+  /// concerns the whole device set and lands on every ring.
+  void record(const TraceRecord& rec) override;
 
-  /// Events a device has ever recorded (monotonic; exceeds depth() once the
+  /// Records a device has ever filed (monotonic; exceeds depth() once the
   /// ring wraps).
-  [[nodiscard]] u64 recorded(u32 dev) const { return rings_[dev].total; }
-  /// Events currently held (min(recorded, depth)).
-  [[nodiscard]] u32 size(u32 dev) const;
+  [[nodiscard]] u64 recorded(u32 dev) const { return rings_[dev].total(); }
+  /// Records currently held (min(recorded, depth)).
+  [[nodiscard]] u32 size(u32 dev) const {
+    return static_cast<u32>(rings_[dev].size());
+  }
 
-  /// The retained events of one device, oldest first.
-  [[nodiscard]] std::vector<FlightEvent> snapshot(u32 dev) const;
+  /// The retained records of one device, oldest first.
+  [[nodiscard]] std::vector<TraceRecord> snapshot(u32 dev) const {
+    return rings_[dev].snapshot();
+  }
 
   void clear();
+
+  /// The unit a record is filed under: its link, else its vault, else 0.
+  [[nodiscard]] static u32 unit_of(const TraceRecord& rec);
 
   /// Text render: a chronological per-device listing, oldest first, with
   /// a header line giving retained/total counts.
   void dump_text(std::ostream& os) const;
 
   /// Chrome-trace (Trace Event Format) render: instant events per device
-  /// (pid = device) on per-unit tracks; FfSkipSpan renders as a duration
+  /// (pid = device) on per-unit tracks; FF_SKIP_SPAN renders as a duration
   /// covering the skipped window.  Same framing as trace/chrome.hpp, so
   /// the two exports can be merged in Perfetto.
   void dump_chrome(std::ostream& os) const;
 
  private:
-  struct Ring {
-    std::vector<FlightEvent> events;  ///< capacity depth_, circular
-    u32 head{0};                      ///< next write slot
-    u64 total{0};                     ///< lifetime record() count
-  };
-
   u32 depth_;
-  std::vector<Ring> rings_;
+  std::vector<TraceRing> rings_;
 };
 
 }  // namespace hmcsim

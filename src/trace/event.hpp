@@ -6,8 +6,13 @@
 // was raised, so entire application memory traces can be revisited and
 // analyzed for accuracy, latency characteristics, bandwidth utilization and
 // transaction efficiency.
+//
+// The event kinds after VaultArrival belong to no TraceLevel: sinks that
+// follow the level never see them.  The flight recorder's ring records them
+// whatever the level (profile/flight_recorder.hpp).
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -19,8 +24,9 @@ enum class TraceEvent : u8 {
   /// A vault request queue holds a packet whose bank collides with an
   /// earlier packet or a busy bank (sub-cycle stage 3).
   BankConflict,
-  /// A crossbar arbiter could not route a request to its target vault
-  /// because the vault request queue had no open slot (stages 1-2).
+  /// A crossbar arbiter could not forward a request (stages 1-2).  arg is
+  /// the refusal kind: 0 = the peer link's reserve was full, 1 = the target
+  /// vault's request queue was full, 2 = a cross-device forward bounced.
   XbarRqstStall,
   /// A crossbar response queue was full when a vault tried to register a
   /// response (stage 5).
@@ -32,7 +38,7 @@ enum class TraceEvent : u8 {
   /// response is generated (deliberate misconfiguration support).
   Misroute,
   /// A vault could not accept a response into its response queue and the
-  /// request stayed queued (stage 4 backpressure).
+  /// request stayed queued (stage 4 backpressure; arg = refusal kind 3).
   VaultRspStall,
   /// A memory read request retired at a bank (stage 4).
   ReadRequest,
@@ -59,10 +65,42 @@ enum class TraceEvent : u8 {
   /// request queue (stages 1-2): the lifecycle Xbar -> VaultQueue edge.
   VaultArrival,
 
+  // ---- kinds of no level (arg carries the payload) -------------------------
+  /// A packet was replayed from a retry buffer (arg = retry count).
+  LinkRetry,
+  /// A receiver entered IRTRY error-abort (arg = the packet's tag).
+  LinkIrtry,
+  /// A stuck-link retraining window opened (arg = cycles left in it).
+  LinkRetrain,
+  /// A link escalated to dead (arg = its failure count).
+  LinkFailed,
+  /// Single-bit DRAM errors were corrected (arg = how many).
+  RasSbe,
+  /// Uncorrectable DRAM errors surfaced (arg = how many).
+  RasDbe,
+  /// A vault was dynamically marked failed (arg = its uncorrectable count).
+  VaultFailed,
+  /// First cycle of a no-progress streak (arg = the watchdog threshold).
+  /// Concerns every device: dev is kNoCoord.
+  WatchdogArm,
+  /// The forward-progress watchdog tripped (arg = stalled cycles).
+  /// Concerns every device: dev is kNoCoord.
+  WatchdogFire,
+  /// A fast-forward span ended at this cycle (arg = cycles skipped).
+  FfSkipSpan,
+
   Count,
 };
 
 inline constexpr usize kTraceEventCount = static_cast<usize>(TraceEvent::Count);
+
+/// A set of event kinds, one bit per TraceEvent.
+using TraceMask = u32;
+static_assert(kTraceEventCount <= 32, "TraceMask holds one bit per kind");
+
+[[nodiscard]] constexpr TraceMask trace_bit(TraceEvent e) {
+  return TraceMask{1} << static_cast<u32>(e);
+}
 
 [[nodiscard]] std::string_view to_string(TraceEvent e);
 
@@ -82,6 +120,8 @@ struct TraceRecord {
   PhysAddr addr{0};
   Tag tag{0};
   Command cmd{Command::Null};
+  /// Event-specific payload (retry count, refusal kind, skipped cycles...).
+  u64 arg{0};
 };
 
 /// Trace verbosity.  Higher levels strictly include lower ones.
@@ -92,7 +132,44 @@ enum class TraceLevel : u8 {
   SubCycle = 3, ///< + per-hop routing and host send/recv edges
 };
 
-/// Minimum level at which each event class is recorded.
-[[nodiscard]] TraceLevel level_for(TraceEvent e);
+/// Minimum level at which each event class is recorded; nullopt for the
+/// kinds no level includes.
+[[nodiscard]] constexpr std::optional<TraceLevel> level_for(TraceEvent e) {
+  switch (e) {
+    case TraceEvent::BankConflict:
+    case TraceEvent::XbarRqstStall:
+    case TraceEvent::XbarRspStall:
+    case TraceEvent::LatencyPenalty:
+    case TraceEvent::Misroute:
+    case TraceEvent::VaultRspStall:
+    case TraceEvent::ErrorResponse:
+      return TraceLevel::Stalls;
+    case TraceEvent::ReadRequest:
+    case TraceEvent::WriteRequest:
+    case TraceEvent::AtomicRequest:
+    case TraceEvent::ModeRequest:
+    case TraceEvent::CustomRequest:
+    case TraceEvent::ResponseRegistered:
+      return TraceLevel::Events;
+    case TraceEvent::RouteHop:
+    case TraceEvent::PacketSend:
+    case TraceEvent::PacketRecv:
+    case TraceEvent::VaultArrival:
+      return TraceLevel::SubCycle;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// The kinds a level-following sink receives at `level`.
+[[nodiscard]] constexpr TraceMask level_mask(TraceLevel level) {
+  TraceMask mask = 0;
+  for (usize i = 0; i < kTraceEventCount; ++i) {
+    const auto e = static_cast<TraceEvent>(i);
+    const std::optional<TraceLevel> min = level_for(e);
+    if (min && *min <= level) mask |= trace_bit(e);
+  }
+  return mask;
+}
 
 }  // namespace hmcsim

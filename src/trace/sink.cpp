@@ -24,36 +24,19 @@ std::string_view to_string(TraceEvent e) {
     case TraceEvent::PacketSend: return "SEND";
     case TraceEvent::PacketRecv: return "RECV";
     case TraceEvent::VaultArrival: return "VAULT_ARRIVAL";
+    case TraceEvent::LinkRetry: return "LINK_RETRY";
+    case TraceEvent::LinkIrtry: return "LINK_IRTRY";
+    case TraceEvent::LinkRetrain: return "LINK_RETRAIN";
+    case TraceEvent::LinkFailed: return "LINK_FAILED";
+    case TraceEvent::RasSbe: return "RAS_SBE";
+    case TraceEvent::RasDbe: return "RAS_DBE";
+    case TraceEvent::VaultFailed: return "VAULT_FAILED";
+    case TraceEvent::WatchdogArm: return "WATCHDOG_ARM";
+    case TraceEvent::WatchdogFire: return "WATCHDOG_FIRE";
+    case TraceEvent::FfSkipSpan: return "FF_SKIP_SPAN";
     case TraceEvent::Count: break;
   }
   return "UNKNOWN";
-}
-
-TraceLevel level_for(TraceEvent e) {
-  switch (e) {
-    case TraceEvent::BankConflict:
-    case TraceEvent::XbarRqstStall:
-    case TraceEvent::XbarRspStall:
-    case TraceEvent::LatencyPenalty:
-    case TraceEvent::Misroute:
-    case TraceEvent::VaultRspStall:
-    case TraceEvent::ErrorResponse:
-      return TraceLevel::Stalls;
-    case TraceEvent::ReadRequest:
-    case TraceEvent::WriteRequest:
-    case TraceEvent::AtomicRequest:
-    case TraceEvent::ModeRequest:
-    case TraceEvent::CustomRequest:
-    case TraceEvent::ResponseRegistered:
-      return TraceLevel::Events;
-    case TraceEvent::RouteHop:
-    case TraceEvent::PacketSend:
-    case TraceEvent::PacketRecv:
-    case TraceEvent::VaultArrival:
-    case TraceEvent::Count:
-      return TraceLevel::SubCycle;
-  }
-  return TraceLevel::SubCycle;
 }
 
 namespace {
@@ -91,15 +74,5 @@ void TextSink::record(const TraceRecord& rec) {
 }
 
 void TextSink::flush() { os_->flush(); }
-
-void MemorySink::record(const TraceRecord& rec) {
-  ++total_;
-  if (max_records_ != 0 && records_.size() >= max_records_) {
-    // Keep the most recent window: overwrite in ring fashion.
-    records_[static_cast<usize>(total_ - 1) % max_records_] = rec;
-    return;
-  }
-  records_.push_back(rec);
-}
 
 }  // namespace hmcsim

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "trace/event.hpp"
+#include "trace/ring.hpp"
 
 namespace hmcsim {
 
@@ -42,27 +43,23 @@ class TextSink final : public TraceSink {
   std::ostream* os_;
 };
 
-/// Buffers records in memory, optionally bounded (oldest records are
-/// dropped once `max_records` is reached, keeping the most recent window).
+/// Buffers records in memory, optionally bounded (once `max_records` are
+/// held, each new record drops the oldest, keeping the most recent window).
 class MemorySink final : public TraceSink {
  public:
-  explicit MemorySink(usize max_records = 0) : max_records_(max_records) {}
+  explicit MemorySink(usize max_records = 0) : ring_(max_records) {}
 
-  void record(const TraceRecord& rec) override;
+  void record(const TraceRecord& rec) override { ring_.push(rec); }
 
-  [[nodiscard]] const std::vector<TraceRecord>& records() const {
-    return records_;
+  /// The held records, oldest first.
+  [[nodiscard]] std::vector<TraceRecord> records() const {
+    return ring_.snapshot();
   }
-  [[nodiscard]] u64 total_recorded() const { return total_; }
-  void clear() {
-    records_.clear();
-    total_ = 0;
-  }
+  [[nodiscard]] u64 total_recorded() const { return ring_.total(); }
+  void clear() { ring_.clear(); }
 
  private:
-  usize max_records_;
-  u64 total_{0};
-  std::vector<TraceRecord> records_;
+  TraceRing ring_;
 };
 
 /// Counts records per event kind; O(1) memory regardless of run length.

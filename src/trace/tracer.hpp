@@ -1,4 +1,11 @@
-// The tracer: verbosity filtering plus fan-out to registered sinks.
+// The tracer: one event gate plus fan-out to registered sinks.
+//
+// Every attached sink wants a set of event kinds.  A level-following sink
+// (text, memory, counting, per-vault series) wants the kinds of the current
+// TraceLevel; a sink attached with a fixed set (the flight recorder's ring)
+// wants that set whatever the level.  The tracer keeps the union as one
+// precomputed mask, so the gate at a trace site is a single inline bit test
+// and nothing is built for a kind no sink wants.
 #pragma once
 
 #include <memory>
@@ -13,38 +20,46 @@ class Tracer {
  public:
   Tracer() = default;
 
-  void set_level(TraceLevel level) { level_ = level; }
+  void set_level(TraceLevel level);
   [[nodiscard]] TraceLevel level() const { return level_; }
 
-  /// Attach a sink; the tracer shares ownership so callers can keep a handle
-  /// for post-run inspection.
-  void add_sink(std::shared_ptr<TraceSink> sink) {
-    sinks_.push_back(std::move(sink));
-  }
-  void clear_sinks() { sinks_.clear(); }
+  /// Attach a level-following sink; the tracer shares ownership so callers
+  /// can keep a handle for post-run inspection.
+  void add_sink(std::shared_ptr<TraceSink> sink);
+  /// Attach a sink that receives exactly `kinds`, whatever the level.
+  void add_sink(std::shared_ptr<TraceSink> sink, TraceMask kinds);
+  /// Detach a sink (no-op when it is not attached).
+  void remove_sink(const TraceSink* sink);
 
-  /// Fast gate for hot paths: is an event of this class recorded at all?
+  /// The gate: does any attached sink want this kind?
   [[nodiscard]] bool enabled(TraceEvent e) const {
-    return level_ >= level_for(e) && !sinks_.empty();
+    return (mask_ & trace_bit(e)) != 0;
   }
 
-  /// Record unconditionally (callers should gate on enabled()).
-  void emit(const TraceRecord& rec) {
-    for (const auto& sink : sinks_) sink->record(rec);
-  }
+  /// Hand a record to every sink that wants its kind (callers gate on
+  /// enabled()).
+  void emit(const TraceRecord& rec);
 
   /// Gate + record in one call for cold paths.
   void emit_if_enabled(const TraceRecord& rec) {
     if (enabled(rec.event)) emit(rec);
   }
 
-  void flush() {
-    for (const auto& sink : sinks_) sink->flush();
-  }
+  void flush();
 
  private:
+  struct Attached {
+    std::shared_ptr<TraceSink> sink;
+    bool follows_level;
+    TraceMask kinds;  ///< what the sink receives now
+  };
+
+  /// Recompute each level-following sink's kinds and the union mask.
+  void update_mask();
+
   TraceLevel level_{TraceLevel::Off};
-  std::vector<std::shared_ptr<TraceSink>> sinks_;
+  TraceMask mask_{0};
+  std::vector<Attached> sinks_;
 };
 
 }  // namespace hmcsim

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "chaos/plan.hpp"
 #include "tests/core/helpers.hpp"
@@ -349,6 +350,42 @@ TEST(ChaosSim, ResetRewindsTheCampaign) {
   for (int i = 0; i < 20; ++i) sim.clock();
   EXPECT_EQ(sim.chaos()->events_applied(), 1u);
   EXPECT_EQ(sim.config().device.link_error_rate_ppm, 7777u);
+}
+
+TEST(ChaosSim, EveryLinkDeathIsLogged) {
+  // kill -> revive -> kill: the link dies twice, and the flight recorder
+  // logs LINK_FAILED for each death, at its kill cycle.
+  DeviceConfig dc = test::small_device();
+  dc.link_protocol = true;
+  dc.link_retry_limit = 8;
+  dc.flight_recorder_depth = 65536;
+  Simulator sim = test::make_simple_sim(dc);
+  arm(sim,
+      "at 100 kill_link 1\n"
+      "at 300 revive_link 1\n"
+      "at 500 kill_link 1\n");
+  GeneratorConfig gc;
+  gc.capacity_bytes = dc.derived_capacity();
+  RandomAccessGenerator gen(gc);
+  DriverConfig dcfg;
+  dcfg.total_requests = 20000;
+  HostDriver driver(sim, gen, dcfg);
+  (void)driver.run();
+  ASSERT_GT(sim.now(), 500u);
+
+  std::ostringstream dump;
+  ASSERT_TRUE(sim.dump_flight_recorder(dump));
+  std::istringstream lines(dump.str());
+  std::vector<Cycle> deaths;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("  LINK_FAILED  ") == std::string::npos) continue;
+    std::istringstream fields(line);
+    std::string word;
+    Cycle cycle = 0;
+    fields >> word >> cycle;
+    deaths.push_back(cycle);
+  }
+  EXPECT_EQ(deaths, (std::vector<Cycle>{100, 500})) << dump.str();
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // The fast path only arms once every per-cycle idle mutation has reached
 // its fixed point, and disarms before any cycle with a bounded event
 // (scrub, refresh, hook), so skipping must be unobservable; the profiler,
-// telemetry and flight recorder are pure observation.  This harness
+// telemetry, tracer and flight recorder are pure observation.  This harness
 // *proves* both promises over a matrix of seeded workloads: each scenario
 // runs staged (reference) and with fast-forward on, with idle windows
 // injected between request bursts so the skip engine genuinely engages, and
@@ -208,8 +208,9 @@ struct RunCfg {
   /// whether or not the skip engine is on.
   bool idle_windows{false};
   /// Turn the whole observability layer on (profiler + telemetry + flight
-  /// recorder).  All three are pure observation, so every simulation
-  /// observable must stay bit-identical to an observability-off run.
+  /// recorder + a CountingSink on the tracer at TraceLevel::SubCycle).  All
+  /// of it is pure observation, so every simulation observable must stay
+  /// bit-identical to an observability-off run.
   bool observability{false};
 };
 
@@ -244,6 +245,11 @@ Outcome run_scenario(const Scenario& s, const RunCfg& cfg) {
   EXPECT_EQ(build_sim(s, cfg, sim, &diag), Status::Ok) << diag;
   auto sink = std::make_shared<LifecycleSink>();
   sim.add_lifecycle_observer(sink);
+  auto counts = std::make_shared<CountingSink>();
+  if (cfg.observability) {
+    sim.tracer().set_level(TraceLevel::SubCycle);
+    sim.tracer().add_sink(counts);
+  }
 
   auto gen = make_generator(s, sim.config().device.derived_capacity());
   DriverConfig dcfg;
@@ -276,6 +282,8 @@ Outcome run_scenario(const Scenario& s, const RunCfg& cfg) {
     EXPECT_NE(sim.profiler(), nullptr);
     EXPECT_GT(sim.profiler()->staged_cycles(), 0u);
     EXPECT_GT(sim.telemetry()->sample_passes(), 0u);
+    EXPECT_GT(counts->count(TraceEvent::PacketSend), 0u);
+    EXPECT_GT(sim.flight_recorder()->recorded(0), 0u);
   }
 
   out.cycles = r.cycles;
@@ -482,8 +490,8 @@ TEST_P(Differential, FastForwardMatchesStagedExactly) {
 }
 
 TEST_P(Differential, ObservabilityOnMatchesOffExactly) {
-  // The observability axis: profiler + telemetry + flight recorder all on
-  // versus all off.  Every simulation observable — stats, checkpoint
+  // The observability axis: profiler + telemetry + flight recorder + a
+  // SubCycle CountingSink on the tracer all on versus all off.  Every simulation observable — stats, checkpoint
   // bytes, lifecycle histograms, finish cycle — must match exactly on the
   // staged path and on the fast-forward path, where telemetry sampling
   // bounds the skip spans.  (cycles_skipped is NOT an observable: sampling

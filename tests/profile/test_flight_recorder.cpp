@@ -1,5 +1,5 @@
-// Flight-recorder unit tests: the event wire format round-trips exactly,
-// rings wrap keeping the newest events, and the text / Chrome renders are
+// Flight-recorder unit tests: every kind the ring records has a name,
+// rings wrap keeping the newest records, and the text / Chrome renders are
 // stable (the Chrome render is locked by a golden file).
 #include <gtest/gtest.h>
 
@@ -18,83 +18,38 @@
 namespace hmcsim {
 namespace {
 
-FlightEvent make_event(Cycle cycle, FlightEventType type, u64 arg = 0,
-                       u32 dev = 0, u16 unit = 0, u8 stage = 0) {
-  FlightEvent ev;
-  ev.cycle = cycle;
-  ev.arg = arg;
-  ev.dev = dev;
-  ev.unit = unit;
-  ev.stage = stage;
-  ev.type = type;
-  return ev;
-}
-
-TEST(FlightEvent, EncodeDecodeRoundTripsEveryType) {
-  for (u8 t = 0; t < kFlightEventTypeCount; ++t) {
-    const FlightEvent ev =
-        make_event(0x0123456789abcdefULL, static_cast<FlightEventType>(t),
-                   0xfedcba9876543210ULL, 0xdeadbeefu, 0xbeefu, 7);
-    u8 bytes[kFlightEventEncodedSize];
-    flight_event_encode(ev, bytes);
-    FlightEvent back;
-    ASSERT_TRUE(flight_event_decode(bytes, back));
-    EXPECT_EQ(back, ev);
-  }
-}
-
-TEST(FlightEvent, EncodeIsLittleEndianStable) {
-  // The dump-file format must not depend on host struct layout: lock the
-  // exact byte image of one event.
-  const FlightEvent ev = make_event(0x0102030405060708ULL,
-                                    FlightEventType::LinkIrtry, 0x1122u,
-                                    0xa0b0c0d0u, 0x0e0fu, 3);
-  u8 bytes[kFlightEventEncodedSize];
-  flight_event_encode(ev, bytes);
-  const u8 expected[kFlightEventEncodedSize] = {
-      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // cycle, LE
-      0x22, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // arg, LE
-      0xd0, 0xc0, 0xb0, 0xa0,                          // dev, LE
-      0x0f, 0x0e,                                      // unit, LE
-      0x03,                                            // stage
-      0x01,                                            // type (LinkIrtry)
-  };
-  for (usize i = 0; i < kFlightEventEncodedSize; ++i) {
-    EXPECT_EQ(bytes[i], expected[i]) << "byte " << i;
-  }
-}
-
-TEST(FlightEvent, DecodeRejectsUnknownTypeByte) {
-  u8 bytes[kFlightEventEncodedSize] = {};
-  bytes[kFlightEventEncodedSize - 1] = kFlightEventTypeCount;  // first bad
-  FlightEvent out = make_event(42, FlightEventType::RasSbe);
-  const FlightEvent before = out;
-  EXPECT_FALSE(flight_event_decode(bytes, out));
-  EXPECT_EQ(out, before);  // untouched on failure
-  bytes[kFlightEventEncodedSize - 1] = kFlightEventTypeCount - 1;
-  EXPECT_TRUE(flight_event_decode(bytes, out));
+/// A ring record filed under `unit` (carried as its link).
+TraceRecord make_event(Cycle cycle, TraceEvent event, u64 arg = 0,
+                       u32 dev = 0, u32 unit = 0, u8 stage = 0) {
+  TraceRecord rec;
+  rec.event = event;
+  rec.stage = stage;
+  rec.cycle = cycle;
+  rec.dev = dev;
+  rec.link = unit;
+  rec.arg = arg;
+  return rec;
 }
 
 TEST(FlightEvent, EveryTypeHasAName) {
-  for (u8 t = 0; t < kFlightEventTypeCount; ++t) {
-    const char* name = flight_event_name(static_cast<FlightEventType>(t));
-    ASSERT_NE(name, nullptr);
-    EXPECT_GT(std::string(name).size(), 0u);
+  for (usize e = 0; e < kTraceEventCount; ++e) {
+    const auto event = static_cast<TraceEvent>(e);
+    if ((FlightRecorder::kKinds & trace_bit(event)) == 0) continue;
+    EXPECT_FALSE(to_string(event).empty());
+    EXPECT_NE(to_string(event), "UNKNOWN");
   }
-  EXPECT_STREQ(flight_event_name(FlightEventType::WatchdogFire),
-               "WATCHDOG_FIRE");
-  EXPECT_STREQ(flight_event_name(FlightEventType::FfSkipSpan),
-               "FF_SKIP_SPAN");
+  EXPECT_EQ(to_string(TraceEvent::WatchdogFire), "WATCHDOG_FIRE");
+  EXPECT_EQ(to_string(TraceEvent::FfSkipSpan), "FF_SKIP_SPAN");
 }
 
 TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
   FlightRecorder rec(1, 4);
   for (u64 i = 0; i < 10; ++i) {
-    rec.record(0, make_event(100 + i, FlightEventType::Backpressure, i));
+    rec.record(make_event(100 + i, TraceEvent::XbarRqstStall, i));
   }
   EXPECT_EQ(rec.recorded(0), 10u);
   EXPECT_EQ(rec.size(0), 4u);
-  const std::vector<FlightEvent> kept = rec.snapshot(0);
+  const std::vector<TraceRecord> kept = rec.snapshot(0);
   ASSERT_EQ(kept.size(), 4u);
   // Oldest retained first: events 6, 7, 8, 9.
   for (usize i = 0; i < kept.size(); ++i) {
@@ -105,29 +60,29 @@ TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
 
 TEST(FlightRecorder, PartialRingSnapshotsInRecordOrder) {
   FlightRecorder rec(2, 8);
-  rec.record(1, make_event(5, FlightEventType::RasSbe, 1));
-  rec.record(1, make_event(6, FlightEventType::RasDbe, 2));
+  rec.record(make_event(5, TraceEvent::RasSbe, 1, 1));
+  rec.record(make_event(6, TraceEvent::RasDbe, 2, 1));
   EXPECT_EQ(rec.size(0), 0u);
   EXPECT_EQ(rec.size(1), 2u);
-  const std::vector<FlightEvent> kept = rec.snapshot(1);
+  const std::vector<TraceRecord> kept = rec.snapshot(1);
   ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].type, FlightEventType::RasSbe);
-  EXPECT_EQ(kept[1].type, FlightEventType::RasDbe);
+  EXPECT_EQ(kept[0].event, TraceEvent::RasSbe);
+  EXPECT_EQ(kept[1].event, TraceEvent::RasDbe);
 }
 
 TEST(FlightRecorder, DepthClampsToAtLeastOne) {
   FlightRecorder rec(1, 0);
   EXPECT_EQ(rec.depth(), 1u);
-  rec.record(0, make_event(1, FlightEventType::LinkRetry));
-  rec.record(0, make_event(2, FlightEventType::LinkFailed));
+  rec.record(make_event(1, TraceEvent::LinkRetry));
+  rec.record(make_event(2, TraceEvent::LinkFailed));
   EXPECT_EQ(rec.size(0), 1u);
   EXPECT_EQ(rec.snapshot(0).front().cycle, 2u);
 }
 
 TEST(FlightRecorder, ClearDropsEverything) {
   FlightRecorder rec(2, 4);
-  rec.record(0, make_event(1, FlightEventType::LinkRetry));
-  rec.record(1, make_event(2, FlightEventType::LinkIrtry));
+  rec.record(make_event(1, TraceEvent::LinkRetry));
+  rec.record(make_event(2, TraceEvent::LinkIrtry, 0, 1));
   rec.clear();
   EXPECT_EQ(rec.recorded(0), 0u);
   EXPECT_EQ(rec.recorded(1), 0u);
@@ -137,8 +92,8 @@ TEST(FlightRecorder, ClearDropsEverything) {
 
 TEST(FlightRecorder, TextDumpListsHeaderAndEvents) {
   FlightRecorder rec(1, 4);
-  rec.record(0, make_event(17, FlightEventType::LinkRetry, 3, 0, 2, 1));
-  rec.record(0, make_event(19, FlightEventType::WatchdogFire, 500));
+  rec.record(make_event(17, TraceEvent::LinkRetry, 3, 0, 2, 1));
+  rec.record(make_event(19, TraceEvent::WatchdogFire, 500));
   std::ostringstream os;
   rec.dump_text(os);
   const std::string text = os.str();
@@ -153,15 +108,36 @@ TEST(FlightRecorder, TextDumpListsHeaderAndEvents) {
       << text;
 }
 
+TEST(FlightRecorder, FilesUnderLinkElseVaultElseZero) {
+  TraceRecord rec;
+  rec.link = 3;
+  rec.vault = 9;
+  EXPECT_EQ(FlightRecorder::unit_of(rec), 3u);
+  rec.link = kNoCoord;
+  EXPECT_EQ(FlightRecorder::unit_of(rec), 9u);
+  rec.vault = kNoCoord;
+  EXPECT_EQ(FlightRecorder::unit_of(rec), 0u);
+}
+
+TEST(FlightRecorder, WholeSetRecordLandsOnEveryRing) {
+  FlightRecorder rec(3, 4);
+  rec.record(make_event(7, TraceEvent::WatchdogArm, 50, kNoCoord));
+  rec.record(make_event(8, TraceEvent::RasSbe, 1, 2));
+  EXPECT_EQ(rec.recorded(0), 1u);
+  EXPECT_EQ(rec.recorded(1), 1u);
+  EXPECT_EQ(rec.recorded(2), 2u);
+  EXPECT_EQ(rec.snapshot(1).front().event, TraceEvent::WatchdogArm);
+}
+
 std::string render_chrome_fixture() {
   // A fixed two-device event mix covering instants on both rings and a
   // fast-forward span (rendered as a duration).
   FlightRecorder rec(2, 8);
-  rec.record(0, make_event(10, FlightEventType::LinkRetry, 2, 0, 1, 2));
-  rec.record(0, make_event(12, FlightEventType::WatchdogArm, 500, 0, 0, 6));
-  rec.record(0, make_event(40, FlightEventType::FfSkipSpan, 25));
-  rec.record(1, make_event(11, FlightEventType::RasDbe, 1, 1, 7, 4));
-  rec.record(1, make_event(13, FlightEventType::VaultFailed, 8, 1, 7, 4));
+  rec.record(make_event(10, TraceEvent::LinkRetry, 2, 0, 1, 2));
+  rec.record(make_event(12, TraceEvent::WatchdogArm, 500, 0, 0, 6));
+  rec.record(make_event(40, TraceEvent::FfSkipSpan, 25));
+  rec.record(make_event(11, TraceEvent::RasDbe, 1, 1, 7, 4));
+  rec.record(make_event(13, TraceEvent::VaultFailed, 8, 1, 7, 4));
   std::ostringstream os;
   rec.dump_chrome(os);
   return os.str();

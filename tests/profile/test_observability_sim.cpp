@@ -1,10 +1,13 @@
 // Simulator-level observability tests: lifecycle of the profiler /
 // telemetry / flight-recorder attachments, sampling cadence, fast-forward
-// skip accounting, the watchdog post-mortem dump, and the JSON report
-// sections.
+// skip accounting, the watchdog post-mortem dump, the JSON report
+// sections, and a golden pin of the whole event stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +15,15 @@
 #include "analysis/json.hpp"
 #include "core/simulator.hpp"
 #include "helpers.hpp"
+#include "packet/crc32.hpp"
+#include "topo/topology.hpp"
+#include "trace/sink.hpp"
+#include "workload/driver.hpp"
+#include "workload/generator.hpp"
+
+#ifndef HMCSIM_GOLDEN_DIR
+#define HMCSIM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace hmcsim {
 namespace {
@@ -21,10 +33,9 @@ using test::make_simple_sim;
 using test::send_request;
 using test::small_device;
 
-bool has_event(const std::vector<FlightEvent>& events, FlightEventType type) {
-  return std::any_of(events.begin(), events.end(), [type](const FlightEvent& e) {
-    return e.type == type;
-  });
+bool has_event(const std::vector<TraceRecord>& events, TraceEvent event) {
+  return std::any_of(events.begin(), events.end(),
+                     [event](const TraceRecord& e) { return e.event == event; });
 }
 
 TEST(ObservabilitySim, AccessorsNullWhenOff) {
@@ -122,10 +133,10 @@ TEST(ObservabilitySim, FlightRecorderCapturesSkipSpans) {
 
   for (u32 i = 0; i < 100; ++i) sim.clock();
   sim.flush_observability();
-  const std::vector<FlightEvent> events = sim.flight_recorder()->snapshot(0);
-  ASSERT_TRUE(has_event(events, FlightEventType::FfSkipSpan));
-  for (const FlightEvent& ev : events) {
-    if (ev.type != FlightEventType::FfSkipSpan) continue;
+  const std::vector<TraceRecord> events = sim.flight_recorder()->snapshot(0);
+  ASSERT_TRUE(has_event(events, TraceEvent::FfSkipSpan));
+  for (const TraceRecord& ev : events) {
+    if (ev.event != TraceEvent::FfSkipSpan) continue;
     EXPECT_GT(ev.arg, 0u);          // span length
     EXPECT_LE(ev.cycle, sim.now());  // stamped at span end
   }
@@ -148,9 +159,9 @@ TEST(ObservabilitySim, WatchdogFireRecordsArmAndFireAndDumpsTail) {
   for (u32 i = 0; i < 500 && !sim.watchdog_fired(); ++i) sim.clock();
   ASSERT_TRUE(sim.watchdog_fired());
 
-  const std::vector<FlightEvent> events = sim.flight_recorder()->snapshot(0);
-  EXPECT_TRUE(has_event(events, FlightEventType::WatchdogArm));
-  EXPECT_TRUE(has_event(events, FlightEventType::WatchdogFire));
+  const std::vector<TraceRecord> events = sim.flight_recorder()->snapshot(0);
+  EXPECT_TRUE(has_event(events, TraceEvent::WatchdogArm));
+  EXPECT_TRUE(has_event(events, TraceEvent::WatchdogFire));
 
   const std::string& report = sim.watchdog_report();
   EXPECT_NE(report.find("flight recorder tail"), std::string::npos);
@@ -215,6 +226,41 @@ TEST(ObservabilitySim, JsonReportOmitsSectionsWhenOff) {
   EXPECT_NE(json.find("\"self_profile\":false"), std::string::npos);
 }
 
+TEST(ObservabilitySim, InitAndRestoreKeepOneRingAndUserSinks) {
+  DeviceConfig dc = small_device();
+  dc.flight_recorder_depth = 16;
+  Simulator sim = make_simple_sim(dc);
+  auto counts = std::make_shared<CountingSink>();
+  sim.tracer().set_level(TraceLevel::SubCycle);
+  sim.tracer().add_sink(counts);
+
+  // An init without a recorder detaches the ring...
+  dc.flight_recorder_depth = 0;
+  ASSERT_EQ(sim.init_simple(dc), Status::Ok);
+  EXPECT_EQ(sim.flight_recorder(), nullptr);
+  EXPECT_FALSE(sim.tracer().enabled(TraceEvent::FfSkipSpan));
+  // ...and repeated inits and a restore with one leave exactly one ring.
+  dc.flight_recorder_depth = 16;
+  ASSERT_EQ(sim.init_simple(dc), Status::Ok);
+  ASSERT_EQ(sim.init_simple(dc), Status::Ok);
+  std::stringstream ckpt;
+  ASSERT_EQ(sim.save_checkpoint(ckpt), Status::Ok);
+  ASSERT_EQ(sim.restore_checkpoint(ckpt), Status::Ok);
+  ASSERT_NE(sim.flight_recorder(), nullptr);
+
+  ASSERT_EQ(send_request(sim, 0, 0, Command::Rd32, 0x1000, 1), Status::Ok);
+  ASSERT_TRUE(await_response(sim, 0, 0).has_value());
+  for (u32 i = 0; i < 100; ++i) sim.clock();
+  sim.flush_observability();
+  // The user sink still follows the level (and never sees ring kinds); the
+  // ring filed the one skip span once.
+  EXPECT_EQ(counts->count(TraceEvent::PacketSend), 1u);
+  EXPECT_EQ(counts->count(TraceEvent::FfSkipSpan), 0u);
+  EXPECT_EQ(sim.flight_recorder()->recorded(0), 1u);
+  EXPECT_TRUE(has_event(sim.flight_recorder()->snapshot(0),
+                        TraceEvent::FfSkipSpan));
+}
+
 TEST(ObservabilitySim, ResetClearsObservability) {
   DeviceConfig dc = small_device();
   dc.self_profile = true;
@@ -231,6 +277,100 @@ TEST(ObservabilitySim, ResetClearsObservability) {
   EXPECT_EQ(sim.profiler()->staged_cycles(), 0u);
   EXPECT_EQ(sim.telemetry()->sample_passes(), 0u);
   EXPECT_EQ(sim.flight_recorder()->recorded(0), 0u);
+}
+
+/// One fixed scenario that drives the whole event stream: a 3-cube chain
+/// with the link protocol under a burst storm, DRAM SBE/DBE faults that fail
+/// vaults, a watchdog that arms on stalled cycles, and idle windows long
+/// enough for fast-forward spans.  Returns the golden text: the line count
+/// and CRC of the level-3 text trace, each device's ring counts, and the
+/// ring's text dump.
+std::string render_event_stream() {
+  DeviceConfig dc = small_device();
+  dc.num_links = 8;
+  dc.link_protocol = true;
+  dc.link_retry_limit = 8;
+  dc.link_retry_latency = 4;
+  dc.link_error_rate_ppm = 20000;
+  dc.link_error_burst_len = 4;
+  dc.dram_sbe_rate_ppm = 20000;
+  dc.dram_dbe_rate_ppm = 4000;
+  dc.vault_fail_threshold = 1;
+  dc.watchdog_cycles = 2000;
+  dc.flight_recorder_depth = 32;
+  SimConfig sc;
+  sc.num_devices = 3;
+  sc.device = dc;
+  std::string diag;
+  Topology topo = make_chain(3, dc.num_links, /*host_links=*/2,
+                             /*trunk_links=*/2, &diag);
+  Simulator sim;
+  EXPECT_EQ(sim.init(sc, std::move(topo), &diag), Status::Ok) << diag;
+
+  std::ostringstream text;
+  sim.tracer().set_level(TraceLevel::SubCycle);
+  sim.tracer().add_sink(std::make_shared<TextSink>(text));
+
+  GeneratorConfig gc;
+  gc.capacity_bytes = dc.derived_capacity();
+  gc.seed = 1234;
+  RandomAccessGenerator gen(gc);
+  // Three traffic phases.  Each drains completely and all but the last is
+  // followed by an idle window, which fast-forward skips.
+  for (u32 phase = 0; phase < 3; ++phase) {
+    if (phase != 0) {
+      for (u32 i = 0; i < 500; ++i) sim.clock();
+    }
+    DriverConfig dcfg;
+    dcfg.total_requests = 400;
+    dcfg.max_cycles = 200000;
+    dcfg.targets = TargetPolicy::RoundRobinCubes;
+    HostDriver driver(sim, gen, dcfg);
+    const DriverResult r = driver.run();
+    EXPECT_EQ(r.completed, dcfg.total_requests);
+  }
+  EXPECT_GT(sim.cycles_skipped(), 0u);
+  sim.flush_observability();
+
+  const std::string stream = text.str();
+  std::ostringstream out;
+  out << "text_lines " << std::count(stream.begin(), stream.end(), '\n')
+      << "\ntext_crc 0x" << std::hex
+      << crc::crc32k({reinterpret_cast<const u8*>(stream.data()),
+                      stream.size()})
+      << std::dec << '\n';
+  const FlightRecorder* rec = sim.flight_recorder();
+  EXPECT_NE(rec, nullptr);
+  if (rec == nullptr) return out.str();
+  for (u32 d = 0; d < sim.num_devices(); ++d) {
+    out << "dev " << d << " recorded " << rec->recorded(d) << " retained "
+        << rec->size(d) << '\n';
+  }
+  sim.dump_flight_recorder(out);
+  return out.str();
+}
+
+TEST(ObservabilitySim, EventStreamMatchesGolden) {
+  const std::string path =
+      std::string(HMCSIM_GOLDEN_DIR) + "/event_stream_chain3.txt";
+  const std::string got = render_event_stream();
+
+  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated: " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R EventStream";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << "event stream diverged; if intentional, regenerate with "
+         "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
 }
 
 }  // namespace

@@ -211,7 +211,8 @@ TEST(ChromeTraceSink, FinishIsIdempotentAndStopsAccepting) {
 
 TEST(TraceLevels, EveryEventGatesExactlyAtItsLevel) {
   // Table-driven: for every (event, configured level) pair, the tracer
-  // must enable the event iff the level reaches level_for(event).
+  // must enable the event iff the level reaches level_for(event).  The
+  // kinds of no level stay off at every level.
   const TraceLevel levels[] = {TraceLevel::Off, TraceLevel::Stalls,
                                TraceLevel::Events, TraceLevel::SubCycle};
   Tracer tracer;
@@ -220,9 +221,9 @@ TEST(TraceLevels, EveryEventGatesExactlyAtItsLevel) {
     tracer.set_level(level);
     for (usize e = 0; e < kTraceEventCount; ++e) {
       const auto event = static_cast<TraceEvent>(e);
-      const bool expected = static_cast<u8>(level) != 0 &&
-                            static_cast<u8>(level_for(event)) <=
-                                static_cast<u8>(level);
+      const std::optional<TraceLevel> min = level_for(event);
+      const bool expected =
+          level != TraceLevel::Off && min.has_value() && *min <= level;
       EXPECT_EQ(tracer.enabled(event), expected)
           << to_string(event) << " at level " << static_cast<int>(level);
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "trace/tracer.hpp"
 
@@ -75,11 +76,10 @@ TEST(MemorySink, BoundedModeKeepsRecentWindow) {
     sink.record(rec);
   }
   EXPECT_EQ(sink.total_recorded(), 10u);
-  ASSERT_EQ(sink.records().size(), 4u);
-  // All retained cycles are from the last 4 records {6,7,8,9}.
-  for (const auto& rec : sink.records()) {
-    EXPECT_GE(rec.cycle, 6u);
-  }
+  // The last 4 records, oldest first.
+  std::vector<Cycle> cycles;
+  for (const TraceRecord& rec : sink.records()) cycles.push_back(rec.cycle);
+  EXPECT_EQ(cycles, (std::vector<Cycle>{6, 7, 8, 9}));
 }
 
 TEST(CountingSink, CountsPerEvent) {
