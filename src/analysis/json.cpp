@@ -117,53 +117,7 @@ namespace {
 
 void write_device_stats(JsonWriter& json, const DeviceStats& s) {
   json.begin_object();
-  json.kv("reads", s.reads);
-  json.kv("writes", s.writes);
-  json.kv("atomics", s.atomics);
-  json.kv("mode_ops", s.mode_ops);
-  json.kv("custom_ops", s.custom_ops);
-  json.kv("bytes_read", s.bytes_read);
-  json.kv("bytes_written", s.bytes_written);
-  json.kv("responses", s.responses);
-  json.kv("error_responses", s.error_responses);
-  json.kv("bank_conflicts", s.bank_conflicts);
-  json.kv("xbar_rqst_stalls", s.xbar_rqst_stalls);
-  json.kv("xbar_rsp_stalls", s.xbar_rsp_stalls);
-  json.kv("vault_rsp_stalls", s.vault_rsp_stalls);
-  json.kv("latency_penalties", s.latency_penalties);
-  json.kv("route_hops", s.route_hops);
-  json.kv("misroutes", s.misroutes);
-  json.kv("link_errors", s.link_errors);
-  json.kv("link_retries", s.link_retries);
-  json.kv("refreshes", s.refreshes);
-  json.kv("row_hits", s.row_hits);
-  json.kv("row_misses", s.row_misses);
-  json.kv("sends", s.sends);
-  json.kv("send_stalls", s.send_stalls);
-  json.kv("recvs", s.recvs);
-  json.kv("flow_packets", s.flow_packets);
-  json.kv("dram_sbes", s.dram_sbes);
-  json.kv("dram_dbes", s.dram_dbes);
-  json.kv("scrub_steps", s.scrub_steps);
-  json.kv("scrub_corrections", s.scrub_corrections);
-  json.kv("scrub_uncorrectables", s.scrub_uncorrectables);
-  json.kv("vault_failures", s.vault_failures);
-  json.kv("vault_remaps", s.vault_remaps);
-  json.kv("degraded_drops", s.degraded_drops);
-  json.kv("link_crc_errors", s.link_crc_errors);
-  json.kv("link_seq_errors", s.link_seq_errors);
-  json.kv("link_abort_entries", s.link_abort_entries);
-  json.kv("link_irtry_tx", s.link_irtry_tx);
-  json.kv("link_irtry_rx", s.link_irtry_rx);
-  json.kv("link_pret_tx", s.link_pret_tx);
-  json.kv("link_tret_tx", s.link_tret_tx);
-  json.kv("link_replayed_flits", s.link_replayed_flits);
-  json.kv("link_token_stalls", s.link_token_stalls);
-  json.kv("link_retrain_cycles", s.link_retrain_cycles);
-  json.kv("link_failures", s.link_failures);
-  json.kv("link_tokens_debited", s.link_tokens_debited);
-  json.kv("link_tokens_returned", s.link_tokens_returned);
-  json.kv("pcm_write_throttle_stalls", s.pcm_write_throttle_stalls);
+  for (const StatField& f : kStatFields) json.kv(f.name, s.*f.member);
   json.end_object();
 }
 

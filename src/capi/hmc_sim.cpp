@@ -378,60 +378,19 @@ int hmcsim_get_stat(struct hmcsim_t* hmc, uint32_t dev, const char* name,
   if (shim == nullptr || name == nullptr || value == nullptr) return -1;
   if (!ok(shim->freeze())) return -1;
   if (dev >= shim->sim.num_devices()) return -1;
-  const DeviceStats& s = shim->sim.stats(dev);
   const std::string_view key{name};
-  if (key == "reads") *value = s.reads;
-  else if (key == "writes") *value = s.writes;
-  else if (key == "atomics") *value = s.atomics;
-  else if (key == "mode_ops") *value = s.mode_ops;
-  else if (key == "custom_ops") *value = s.custom_ops;
-  else if (key == "responses") *value = s.responses;
-  else if (key == "error_responses") *value = s.error_responses;
-  else if (key == "bank_conflicts") *value = s.bank_conflicts;
-  else if (key == "xbar_rqst_stalls") *value = s.xbar_rqst_stalls;
-  else if (key == "xbar_rsp_stalls") *value = s.xbar_rsp_stalls;
-  else if (key == "vault_rsp_stalls") *value = s.vault_rsp_stalls;
-  else if (key == "latency_penalties") *value = s.latency_penalties;
-  else if (key == "route_hops") *value = s.route_hops;
-  else if (key == "misroutes") *value = s.misroutes;
-  else if (key == "sends") *value = s.sends;
-  else if (key == "send_stalls") *value = s.send_stalls;
-  else if (key == "recvs") *value = s.recvs;
-  else if (key == "flow_packets") *value = s.flow_packets;
-  else if (key == "bytes_read") *value = s.bytes_read;
-  else if (key == "bytes_written") *value = s.bytes_written;
-  else if (key == "link_errors") *value = s.link_errors;
-  else if (key == "link_retries") *value = s.link_retries;
-  else if (key == "refreshes") *value = s.refreshes;
-  else if (key == "row_hits") *value = s.row_hits;
-  else if (key == "row_misses") *value = s.row_misses;
-  else if (key == "dram_sbes") *value = s.dram_sbes;
-  else if (key == "dram_dbes") *value = s.dram_dbes;
-  else if (key == "scrub_steps") *value = s.scrub_steps;
-  else if (key == "scrub_corrections") *value = s.scrub_corrections;
-  else if (key == "scrub_uncorrectables") *value = s.scrub_uncorrectables;
-  else if (key == "vault_failures") *value = s.vault_failures;
-  else if (key == "vault_remaps") *value = s.vault_remaps;
-  else if (key == "degraded_drops") *value = s.degraded_drops;
-  else if (key == "link_crc_errors") *value = s.link_crc_errors;
-  else if (key == "link_seq_errors") *value = s.link_seq_errors;
-  else if (key == "link_abort_entries") *value = s.link_abort_entries;
-  else if (key == "link_irtry_tx") *value = s.link_irtry_tx;
-  else if (key == "link_irtry_rx") *value = s.link_irtry_rx;
-  else if (key == "link_pret_tx") *value = s.link_pret_tx;
-  else if (key == "link_tret_tx") *value = s.link_tret_tx;
-  else if (key == "link_replayed_flits") *value = s.link_replayed_flits;
-  else if (key == "link_token_stalls") *value = s.link_token_stalls;
-  else if (key == "link_retrain_cycles") *value = s.link_retrain_cycles;
-  else if (key == "link_failures") *value = s.link_failures;
-  else if (key == "link_tokens_debited") *value = s.link_tokens_debited;
-  else if (key == "link_tokens_returned") *value = s.link_tokens_returned;
-  else if (key == "pcm_write_throttle_stalls") {
-    *value = s.pcm_write_throttle_stalls;
+  if (key == "cycles_skipped") {
+    *value = shim->sim.cycles_skipped();
+    return 0;
   }
-  else if (key == "cycles_skipped") *value = shim->sim.cycles_skipped();
-  else return -1;
-  return 0;
+  const DeviceStats& s = shim->sim.stats(dev);
+  for (const StatField& f : kStatFields) {
+    if (key == f.name) {
+      *value = s.*f.member;
+      return 0;
+    }
+  }
+  return -1;
 }
 
 int hmcsim_get_stats(struct hmcsim_t* hmc, uint32_t dev,

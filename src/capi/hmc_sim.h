@@ -71,9 +71,9 @@ struct hmcsim_t {
  *
  * num_vaults must equal num_links * 4; num_banks is per vault;
  * queue_depth sizes the vault request/response queues and xbar_depth the
- * crossbar arbitration queues; capacity is the device capacity in
- * gigabytes (0 derives it from the geometry).  Devices within one object
- * are physically homogeneous.
+ * crossbar arbitration queues (each 1..4096 slots); capacity is the
+ * device capacity in gigabytes (0 derives it from the geometry).  Devices
+ * within one object are physically homogeneous.
  */
 int hmcsim_init(struct hmcsim_t* hmc, uint32_t num_devs, uint32_t num_links,
                 uint32_t num_vaults, uint32_t queue_depth, uint32_t num_banks,

@@ -91,29 +91,16 @@ constexpr char kTrailer[8] = {'H', 'M', 'C', 'S', 'I', 'M', 'E', 'N'};
 // deliberately NOT serialized — it is an observability knob like
 // telemetry_interval_cycles.
 //
-// Restore accepts every version back to 2 (the oldest format any released
-// tool wrote).  Fields a version lacks keep their init() values: v2/v3
-// restores keep the deterministic init-seeded per-vault DRAM RNGs, v2
-// restores additionally keep default RAS config, zeroed RAS counters, the
-// init fault RNG, and a quiet watchdog, pre-v5 restores keep the link
-// protocol off with quiescent (reset) per-link state, and pre-v7 restores
-// keep the default hmc_dram backend with power-on (reset) backend state.
-// Save always writes the current version.  Committed fixtures for every
-// readable version live under tests/golden/checkpoints/ and are replayed
-// by test_checkpoint_compat.
+// Restore reads versions 6 through 8, the framed container.  The unframed
+// v2-v5 streams could not tell bit-rot from data, so their reader is gone:
+// those versions now fail in the preamble with UnsupportedVersion, like any
+// version outside the range.  Fields a readable version lacks keep their
+// init() values: v6 restores keep the default hmc_dram backend with
+// power-on (reset) backend state.  Save always writes the current version.
+// Committed fixtures for every readable version live under
+// tests/golden/checkpoints/ and are replayed by test_checkpoint_compat.
 constexpr u32 kVersion = 8;
-constexpr u32 kMinVersion = 2;
-// Registers that existed in version 2 (enum prefix through Rvid); the RAS
-// error-log block was appended in version 3 and the two link-layer RAS
-// registers in version 5.
-constexpr usize kV2RegCount = 43;
-constexpr usize kV3RegCount = 49;
-// DeviceStats fields in version 2 (through flow_packets); version 3
-// appended the 8 RAS counters, version 5 the 13 link-layer counters,
-// version 7 the backend counter.
-constexpr usize kV2StatsCount = 25;
-constexpr usize kV3StatsCount = 33;
-constexpr usize kV5StatsCount = 46;
+constexpr u32 kMinVersion = 6;
 // Per-vault backend override list cap (config_file caps indices below 64,
 // so more entries can never validate) and backend-private blob cap: both
 // bound what a forged CFG/DEVC payload can make restore allocate.
@@ -170,6 +157,25 @@ bool get_u8(std::istream& is, u8& v) {
   u64 wide = 0;
   if (!get_u64(is, wide) || wide > 0xffull) return false;
   v = static_cast<u8>(wide);
+  return true;
+}
+
+// A flag travels as a word holding 0 or 1; any other value is damage.
+void put_flag(std::ostream& os, bool v) { put_u64(os, v ? 1 : 0); }
+
+bool get_flag(std::istream& is, bool& v) {
+  u64 wide = 0;
+  if (!get_u64(is, wide) || wide > 1) return false;
+  v = wide != 0;
+  return true;
+}
+
+// An enum byte must name one of its enumerators; `last` is the highest.
+template <typename E>
+bool get_enum(std::istream& is, E& out, E last) {
+  u8 raw = 0;
+  if (!get_u8(is, raw) || raw > static_cast<u8>(last)) return false;
+  out = static_cast<E>(raw);
   return true;
 }
 
@@ -245,29 +251,38 @@ bool get_lifecycle(std::istream& is, PacketLifecycle& lc) {
   return true;
 }
 
+// What a queue-entry decoder checks a record against.  The routing fields
+// index arrays on the next clock (a response drains into
+// dev.links[home_link]), so a value past the topology is rejected here.
+struct EntryContext {
+  const CustomCommandSet& custom;
+  u32 devices;
+  u32 links;
+};
+
 void put_request_entry(std::ostream& os, const RequestEntry& e) {
   put_packet(os, e.pkt);
   put_u64(os, e.ready_cycle);
   put_u32(os, e.home_dev);
   put_u32(os, e.home_link);
   put_u32(os, e.ingress_link);
-  put_u8(os, e.penalty_applied ? 1 : 0);
+  put_flag(os, e.penalty_applied);
   put_u8(os, e.retries);
   put_lifecycle(os, e.life);
 }
 
 bool get_request_entry(std::istream& is, RequestEntry& e,
-                       const CustomCommandSet& custom) {
-  u8 penalty = 0;
+                       const EntryContext& ctx) {
   if (!get_packet(is, e.pkt) || !get_u64(is, e.ready_cycle) ||
       !get_u32(is, e.home_dev) || !get_u32(is, e.home_link) ||
-      !get_u32(is, e.ingress_link) || !get_u8(is, penalty) ||
-      !get_u8(is, e.retries) || !get_lifecycle(is, e.life)) {
+      !get_u32(is, e.ingress_link) || !get_flag(is, e.penalty_applied) ||
+      !get_u8(is, e.retries) || !get_lifecycle(is, e.life) ||
+      e.home_dev >= ctx.devices || e.home_link >= ctx.links ||
+      e.ingress_link >= ctx.links) {
     return false;
   }
-  e.penalty_applied = penalty != 0;
   const u8 raw_cmd = static_cast<u8>(extract(e.pkt.header(), 0, 6));
-  if (const CustomCommandDef* def = custom.find(raw_cmd)) {
+  if (const CustomCommandDef* def = ctx.custom.find(raw_cmd)) {
     if (!ok(decode_custom_request(e.pkt, *def, e.req))) return false;
     e.custom = def;
   } else if (!ok(decode_request(e.pkt, e.req))) {
@@ -284,13 +299,13 @@ void put_request_queue(std::ostream& os,
 }
 
 bool get_request_queue(std::istream& is, BoundedQueue<RequestEntry>& q,
-                       const CustomCommandSet& custom) {
+                       const EntryContext& ctx) {
   u64 count = 0;
   if (!get_u64(is, count) || count > q.capacity()) return false;
   q.clear();
   for (u64 i = 0; i < count; ++i) {
     RequestEntry e;
-    if (!get_request_entry(is, e, custom)) return false;
+    if (!get_request_entry(is, e, ctx)) return false;
     if (!q.push(std::move(e))) return false;
   }
   QueueStats stats;
@@ -312,7 +327,8 @@ void put_response_queue(std::ostream& os,
   put_queue_stats(os, q.stats());
 }
 
-bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q) {
+bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q,
+                        const EntryContext& ctx) {
   u64 count = 0;
   if (!get_u64(is, count) || count > q.capacity()) return false;
   q.clear();
@@ -320,7 +336,8 @@ bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q) {
     ResponseEntry e;
     if (!get_packet(is, e.pkt) || !get_u64(is, e.ready_cycle) ||
         !get_u32(is, e.home_dev) || !get_u32(is, e.home_link) ||
-        !get_lifecycle(is, e.life)) {
+        !get_lifecycle(is, e.life) || e.home_dev >= ctx.devices ||
+        e.home_link >= ctx.links) {
       return false;
     }
     ResponseFields f;
@@ -336,52 +353,14 @@ bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q) {
 }
 
 void put_stats(std::ostream& os, const DeviceStats& s) {
-  const u64 fields[] = {s.reads, s.writes, s.atomics, s.mode_ops,
-                        s.custom_ops, s.bytes_read, s.bytes_written,
-                        s.responses, s.error_responses, s.bank_conflicts,
-                        s.xbar_rqst_stalls, s.xbar_rsp_stalls,
-                        s.vault_rsp_stalls, s.latency_penalties,
-                        s.route_hops, s.misroutes, s.link_errors, s.link_retries, s.refreshes, s.row_hits, s.row_misses, s.sends,
-                        s.send_stalls,
-                        s.recvs, s.flow_packets,
-                        s.dram_sbes, s.dram_dbes, s.scrub_steps,
-                        s.scrub_corrections, s.scrub_uncorrectables,
-                        s.vault_failures, s.vault_remaps, s.degraded_drops,
-                        s.link_crc_errors, s.link_seq_errors,
-                        s.link_abort_entries, s.link_irtry_tx,
-                        s.link_irtry_rx, s.link_pret_tx, s.link_tret_tx,
-                        s.link_replayed_flits, s.link_token_stalls,
-                        s.link_retrain_cycles, s.link_failures,
-                        s.link_tokens_debited, s.link_tokens_returned,
-                        s.pcm_write_throttle_stalls};
-  for (const u64 f : fields) put_u64(os, f);
+  for (const StatField& f : kStatFields) put_u64(os, s.*f.member);
 }
 
 bool get_stats(std::istream& is, DeviceStats& s, u32 version) {
-  u64* fields[] = {&s.reads, &s.writes, &s.atomics, &s.mode_ops,
-                   &s.custom_ops, &s.bytes_read, &s.bytes_written,
-                   &s.responses, &s.error_responses, &s.bank_conflicts,
-                   &s.xbar_rqst_stalls, &s.xbar_rsp_stalls,
-                   &s.vault_rsp_stalls, &s.latency_penalties, &s.route_hops,
-                   &s.misroutes, &s.link_errors, &s.link_retries, &s.refreshes, &s.row_hits,
-                   &s.row_misses, &s.sends,
-                   &s.send_stalls,
-                   &s.recvs, &s.flow_packets,
-                   &s.dram_sbes, &s.dram_dbes, &s.scrub_steps,
-                   &s.scrub_corrections, &s.scrub_uncorrectables,
-                   &s.vault_failures, &s.vault_remaps, &s.degraded_drops,
-                   &s.link_crc_errors, &s.link_seq_errors,
-                   &s.link_abort_entries, &s.link_irtry_tx, &s.link_irtry_rx,
-                   &s.link_pret_tx, &s.link_tret_tx, &s.link_replayed_flits,
-                   &s.link_token_stalls, &s.link_retrain_cycles,
-                   &s.link_failures, &s.link_tokens_debited,
-                   &s.link_tokens_returned, &s.pcm_write_throttle_stalls};
-  const usize count = version >= 7   ? std::size(fields)
-                      : version >= 5 ? kV5StatsCount
-                      : version >= 3 ? kV3StatsCount
-                                     : kV2StatsCount;
+  // v6 predates the last counter, pcm_write_throttle_stalls (v7).
+  const usize count = std::size(kStatFields) - (version >= 7 ? 0 : 1);
   for (usize i = 0; i < count; ++i) {
-    if (!get_u64(is, *fields[i])) return false;
+    if (!get_u64(is, s.*kStatFields[i].member)) return false;
   }
   return true;
 }
@@ -409,16 +388,16 @@ void put_device_config(std::ostream& os, const DeviceConfig& c) {
   put_u8(os, static_cast<u8>(c.row_policy));
   put_u32(os, c.row_hit_cycles);
   put_u32(os, c.row_miss_cycles);
-  put_u8(os, c.model_data ? 1 : 0);
+  put_flag(os, c.model_data);
   put_u32(os, c.dram_sbe_rate_ppm);
   put_u32(os, c.dram_dbe_rate_ppm);
   put_u32(os, c.scrub_interval_cycles);
   put_u64(os, c.scrub_window_bytes);
   put_u32(os, c.vault_fail_threshold);
   put_u64(os, c.failed_vault_mask);
-  put_u8(os, c.vault_remap ? 1 : 0);
+  put_flag(os, c.vault_remap);
   put_u32(os, c.watchdog_cycles);
-  put_u8(os, c.link_protocol ? 1 : 0);
+  put_flag(os, c.link_protocol);
   put_u32(os, c.link_tokens);
   put_u32(os, c.link_retry_buffer_flits);
   put_u32(os, c.link_retry_latency);
@@ -442,97 +421,69 @@ void put_device_config(std::ostream& os, const DeviceConfig& c) {
   }
 }
 
-bool get_timing_backend(std::istream& is, TimingBackend& out) {
-  u8 kind = 0;
-  if (!get_u8(is, kind) || kind > static_cast<u8>(TimingBackend::PcmLike)) {
-    return false;
-  }
-  out = static_cast<TimingBackend>(kind);
-  return true;
-}
-
 bool get_device_config(std::istream& is, DeviceConfig& c, u32 version) {
   u64 xbar = 0, vault = 0;
-  u8 map_mode = 0, schedule = 0, model_data = 0, row_policy = 0;
   if (!get_u32(is, c.num_links) || !get_u32(is, c.banks_per_vault) ||
       !get_u32(is, c.drams_per_bank) || !get_u64(is, xbar) ||
       !get_u64(is, vault) || !get_u64(is, c.capacity_bytes) ||
-      !get_u8(is, map_mode) || !get_u64(is, c.max_block_bytes) ||
+      !get_enum(is, c.map_mode, AddrMapMode::Linear) ||
+      !get_u64(is, c.max_block_bytes) ||
       !get_u32(is, c.bank_busy_cycles) ||
       !get_u32(is, c.xbar_flits_per_cycle) ||
       !get_u32(is, c.vault_drain_limit) ||
       !get_u32(is, c.nonlocal_penalty_cycles) ||
-      !get_u32(is, c.conflict_window) || !get_u8(is, schedule) ||
+      !get_u32(is, c.conflict_window) ||
+      !get_enum(is, c.vault_schedule, VaultSchedule::StrictFifo) ||
       !get_u32(is, c.link_error_rate_ppm) || !get_u64(is, c.fault_seed) ||
       !get_u32(is, c.link_retry_limit) ||
       !get_u32(is, c.refresh_interval_cycles) ||
-      !get_u32(is, c.refresh_busy_cycles) || !get_u8(is, row_policy) ||
+      !get_u32(is, c.refresh_busy_cycles) ||
+      !get_enum(is, c.row_policy, RowPolicy::OpenPage) ||
       !get_u32(is, c.row_hit_cycles) || !get_u32(is, c.row_miss_cycles) ||
-      !get_u8(is, model_data)) {
+      !get_flag(is, c.model_data) || !get_u32(is, c.dram_sbe_rate_ppm) ||
+      !get_u32(is, c.dram_dbe_rate_ppm) ||
+      !get_u32(is, c.scrub_interval_cycles) ||
+      !get_u64(is, c.scrub_window_bytes) ||
+      !get_u32(is, c.vault_fail_threshold) ||
+      !get_u64(is, c.failed_vault_mask) || !get_flag(is, c.vault_remap) ||
+      !get_u32(is, c.watchdog_cycles) || !get_flag(is, c.link_protocol) ||
+      !get_u32(is, c.link_tokens) || !get_u32(is, c.link_retry_buffer_flits) ||
+      !get_u32(is, c.link_retry_latency) ||
+      !get_u32(is, c.link_error_burst_len) ||
+      !get_u32(is, c.link_stuck_interval_cycles) ||
+      !get_u32(is, c.link_stuck_window_cycles) ||
+      !get_u32(is, c.link_fail_threshold)) {
     return false;
-  }
-  u8 vault_remap = 0;
-  if (version >= 3) {
-    // Version 2 predates RAS; its restores keep the (all-off) defaults.
-    if (!get_u32(is, c.dram_sbe_rate_ppm) ||
-        !get_u32(is, c.dram_dbe_rate_ppm) ||
-        !get_u32(is, c.scrub_interval_cycles) ||
-        !get_u64(is, c.scrub_window_bytes) ||
-        !get_u32(is, c.vault_fail_threshold) ||
-        !get_u64(is, c.failed_vault_mask) || !get_u8(is, vault_remap) ||
-        !get_u32(is, c.watchdog_cycles)) {
-      return false;
-    }
-    c.vault_remap = vault_remap != 0;
-  }
-  if (version >= 5) {
-    // Pre-v5 checkpoints predate the link protocol; restores keep it off
-    // with quiescent per-link state.
-    u8 link_protocol = 0;
-    if (!get_u8(is, link_protocol) || !get_u32(is, c.link_tokens) ||
-        !get_u32(is, c.link_retry_buffer_flits) ||
-        !get_u32(is, c.link_retry_latency) ||
-        !get_u32(is, c.link_error_burst_len) ||
-        !get_u32(is, c.link_stuck_interval_cycles) ||
-        !get_u32(is, c.link_stuck_window_cycles) ||
-        !get_u32(is, c.link_fail_threshold)) {
-      return false;
-    }
-    c.link_protocol = link_protocol != 0;
-  }
-  if (version >= 7) {
-    // Pre-v7 checkpoints predate pluggable backends; restores keep the
-    // default hmc_dram selection and parameter defaults.
-    u64 overrides = 0;
-    if (!get_timing_backend(is, c.timing_backend) ||
-        !get_u32(is, c.ddr_tcl) || !get_u32(is, c.ddr_trcd) ||
-        !get_u32(is, c.ddr_trp) || !get_u32(is, c.ddr_tras) ||
-        !get_u32(is, c.pcm_read_cycles) || !get_u32(is, c.pcm_write_cycles) ||
-        !get_u32(is, c.pcm_write_gap_cycles) || !get_u64(is, overrides) ||
-        overrides > kMaxVaultOverrides) {
-      return false;
-    }
-    c.vault_backends.clear();
-    c.vault_backends.reserve(static_cast<usize>(overrides));
-    for (u64 i = 0; i < overrides; ++i) {
-      u32 vault = 0;
-      TimingBackend backend;
-      if (!get_u32(is, vault) || !get_timing_backend(is, backend)) {
-        return false;
-      }
-      c.vault_backends.emplace_back(vault, backend);
-    }
   }
   c.xbar_depth = static_cast<usize>(xbar);
   c.vault_depth = static_cast<usize>(vault);
-  c.map_mode = static_cast<AddrMapMode>(map_mode);
-  c.vault_schedule = static_cast<VaultSchedule>(schedule);
-  c.row_policy = static_cast<RowPolicy>(row_policy);
-  c.model_data = model_data != 0;
+  // v6 predates pluggable backends: restores keep the default hmc_dram
+  // selection and parameter defaults.
+  if (version < 7) return true;
+  u64 overrides = 0;
+  if (!get_enum(is, c.timing_backend, TimingBackend::PcmLike) ||
+      !get_u32(is, c.ddr_tcl) || !get_u32(is, c.ddr_trcd) ||
+      !get_u32(is, c.ddr_trp) || !get_u32(is, c.ddr_tras) ||
+      !get_u32(is, c.pcm_read_cycles) || !get_u32(is, c.pcm_write_cycles) ||
+      !get_u32(is, c.pcm_write_gap_cycles) || !get_u64(is, overrides) ||
+      overrides > kMaxVaultOverrides) {
+    return false;
+  }
+  c.vault_backends.clear();
+  c.vault_backends.reserve(static_cast<usize>(overrides));
+  for (u64 i = 0; i < overrides; ++i) {
+    u32 index = 0;
+    TimingBackend backend{};
+    if (!get_u32(is, index) ||
+        !get_enum(is, backend, TimingBackend::PcmLike)) {
+      return false;
+    }
+    c.vault_backends.emplace_back(index, backend);
+  }
   return true;
 }
 
-// Per-link retry/token protocol state (v5).  The held replay packet is only
+// Per-link retry/token protocol state.  The held replay packet is only
 // present while the error-abort machine is mid-recovery.
 void put_link_proto(std::ostream& os, const LinkProtoState& st) {
   put_u64(os, static_cast<u64>(st.tokens));
@@ -546,41 +497,35 @@ void put_link_proto(std::ostream& os, const LinkProtoState& st) {
   put_u64(os, st.retrain_until);
   put_u32(os, st.burst_remaining);
   put_u32(os, st.fail_count);
-  put_u8(os, st.dead ? 1 : 0);
-  put_u8(os, st.replay_pending ? 1 : 0);
+  put_flag(os, st.dead);
+  put_flag(os, st.replay_pending);
   if (st.replay_pending) put_request_entry(os, st.replay);
 }
 
 bool get_link_proto(std::istream& is, LinkProtoState& st,
-                    const CustomCommandSet& custom) {
+                    const EntryContext& ctx) {
   u64 tokens = 0;
-  u8 dead = 0, replay_pending = 0;
   if (!get_u64(is, tokens) || !get_u64(is, st.tokens_debited) ||
       !get_u64(is, st.tokens_returned) || !get_u32(is, st.retry_buf_flits) ||
       !get_u8(is, st.tx_frp) || !get_u8(is, st.rx_rrp) ||
       !get_u8(is, st.tx_seq) || !get_u8(is, st.rx_seq) ||
       !get_u64(is, st.retrain_until) || !get_u32(is, st.burst_remaining) ||
-      !get_u32(is, st.fail_count) || !get_u8(is, dead) ||
-      !get_u8(is, replay_pending)) {
+      !get_u32(is, st.fail_count) || !get_flag(is, st.dead) ||
+      !get_flag(is, st.replay_pending)) {
     return false;
   }
   st.tokens = static_cast<i64>(tokens);
-  st.dead = dead != 0;
-  st.replay_pending = replay_pending != 0;
-  if (st.replay_pending && !get_request_entry(is, st.replay, custom)) {
-    return false;
-  }
-  return true;
+  return !st.replay_pending || get_request_entry(is, st.replay, ctx);
 }
 
-// ---- whole-device block (shared by the legacy stream and DEVC sections) ----
+// ---- whole-device block (one DEVC section) ---------------------------------
 
 void put_device_block(std::ostream& os, const Device& dev) {
   put_stats(os, dev.stats);
 
   const RegisterFile::Snapshot regs = dev.regs.snapshot();
   for (const u64 v : regs.values) put_u64(os, v);
-  for (const bool b : regs.pending_self_clear) put_u8(os, b ? 1 : 0);
+  for (const bool b : regs.pending_self_clear) put_flag(os, b);
 
   // Pages are emitted in ascending index order so that checkpoints are
   // deterministic (byte-identical for identical state) regardless of the
@@ -606,14 +551,14 @@ void put_device_block(std::ostream& os, const Device& dev) {
     put_u64(os, link.rsp_flits_forwarded);
     put_u64(os, static_cast<u64>(link.rqst_budget));
     put_u64(os, static_cast<u64>(link.rsp_budget));
-    put_link_proto(os, link.proto);  // v5
+    put_link_proto(os, link.proto);
   }
   for (const VaultState& vault : dev.vaults) {
     put_request_queue(os, vault.rqst);
     put_response_queue(os, vault.rsp);
     for (const Cycle busy : vault.bank_busy_until) put_u64(os, busy);
     for (const u64 row : vault.open_row) put_u64(os, row);
-    put_u64(os, vault.dram_rng.state());  // v4
+    put_u64(os, vault.dram_rng.state());
     // v7: backend-private state frame (kind, length, opaque blob).  The
     // shared bank arrays above stay in the container's own encoding.
     put_u8(os, static_cast<u8>(vault.timing->kind()));
@@ -625,7 +570,7 @@ void put_device_block(std::ostream& os, const Device& dev) {
   }
   put_response_queue(os, dev.mode_rsp);
 
-  // RAS state (v3): RNG, fault sidecar (ascending order by construction),
+  // RAS state: RNG, fault sidecar (ascending order by construction),
   // degradation, error log, scrub cursor.
   put_u64(os, dev.fault_rng.state());
   put_u64(os, dev.store.fault_count());
@@ -642,29 +587,20 @@ void put_device_block(std::ostream& os, const Device& dev) {
   put_u8(os, dev.ras.last_error_stat);
 }
 
-/// Mirror of put_device_block with version gating.  On failure `*what`
-/// names the sub-record that could not be decoded.
+/// Mirror of put_device_block.  On failure `*what` names the sub-record
+/// that could not be decoded.
 bool get_device_block(std::istream& is, Device& dev, u32 version,
-                      const CustomCommandSet& custom, const char** what) {
+                      const EntryContext& ctx, const char** what) {
   *what = "device stats";
   if (!get_stats(is, dev.stats, version)) return false;
 
-  // Older versions serialized only the register prefix that existed then;
-  // the appended RAS error-log (v3) and link-layer (v5) registers keep
-  // their init() values (they are live views recomputed from device state
-  // anyway).
   *what = "register snapshot";
-  RegisterFile::Snapshot regs = dev.regs.snapshot();
-  const usize reg_count = version >= 5   ? regs.values.size()
-                          : version >= 3 ? kV3RegCount
-                                         : kV2RegCount;
-  for (usize r = 0; r < reg_count; ++r) {
-    if (!get_u64(is, regs.values[r])) return false;
+  RegisterFile::Snapshot regs;
+  for (u64& v : regs.values) {
+    if (!get_u64(is, v)) return false;
   }
-  for (usize r = 0; r < reg_count; ++r) {
-    u8 flag = 0;
-    if (!get_u8(is, flag)) return false;
-    regs.pending_self_clear[r] = flag != 0;
+  for (bool& pending : regs.pending_self_clear) {
+    if (!get_flag(is, pending)) return false;
   }
   dev.regs.restore(regs);
 
@@ -682,8 +618,8 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
 
   for (LinkState& link : dev.links) {
     *what = "link queue";
-    if (!get_request_queue(is, link.rqst, custom) ||
-        !get_response_queue(is, link.rsp)) {
+    if (!get_request_queue(is, link.rqst, ctx) ||
+        !get_response_queue(is, link.rsp, ctx)) {
       return false;
     }
     *what = "link budgets";
@@ -696,15 +632,12 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
     link.rqst_budget = static_cast<i64>(rqst_budget);
     link.rsp_budget = static_cast<i64>(rsp_budget);
     *what = "link protocol state";
-    if (version >= 5 && !get_link_proto(is, link.proto, custom)) {
-      return false;
-    }
-    // Pre-v5 checkpoints keep the reset (quiescent) link protocol state.
+    if (!get_link_proto(is, link.proto, ctx)) return false;
   }
   for (VaultState& vault : dev.vaults) {
     *what = "vault queue";
-    if (!get_request_queue(is, vault.rqst, custom) ||
-        !get_response_queue(is, vault.rsp)) {
+    if (!get_request_queue(is, vault.rqst, ctx) ||
+        !get_response_queue(is, vault.rsp, ctx)) {
       return false;
     }
     *what = "bank timing";
@@ -714,32 +647,25 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
     for (u64& row : vault.open_row) {
       if (!get_u64(is, row)) return false;
     }
-    if (version >= 4) {
-      *what = "vault rng";
-      u64 dram_rng_state = 0;
-      if (!get_u64(is, dram_rng_state)) return false;
-      vault.dram_rng = SplitMix64(dram_rng_state);
+    *what = "vault rng";
+    u64 dram_rng_state = 0;
+    if (!get_u64(is, dram_rng_state)) return false;
+    vault.dram_rng = SplitMix64(dram_rng_state);
+    // v6 predates backend frames: the backend keeps its power-on state.
+    if (version < 7) continue;
+    // The backend was already constructed from the restored config, so
+    // the frame's kind must agree; the blob is the backend's own state.
+    *what = "vault backend state";
+    u8 kind = 0;
+    u64 blob_len = 0;
+    if (!get_u8(is, kind) || kind != static_cast<u8>(vault.timing->kind()) ||
+        !get_u64(is, blob_len) || blob_len > kMaxBackendBlobBytes ||
+        !vault.timing->restore(is, blob_len)) {
+      return false;
     }
-    // Pre-v4 checkpoints keep the deterministic init-seeded vault RNGs.
-    if (version >= 7) {
-      // The backend was already constructed from the restored config, so
-      // the frame's kind must agree; the blob is the backend's own state.
-      *what = "vault backend state";
-      u8 kind = 0;
-      u64 blob_len = 0;
-      if (!get_u8(is, kind) ||
-          kind != static_cast<u8>(vault.timing->kind()) ||
-          !get_u64(is, blob_len) || blob_len > kMaxBackendBlobBytes ||
-          !vault.timing->restore(is, blob_len)) {
-        return false;
-      }
-    }
-    // Pre-v7 checkpoints keep the power-on (reset) backend state.
   }
   *what = "mode response queue";
-  if (!get_response_queue(is, dev.mode_rsp)) return false;
-
-  if (version < 3) return true;  // no RAS block: init() state stands
+  if (!get_response_queue(is, dev.mode_rsp, ctx)) return false;
 
   *what = "fault sidecar";
   u64 rng_state = 0, fault_count = 0;
@@ -759,13 +685,10 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
   for (u32& count : dev.ras.vault_uncorrectable) {
     if (!get_u32(is, count)) return false;
   }
-  if (!get_u64(is, dev.ras.scrub_cursor) ||
-      !get_u64(is, dev.ras.scrub_passes) ||
-      !get_u64(is, dev.ras.last_error_addr) ||
-      !get_u8(is, dev.ras.last_error_stat)) {
-    return false;
-  }
-  return true;
+  return get_u64(is, dev.ras.scrub_cursor) &&
+         get_u64(is, dev.ras.scrub_passes) &&
+         get_u64(is, dev.ras.last_error_addr) &&
+         get_u8(is, dev.ras.last_error_stat);
 }
 
 }  // namespace
@@ -876,8 +799,8 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
     emit(ckpt::kSectionDevice);
   }
 
-  // Forward-progress watchdog (v3).  The report is rebuilt on restore.
-  put_u8(sec, watchdog_fired_ ? 1 : 0);
+  // Forward-progress watchdog.  The report is rebuilt on restore.
+  put_flag(sec, watchdog_fired_);
   put_u32(sec, watchdog_stall_cycles_);
   put_u64(sec, watchdog_fingerprint_);
   emit(ckpt::kSectionWatchdog);
@@ -895,7 +818,7 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
     put_u64(sec, chaos_->cursor());
     put_u64(sec, chaos_->events_applied());
     put_u64(sec, chaos_->invariant_checks());
-    put_u8(sec, chaos_->host_timeout_active() ? 1 : 0);
+    put_flag(sec, chaos_->host_timeout_active());
     put_u64(sec, chaos_->host_timeout_value());
     const DeviceConfig& base = chaos_->baseline();
     put_u32(sec, base.link_error_rate_ppm);
@@ -908,7 +831,7 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
       put_u8(sec, static_cast<u8>(ev.action));
       put_u64(sec, ev.a);
       put_u64(sec, ev.b);
-      put_u8(sec, ev.restore ? 1 : 0);
+      put_flag(sec, ev.restore);
       put_u32(sec, ev.line);
     }
   } else {
@@ -955,181 +878,6 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
   if (err != nullptr) *err = CheckpointError{};
   if (host_blob_out != nullptr) host_blob_out->clear();
 
-  const auto preamble_fail = [&](CheckpointErrorCode code, u64 offset,
-                                 std::string detail) {
-    if (err != nullptr) {
-      err->code = code;
-      err->offset = offset;
-      err->section = 0;
-      err->detail = std::move(detail);
-    }
-    return Status::MalformedPacket;
-  };
-
-  char magic[8];
-  if (!get_bytes(is, magic, sizeof magic)) {
-    return preamble_fail(CheckpointErrorCode::ShortRead, 0,
-                         "stream ended inside magic");
-  }
-  if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
-    return preamble_fail(CheckpointErrorCode::BadMagic, 0,
-                         "not a checkpoint stream");
-  }
-  u64 version_word = 0;
-  if (!get_u64(is, version_word)) {
-    return preamble_fail(CheckpointErrorCode::ShortRead, 8,
-                         "stream ended inside version");
-  }
-  if (version_word < kMinVersion || version_word > kVersion) {
-    return preamble_fail(CheckpointErrorCode::UnsupportedVersion, 8,
-                         "version " + std::to_string(version_word) +
-                             " outside [" + std::to_string(kMinVersion) +
-                             ", " + std::to_string(kVersion) + "]");
-  }
-  const u32 version = static_cast<u32>(version_word);
-  if (version >= 6) {
-    return restore_checkpoint_v6_(is, version, err, host_blob_out);
-  }
-  return restore_checkpoint_legacy_(is, version, err);
-}
-
-// Pre-v6 checkpoints are one continuous unframed stream; damage is only
-// detectable as a decode failure.  Errors are therefore coarser than the
-// v6 path: no section attribution and no byte offsets.
-Status Simulator::restore_checkpoint_legacy_(std::istream& is, u32 version,
-                                             CheckpointError* err) {
-  const auto fail = [&](Status st, CheckpointErrorCode code,
-                        std::string detail) {
-    if (err != nullptr) {
-      err->code = code;
-      err->offset = 0;
-      err->section = 0;
-      err->detail = std::move(detail);
-    }
-    return st;
-  };
-
-  SimConfig config;
-  if (!get_u32(is, config.num_devices) ||
-      !get_device_config(is, config.device, version)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "config block");
-  }
-  // Validate before sizing anything from file-supplied values: a hostile
-  // device count must not reach the Topology/Device allocators.
-  std::string diag;
-  if (!ok(config.validate(&diag))) {
-    return fail(Status::InvalidConfig, CheckpointErrorCode::BadFieldValue,
-                diag);
-  }
-
-  u32 topo_devices = 0, topo_links = 0;
-  if (!get_u32(is, topo_devices) || !get_u32(is, topo_links)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "topology header");
-  }
-  if (topo_devices != config.num_devices ||
-      topo_links != config.device.num_links) {
-    return fail(Status::InvalidConfig, CheckpointErrorCode::BadFieldValue,
-                "topology shape disagrees with config");
-  }
-  Topology topo(topo_devices, topo_links);
-  for (u32 d = 0; d < topo_devices; ++d) {
-    for (u32 l = 0; l < topo_links; ++l) {
-      u8 kind = 0;
-      u32 peer_dev = 0, peer_link = 0;
-      if (!get_u8(is, kind) || !get_u32(is, peer_dev) ||
-          !get_u32(is, peer_link)) {
-        return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                    "topology endpoint");
-      }
-      switch (static_cast<EndpointKind>(kind)) {
-        case EndpointKind::Unconnected:
-          break;
-        case EndpointKind::Host:
-          if (!ok(topo.connect_host(CubeId{d}, LinkId{l}))) {
-            return fail(Status::InvalidConfig,
-                        CheckpointErrorCode::BadFieldValue,
-                        "host endpoint rejected");
-          }
-          break;
-        case EndpointKind::Device:
-          // connect() wires both directions; only apply the "forward" edge.
-          if (d < peer_dev || (d == peer_dev && l < peer_link)) {
-            if (!ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{peer_dev},
-                                 LinkId{peer_link}))) {
-              return fail(Status::InvalidConfig,
-                          CheckpointErrorCode::BadFieldValue,
-                          "device endpoint rejected");
-            }
-          }
-          break;
-        default:
-          return fail(Status::MalformedPacket,
-                      CheckpointErrorCode::BadFieldValue,
-                      "unknown endpoint kind");
-      }
-    }
-  }
-
-  // fast_forward is not serialized (checkpoints are agnostic to the
-  // execution strategy); a restored simulator keeps the skip setting it
-  // already had.  The observability knobs
-  // (self_profile / telemetry_interval_cycles / flight_recorder_depth) are
-  // likewise pure observation: checkpoint bytes are identical with them on
-  // or off, and a restore keeps the current simulator's settings.  The
-  // checkpoint_interval_cycles knob follows the same rule: how often a run
-  // snapshots itself must not leak into the snapshot, and neither does the
-  // chaos_invariants check cadence (the campaign itself travels in CHAO).
-  if (initialized()) {
-    config.device.fast_forward = config_.device.fast_forward;
-    config.device.self_profile = config_.device.self_profile;
-    config.device.telemetry_interval_cycles =
-        config_.device.telemetry_interval_cycles;
-    config.device.flight_recorder_depth =
-        config_.device.flight_recorder_depth;
-    config.device.checkpoint_interval_cycles =
-        config_.device.checkpoint_interval_cycles;
-    config.device.chaos_invariants = config_.device.chaos_invariants;
-  }
-  const Status init_status = init(config, std::move(topo));
-  if (!ok(init_status)) {
-    return fail(init_status, CheckpointErrorCode::BadFieldValue,
-                "init rejected restored configuration");
-  }
-
-  if (!get_u64(is, cycle_)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "clock");
-  }
-
-  for (auto& dev_ptr : devices_) {
-    const char* what = "device block";
-    if (!get_device_block(is, *dev_ptr, version, custom_, &what)) {
-      return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                  what);
-    }
-  }
-
-  if (version < 3) return Status::Ok;  // no watchdog tail
-
-  u8 fired = 0;
-  if (!get_u8(is, fired) || !get_u32(is, watchdog_stall_cycles_) ||
-      !get_u64(is, watchdog_fingerprint_)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "watchdog tail");
-  }
-  watchdog_fired_ = fired != 0;
-  watchdog_report_ = watchdog_fired_ ? build_watchdog_report() : std::string{};
-
-  return Status::Ok;
-}
-
-Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
-                                         CheckpointError* err,
-                                         std::string* host_blob_out) {
-  // Byte offset of the next unread stream byte (magic + version consumed).
-  u64 offset = 16;
   u32 cur_section = 0;
   const auto fail = [&](CheckpointErrorCode code, u64 at,
                         std::string detail) {
@@ -1144,6 +892,29 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
                : Status::MalformedPacket;
   };
 
+  char magic[8];
+  if (!get_bytes(is, magic, sizeof magic)) {
+    return fail(CheckpointErrorCode::ShortRead, 0,
+                "stream ended inside magic");
+  }
+  if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
+    return fail(CheckpointErrorCode::BadMagic, 0, "not a checkpoint stream");
+  }
+  u64 version_word = 0;
+  if (!get_u64(is, version_word)) {
+    return fail(CheckpointErrorCode::ShortRead, 8,
+                "stream ended inside version");
+  }
+  if (version_word < kMinVersion || version_word > kVersion) {
+    return fail(CheckpointErrorCode::UnsupportedVersion, 8,
+                "version " + std::to_string(version_word) + " outside [" +
+                    std::to_string(kMinVersion) + ", " +
+                    std::to_string(kVersion) + "]");
+  }
+  const u32 version = static_cast<u32>(version_word);
+
+  // Byte offset of the next unread stream byte (magic + version consumed).
+  u64 offset = 16;
   std::string payload;
   u64 payload_off = 0;
   Status frame_status = Status::Ok;
@@ -1319,9 +1090,15 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
     return payload_fail("trailing bytes after topology");
   }
 
-  // Execution/observability knobs are never serialized; a restored
-  // simulator keeps its own (see restore_checkpoint_legacy_ for the full
-  // rationale).
+  // fast_forward is not serialized (checkpoints are agnostic to the
+  // execution strategy); a restored simulator keeps the skip setting it
+  // already had.  The observability knobs
+  // (self_profile / telemetry_interval_cycles / flight_recorder_depth) are
+  // likewise pure observation: checkpoint bytes are identical with them on
+  // or off, and a restore keeps the current simulator's settings.  The
+  // checkpoint_interval_cycles knob follows the same rule: how often a run
+  // snapshots itself must not leak into the snapshot, and neither does the
+  // chaos_invariants check cadence (the campaign itself travels in CHAO).
   if (initialized()) {
     config.device.fast_forward = config_.device.fast_forward;
     config.device.self_profile = config_.device.self_profile;
@@ -1347,11 +1124,13 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
   if (!payload_drained()) return payload_fail("trailing bytes after clock");
 
   // DEVC × num_devices -------------------------------------------------
+  const EntryContext entries{custom_, config_.num_devices,
+                             config_.device.num_links};
   for (auto& dev_ptr : devices_) {
     if (!read_section(ckpt::kSectionDevice)) return frame_status;
     open_payload();
     const char* what = "device block";
-    if (!get_device_block(ps, *dev_ptr, version, custom_, &what)) {
+    if (!get_device_block(ps, *dev_ptr, version, entries, &what)) {
       return payload_fail(what);
     }
     if (!payload_drained()) {
@@ -1362,15 +1141,15 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
   // WDOG ---------------------------------------------------------------
   if (!read_section(ckpt::kSectionWatchdog)) return frame_status;
   open_payload();
-  u8 fired = 0;
-  if (!get_u8(ps, fired) || !get_u32(ps, watchdog_stall_cycles_) ||
+  bool fired = false;
+  if (!get_flag(ps, fired) || !get_u32(ps, watchdog_stall_cycles_) ||
       !get_u64(ps, watchdog_fingerprint_)) {
     return payload_fail("watchdog tail");
   }
   if (!payload_drained()) {
     return payload_fail("trailing bytes after watchdog");
   }
-  watchdog_fired_ = fired != 0;
+  watchdog_fired_ = fired;
   watchdog_report_ = watchdog_fired_ ? build_watchdog_report() : std::string{};
 
   // CHAO (mandatory in v8), optional HOST, then trailer -----------------
@@ -1392,13 +1171,13 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
     if (!read_frame_body()) return frame_status;
     open_payload();
     u64 stored_crc = 0, cursor = 0, events_applied = 0, invariant_checks = 0;
-    u8 ht_active = 0;
+    bool ht_active = false;
     u64 ht_value = 0;
     u32 base_ppm = 0, base_burst = 0, base_sbe = 0, base_dbe = 0;
     u64 event_count = 0;
     if (!get_u64(ps, stored_crc) || !get_u64(ps, cursor) ||
         !get_u64(ps, events_applied) || !get_u64(ps, invariant_checks) ||
-        !get_u8(ps, ht_active) || !get_u64(ps, ht_value) ||
+        !get_flag(ps, ht_active) || !get_u64(ps, ht_value) ||
         !get_u32(ps, base_ppm) || !get_u32(ps, base_burst) ||
         !get_u32(ps, base_sbe) || !get_u32(ps, base_dbe) ||
         !get_u64(ps, event_count)) {
@@ -1414,20 +1193,12 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
     plan.events.reserve(static_cast<usize>(event_count));
     for (u64 i = 0; i < event_count; ++i) {
       ChaosEvent ev;
-      u8 action = 0, restore_flag = 0;
-      if (!get_u64(ps, ev.cycle) || !get_u8(ps, action) ||
+      if (!get_u64(ps, ev.cycle) ||
+          !get_enum(ps, ev.action, ChaosAction::BreakInvariant) ||
           !get_u64(ps, ev.a) || !get_u64(ps, ev.b) ||
-          !get_u8(ps, restore_flag) || !get_u32(ps, ev.line)) {
+          !get_flag(ps, ev.restore) || !get_u32(ps, ev.line)) {
         return payload_fail("chaos event record");
       }
-      if (action > static_cast<u8>(ChaosAction::BreakInvariant)) {
-        return payload_fail("unknown chaos action");
-      }
-      if (restore_flag > 1) {
-        return payload_fail("chaos restore flag out of range");
-      }
-      ev.action = static_cast<ChaosAction>(action);
-      ev.restore = restore_flag != 0;
       plan.events.push_back(ev);
     }
     if (!payload_drained()) {
@@ -1439,7 +1210,7 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
     if (event_count == 0) {
       // No campaign was armed at save time.  The payload is a fixed
       // pristine form; anything else is bit damage, not a legal state.
-      if (events_applied != 0 || invariant_checks != 0 || ht_active != 0 ||
+      if (events_applied != 0 || invariant_checks != 0 || ht_active ||
           ht_value != 0 || base_ppm != 0 || base_burst != 0 ||
           base_sbe != 0 || base_dbe != 0) {
         return payload_fail("empty chaos campaign is not pristine");
@@ -1459,7 +1230,7 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
                     "chaos plan rejected: " + chaos_diag);
       }
       if (!ok(chaos_->restore_progress(cursor, events_applied,
-                                       invariant_checks, ht_active != 0,
+                                       invariant_checks, ht_active,
                                        ht_value))) {
         return payload_fail("chaos campaign progress rejected");
       }

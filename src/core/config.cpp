@@ -75,6 +75,12 @@ Status DeviceConfig::validate(std::string* diagnostic) const {
     os << "queue depths must be at least one slot";
     return fail(Status::InvalidConfig);
   }
+  if (xbar_depth > kMaxQueueDepth || vault_depth > kMaxQueueDepth) {
+    os << "queue depths must be at most " << kMaxQueueDepth
+       << " slots, got xbar_depth " << xbar_depth << " and vault_depth "
+       << vault_depth;
+    return fail(Status::InvalidConfig);
+  }
   if (max_block_bytes != 32 && max_block_bytes != 64 &&
       max_block_bytes != 128 && max_block_bytes != 256) {
     os << "max_block_bytes must be 32/64/128/256, got " << max_block_bytes;

@@ -72,6 +72,10 @@ struct DeviceConfig {
   u32 drams_per_bank{8};
   usize xbar_depth{128};   ///< crossbar arbitration queue slots per link
   usize vault_depth{64};   ///< vault request/response queue slots
+  /// Fixed ceiling for both depths (not a knob): far above any useful
+  /// queue, and low enough that a hostile config file or checkpoint cannot
+  /// make init() allocate without bound.
+  static constexpr usize kMaxQueueDepth = 4096;
   /// Expected device capacity in bytes; 0 derives it from the geometry.
   /// A nonzero value is validated against vaults * banks * 16 MiB, catching
   /// configuration mistakes early (the paper's init takes capacity

@@ -266,7 +266,7 @@ class Simulator {
                          std::string_view host_blob) const;
 
   /// Rebuild this simulator from a checkpoint stream.  Any existing state
-  /// is discarded.  Accepts every version back to v2; every failure —
+  /// is discarded.  Reads versions v6 through v8; every failure —
   /// bad magic, short read, section CRC mismatch, impossible field value,
   /// unknown version — is converted into a typed CheckpointError (never an
   /// abort or out-of-bounds access, whatever the input).  Status mapping:
@@ -289,15 +289,6 @@ class Simulator {
                                  std::string* host_blob_out = nullptr);
 
  private:
-  // Version-dispatched restore bodies (core/checkpoint.cpp).  The legacy
-  // path parses the pre-v6 continuous stream; the v6 path walks the
-  // section frames.
-  Status restore_checkpoint_legacy_(std::istream& is, u32 version,
-                                    CheckpointError* err);
-  Status restore_checkpoint_v6_(std::istream& is, u32 version,
-                                CheckpointError* err,
-                                std::string* host_blob_out);
-
   /// A cross-device request forward staged by process_xbar and pushed by
   /// flush_outboxes after every device of the stage has run (two-phase
   /// push: the destination queue belongs to another device, so the push

@@ -5,6 +5,9 @@
 // Table I bench reads them without paying for tracing.
 #pragma once
 
+#include <iterator>
+#include <string_view>
+
 #include "common/types.hpp"
 
 namespace hmcsim {
@@ -83,56 +86,7 @@ struct DeviceStats {
   u64 recvs{0};
   u64 flow_packets{0};
 
-  DeviceStats& operator+=(const DeviceStats& o) {
-    reads += o.reads;
-    writes += o.writes;
-    atomics += o.atomics;
-    mode_ops += o.mode_ops;
-    custom_ops += o.custom_ops;
-    bytes_read += o.bytes_read;
-    bytes_written += o.bytes_written;
-    responses += o.responses;
-    error_responses += o.error_responses;
-    bank_conflicts += o.bank_conflicts;
-    xbar_rqst_stalls += o.xbar_rqst_stalls;
-    xbar_rsp_stalls += o.xbar_rsp_stalls;
-    vault_rsp_stalls += o.vault_rsp_stalls;
-    latency_penalties += o.latency_penalties;
-    route_hops += o.route_hops;
-    misroutes += o.misroutes;
-    link_errors += o.link_errors;
-    link_retries += o.link_retries;
-    link_crc_errors += o.link_crc_errors;
-    link_seq_errors += o.link_seq_errors;
-    link_abort_entries += o.link_abort_entries;
-    link_irtry_tx += o.link_irtry_tx;
-    link_irtry_rx += o.link_irtry_rx;
-    link_pret_tx += o.link_pret_tx;
-    link_tret_tx += o.link_tret_tx;
-    link_replayed_flits += o.link_replayed_flits;
-    link_token_stalls += o.link_token_stalls;
-    link_retrain_cycles += o.link_retrain_cycles;
-    link_failures += o.link_failures;
-    link_tokens_debited += o.link_tokens_debited;
-    link_tokens_returned += o.link_tokens_returned;
-    dram_sbes += o.dram_sbes;
-    dram_dbes += o.dram_dbes;
-    scrub_steps += o.scrub_steps;
-    scrub_corrections += o.scrub_corrections;
-    scrub_uncorrectables += o.scrub_uncorrectables;
-    vault_failures += o.vault_failures;
-    vault_remaps += o.vault_remaps;
-    degraded_drops += o.degraded_drops;
-    refreshes += o.refreshes;
-    row_hits += o.row_hits;
-    row_misses += o.row_misses;
-    pcm_write_throttle_stalls += o.pcm_write_throttle_stalls;
-    sends += o.sends;
-    send_stalls += o.send_stalls;
-    recvs += o.recvs;
-    flow_packets += o.flow_packets;
-    return *this;
-  }
+  DeviceStats& operator+=(const DeviceStats& o);
 
   /// Total retired memory requests (the unit Table I counts).
   [[nodiscard]] u64 retired() const {
@@ -143,5 +97,73 @@ struct DeviceStats {
   /// across execution strategies with it.
   bool operator==(const DeviceStats&) const = default;
 };
+
+/// One DeviceStats counter: the name the JSON report and hmcsim_get_stat
+/// use for it, and the member it reads.
+struct StatField {
+  std::string_view name;
+  u64 DeviceStats::*member;
+};
+
+/// Every DeviceStats counter, once.  The order is the checkpoint wire
+/// order (each DEVC section opens with these words) and the JSON report
+/// order, so new counters are appended, never inserted.
+inline constexpr StatField kStatFields[] = {
+    {"reads", &DeviceStats::reads},
+    {"writes", &DeviceStats::writes},
+    {"atomics", &DeviceStats::atomics},
+    {"mode_ops", &DeviceStats::mode_ops},
+    {"custom_ops", &DeviceStats::custom_ops},
+    {"bytes_read", &DeviceStats::bytes_read},
+    {"bytes_written", &DeviceStats::bytes_written},
+    {"responses", &DeviceStats::responses},
+    {"error_responses", &DeviceStats::error_responses},
+    {"bank_conflicts", &DeviceStats::bank_conflicts},
+    {"xbar_rqst_stalls", &DeviceStats::xbar_rqst_stalls},
+    {"xbar_rsp_stalls", &DeviceStats::xbar_rsp_stalls},
+    {"vault_rsp_stalls", &DeviceStats::vault_rsp_stalls},
+    {"latency_penalties", &DeviceStats::latency_penalties},
+    {"route_hops", &DeviceStats::route_hops},
+    {"misroutes", &DeviceStats::misroutes},
+    {"link_errors", &DeviceStats::link_errors},
+    {"link_retries", &DeviceStats::link_retries},
+    {"refreshes", &DeviceStats::refreshes},
+    {"row_hits", &DeviceStats::row_hits},
+    {"row_misses", &DeviceStats::row_misses},
+    {"sends", &DeviceStats::sends},
+    {"send_stalls", &DeviceStats::send_stalls},
+    {"recvs", &DeviceStats::recvs},
+    {"flow_packets", &DeviceStats::flow_packets},
+    {"dram_sbes", &DeviceStats::dram_sbes},
+    {"dram_dbes", &DeviceStats::dram_dbes},
+    {"scrub_steps", &DeviceStats::scrub_steps},
+    {"scrub_corrections", &DeviceStats::scrub_corrections},
+    {"scrub_uncorrectables", &DeviceStats::scrub_uncorrectables},
+    {"vault_failures", &DeviceStats::vault_failures},
+    {"vault_remaps", &DeviceStats::vault_remaps},
+    {"degraded_drops", &DeviceStats::degraded_drops},
+    {"link_crc_errors", &DeviceStats::link_crc_errors},
+    {"link_seq_errors", &DeviceStats::link_seq_errors},
+    {"link_abort_entries", &DeviceStats::link_abort_entries},
+    {"link_irtry_tx", &DeviceStats::link_irtry_tx},
+    {"link_irtry_rx", &DeviceStats::link_irtry_rx},
+    {"link_pret_tx", &DeviceStats::link_pret_tx},
+    {"link_tret_tx", &DeviceStats::link_tret_tx},
+    {"link_replayed_flits", &DeviceStats::link_replayed_flits},
+    {"link_token_stalls", &DeviceStats::link_token_stalls},
+    {"link_retrain_cycles", &DeviceStats::link_retrain_cycles},
+    {"link_failures", &DeviceStats::link_failures},
+    {"link_tokens_debited", &DeviceStats::link_tokens_debited},
+    {"link_tokens_returned", &DeviceStats::link_tokens_returned},
+    {"pcm_write_throttle_stalls", &DeviceStats::pcm_write_throttle_stalls},
+};
+// A counter added to DeviceStats but not to the table would silently miss
+// the checkpoint, the report and the C API.
+static_assert(std::size(kStatFields) * sizeof(u64) == sizeof(DeviceStats));
+
+inline DeviceStats& DeviceStats::operator+=(const DeviceStats& o) {
+  for (const StatField& f : kStatFields) this->*f.member += o.*f.member;
+  return *this;
+}
 
 }  // namespace hmcsim

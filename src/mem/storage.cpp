@@ -86,7 +86,9 @@ bool SparseStore::write(u64 addr, std::span<const u8> in) {
 
 bool SparseStore::restore_page(u64 page_index, std::span<const u8> bytes) {
   if (bytes.size() != kPageBytes) return false;
-  if (page_index * kPageBytes >= capacity_) return false;
+  // Compare indices, not byte products: a forged index near 2^64 / 4096
+  // would wrap the product back under the capacity.
+  if (page_index >= pages_.size()) return false;
   Page& page = materialize_page(page_index);
   std::memcpy(page.data(), bytes.data(), kPageBytes);
   return true;
@@ -122,7 +124,7 @@ bool SparseStore::plant_fault(u64 addr, std::span<const u32> codeword_bits) {
 
 bool SparseStore::restore_fault(u64 word_index, u64 data_flips,
                                 u8 check_flips) {
-  if (word_index * 8 >= capacity_) return false;
+  if (word_index >= (capacity_ + 7) / 8) return false;  // no wrapping product
   if (data_flips == 0 && check_flips == 0) return false;
   std::lock_guard<std::mutex> lock(fault_mutex_);
   faults_[word_index] = FaultRecord{data_flips, check_flips};

@@ -3,8 +3,10 @@
 // memory byte.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
+#include "tests/core/checkpoint_forge.hpp"
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
 
@@ -250,6 +252,184 @@ TEST(Checkpoint, DriverWorkloadSplitAcrossCheckpoint) {
     ASSERT_EQ(driver.run().completed, 500u);
   }
   EXPECT_EQ(restored.total_stats().retired(), 1000u);
+}
+
+// ---- forged streams: valid CRCs around impossible values -------------------
+//
+// Each case edits a saved stream (or the state it is saved from) and
+// reseals the section CRC, so the damage reaches the decoders.  Restore must
+// refuse it with a typed error naming the section; it must neither crash
+// nor hand the next clock an index past the machine.
+
+std::string save(const Simulator& sim) {
+  std::ostringstream os;
+  EXPECT_EQ(sim.save_checkpoint(os), Status::Ok);
+  return os.str();
+}
+
+void expect_rejected(const std::string& bytes, u32 section,
+                     const std::string& what) {
+  Simulator sim;
+  std::istringstream is(bytes);
+  CheckpointError err;
+  EXPECT_EQ(sim.restore_checkpoint(is, &err, nullptr), Status::InvalidConfig)
+      << what;
+  EXPECT_EQ(err.code, CheckpointErrorCode::BadFieldValue)
+      << what << ": " << err.message();
+  EXPECT_EQ(err.section, section) << what << ": " << err.message();
+}
+
+/// The device the CFG cases save: a retry limit lets link_protocol flip on
+/// without touching a second field.
+DeviceConfig cfg_device() {
+  DeviceConfig dc = small_device();
+  dc.link_retry_limit = 3;
+  return dc;
+}
+
+/// Index of the one CFG payload word that `change` alters: found by diffing
+/// two saves, so the tests never hard-code the CFG field order.
+usize cfg_word(const std::function<void(DeviceConfig&)>& change) {
+  DeviceConfig changed = cfg_device();
+  change(changed);
+  const std::string a = save(test::make_simple_sim(cfg_device()));
+  const std::string b = save(test::make_simple_sim(changed));
+  const test::CkptSection sa = test::find_section(a, ckpt::kSectionConfig);
+  const test::CkptSection sb = test::find_section(b, ckpt::kSectionConfig);
+  EXPECT_EQ(sa.len, sb.len);
+  usize found = 0, differing = 0;
+  for (usize w = 0; w < sa.len / 8; ++w) {
+    if (test::load_word(a, sa.payload + 8 * w) !=
+        test::load_word(b, sb.payload + 8 * w)) {
+      found = w;
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 1u);
+  return found;
+}
+
+TEST(CheckpointForged, WrappingPageIndexIsRejected) {
+  Simulator sim = test::make_simple_sim();
+  ASSERT_EQ(send_request(sim, 0, 0, Command::Wr16, 0x40, 1, 0, {7, 8}),
+            Status::Ok);
+  ASSERT_TRUE(test::await_response(sim, 0, 0).has_value());
+  std::string bytes = save(sim);
+  const test::CkptSection devc =
+      test::find_section(bytes, ckpt::kSectionDevice);
+  const usize count_word = test::kDevcPageCountWord;
+  ASSERT_EQ(test::load_word(bytes, devc.payload + 8 * count_word), 1u);
+  ASSERT_EQ(test::load_word(bytes, devc.payload + 8 * (count_word + 1)), 0u);
+  // index * 4096 wraps to 5 * 4096, well inside the device.
+  test::forge_word(bytes, devc, count_word + 1, (u64{1} << 52) + 5);
+  expect_rejected(bytes, ckpt::kSectionDevice, "page index 2^52 + 5");
+}
+
+Simulator restored_from(const std::string& bytes) {
+  Simulator sim;
+  std::istringstream is(bytes);
+  EXPECT_EQ(sim.restore_checkpoint(is), Status::Ok);
+  return sim;
+}
+
+TEST(CheckpointForged, RoutingPastTheTopologyIsRejected) {
+  // Requests sit in the link 0 crossbar queue until the first clock.
+  Simulator sim = test::make_simple_sim();
+  for (Tag t = 0; t < 4; ++t) {
+    ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 64 * t, t), Status::Ok);
+  }
+  const std::string queued = save(sim);
+  const std::function<void(RequestEntry&)> request_edits[] = {
+      [](RequestEntry& e) { e.home_link = 200; },
+      [](RequestEntry& e) { e.ingress_link = 4; },
+      [](RequestEntry& e) { e.home_dev = 1; },
+  };
+  for (const auto& edit : request_edits) {
+    Simulator in_queue = restored_from(queued);
+    edit(in_queue.device(0).links[0].rqst.front());
+    expect_rejected(save(in_queue), ckpt::kSectionDevice, "queued request");
+
+    // A held replay copy goes through the same entry decoder.
+    Simulator in_replay = restored_from(queued);
+    LinkProtoState& proto = in_replay.device(0).links[1].proto;
+    proto.replay = in_replay.device(0).links[0].rqst.front();
+    proto.replay_pending = true;
+    edit(proto.replay);
+    expect_rejected(save(in_replay), ckpt::kSectionDevice, "replay entry");
+  }
+
+  // Never draining the host side leaves responses queued on link 0.
+  for (int i = 0; i < 40; ++i) sim.clock();
+  ASSERT_GT(sim.device(0).links[0].rsp.size(), 0u);
+  const std::string responded = save(sim);
+  const std::function<void(ResponseEntry&)> response_edits[] = {
+      [](ResponseEntry& e) { e.home_link = 200; },
+      [](ResponseEntry& e) { e.home_dev = 1; },
+  };
+  for (const auto& edit : response_edits) {
+    Simulator forged = restored_from(responded);
+    edit(forged.device(0).links[0].rsp.front());
+    expect_rejected(save(forged), ckpt::kSectionDevice, "queued response");
+  }
+}
+
+TEST(CheckpointForged, QueueDepthBeyondCapIsRejected) {
+  const std::string base = save(test::make_simple_sim(cfg_device()));
+  const test::CkptSection cfg = test::find_section(base, ckpt::kSectionConfig);
+  for (const usize word :
+       {cfg_word([](DeviceConfig& c) { c.xbar_depth += 1; }),
+        cfg_word([](DeviceConfig& c) { c.vault_depth += 1; })}) {
+    for (const u64 depth : {u64{DeviceConfig::kMaxQueueDepth} + 1,
+                            u64{0xffffffff}, ~u64{0}}) {
+      std::string bytes = base;
+      test::forge_word(bytes, cfg, word, depth);
+      expect_rejected(bytes, ckpt::kSectionConfig,
+                      "depth word " + std::to_string(word) + " = " +
+                          std::to_string(depth));
+    }
+  }
+}
+
+TEST(CheckpointForged, EnumAndFlagWordsOutOfRangeAreRejected) {
+  const std::string base = save(test::make_simple_sim(cfg_device()));
+  const test::CkptSection cfg = test::find_section(base, ckpt::kSectionConfig);
+  const struct {
+    const char* name;
+    usize word;
+    u64 bad;
+  } cases[] = {
+      {"map_mode",
+       cfg_word([](DeviceConfig& c) { c.map_mode = AddrMapMode::BankFirst; }),
+       3},
+      {"vault_schedule", cfg_word([](DeviceConfig& c) {
+         c.vault_schedule = VaultSchedule::StrictFifo;
+       }),
+       7},
+      {"row_policy",
+       cfg_word([](DeviceConfig& c) { c.row_policy = RowPolicy::OpenPage; }),
+       9},
+      {"model_data",
+       cfg_word([](DeviceConfig& c) { c.model_data = !c.model_data; }), 2},
+      {"model_data",
+       cfg_word([](DeviceConfig& c) { c.model_data = !c.model_data; }), 3},
+      {"vault_remap",
+       cfg_word([](DeviceConfig& c) { c.vault_remap = !c.vault_remap; }), 2},
+      {"link_protocol",
+       cfg_word([](DeviceConfig& c) { c.link_protocol = !c.link_protocol; }),
+       3},
+  };
+  for (const auto& c : cases) {
+    std::string bytes = base;
+    test::forge_word(bytes, cfg, c.word, c.bad);
+    expect_rejected(bytes, ckpt::kSectionConfig,
+                    std::string(c.name) + " = " + std::to_string(c.bad));
+  }
+
+  // The watchdog section opens with the fired flag.
+  std::string bytes = base;
+  test::forge_word(bytes, test::find_section(bytes, ckpt::kSectionWatchdog), 0,
+                   2);
+  expect_rejected(bytes, ckpt::kSectionWatchdog, "watchdog fired = 2");
 }
 
 }  // namespace

@@ -45,6 +45,17 @@ TEST(DeviceConfig, RejectsZeroQueueDepths) {
   dc = DeviceConfig{};
   dc.vault_depth = 0;
   EXPECT_EQ(dc.validate(), Status::InvalidConfig);
+  // The ceiling is a fixed constant: exactly the cap passes, one more
+  // slot (or a forged 32-bit all-ones) fails.
+  for (usize* depth : {&dc.xbar_depth, &dc.vault_depth}) {
+    dc = DeviceConfig{};
+    *depth = DeviceConfig::kMaxQueueDepth;
+    EXPECT_EQ(dc.validate(), Status::Ok);
+    *depth = DeviceConfig::kMaxQueueDepth + 1;
+    EXPECT_EQ(dc.validate(), Status::InvalidConfig);
+    *depth = 0xffffffff;
+    EXPECT_EQ(dc.validate(), Status::InvalidConfig);
+  }
 }
 
 TEST(DeviceConfig, RejectsBadBlockSize) {

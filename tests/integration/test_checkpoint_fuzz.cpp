@@ -5,6 +5,11 @@
 // report, no silent acceptance of damaged state (the section CRCs make a
 // mutated-but-accepted stream effectively impossible).
 //
+// The section CRCs also stop that mutator before any payload decoder, so a
+// second one edits a payload word and reseals its CRC: behind a valid frame
+// a forged value must still fail typed, or restore into a machine that
+// clocks and re-saves cleanly.
+//
 // Labeled fuzz+slow, not tier1: the loop is minutes-scale under
 // sanitizers and the merge gate covers the same paths via
 // test_checkpoint_compat.cpp.
@@ -15,6 +20,7 @@
 
 #include "common/random.hpp"
 #include "core/simulator.hpp"
+#include "tests/core/checkpoint_forge.hpp"
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
 
@@ -25,15 +31,16 @@ namespace {
 /// type (CFG, TOPO, CLK, DEVC, WDOG, HOST) is present in the base stream.
 /// Mixed per-vault timing backends put non-empty v7 backend-state frames
 /// (kind + length + blob) and the CFG override list in the mutator's
-/// blast radius too.
-std::string make_base_checkpoint() {
+/// blast radius too.  Traffic stays inside `window` bytes, which bounds
+/// the resident pages and so the stream size.
+std::string make_base_checkpoint(u64 window = u64{1} << 20) {
   DeviceConfig dc = test::small_device();
   dc.vault_backends = {{1, TimingBackend::PcmLike},
                        {2, TimingBackend::GenericDdr}};
   dc.pcm_write_gap_cycles = 12;
   Simulator sim = test::make_simple_sim(dc);
   GeneratorConfig gc;
-  gc.capacity_bytes = 1u << 20;
+  gc.capacity_bytes = window;
   gc.seed = 7;
   RandomAccessGenerator gen(gc);
   DriverConfig dcfg;
@@ -124,9 +131,9 @@ TEST(CheckpointFuzz, MutatedCheckpointsAlwaysFailTyped) {
     const Status st = sim.restore_checkpoint(is, &err, &host_blob);
     if (ok(st)) {
       // Acceptance is legal in exactly one case: the damage lives entirely
-      // past the trailer, where a stream consumer never reads (v2..v5
-      // checkpoints are open-ended streams, so the trailer must terminate
-      // parsing).  Any accepted input whose *consumed* bytes differ from
+      // past the trailer, where a stream consumer never reads (the trailer
+      // terminates parsing, so a checkpoint can sit inside a larger
+      // stream).  Any accepted input whose *consumed* bytes differ from
       // the base is silent corruption — the bug this fuzzer exists for.
       ++accepted;
       ASSERT_GT(m.size(), base.size()) << "iter " << iter;
@@ -144,6 +151,90 @@ TEST(CheckpointFuzz, MutatedCheckpointsAlwaysFailTyped) {
   // 5 of the 6 mutation classes); `accepted` is the unread-tail class.
   EXPECT_GT(rejected, 9000);
   EXPECT_GT(accepted, 0);
+}
+
+/// One resealed payload edit: a boundary value written over one word of one
+/// section, with that section's CRC recomputed.  DEVC edits are steered
+/// off the raw page bytes (any value is legal there) onto the counters and
+/// registers, the page indices, and the queue and RAS records after them.
+std::string reseal_mutate(const std::string& base,
+                          const std::vector<test::CkptSection>& sections,
+                          SplitMix64& rng) {
+  std::string m = base;
+  const test::CkptSection& s = sections[rng.next_below(sections.size())];
+  const usize words = s.len / 8;
+  usize word = rng.next_below(words);
+  if (s.type == ckpt::kSectionDevice) {
+    constexpr usize kPageWords = 1 + SparseStore::kPageBytes / 8;
+    const usize count_word = test::kDevcPageCountWord;
+    const usize pages =
+        static_cast<usize>(test::load_word(base, s.payload + 8 * count_word));
+    const usize tail = count_word + 1 + pages * kPageWords;
+    switch (rng.next_below(4)) {
+      case 0:  // counters, registers, page count
+        word = rng.next_below(count_word + 1);
+        break;
+      case 1:  // a page index
+        if (pages > 0) {
+          word = count_word + 1 + rng.next_below(pages) * kPageWords;
+        }
+        break;
+      default:  // link and vault queues, bank timing, RAS block
+        word = tail + rng.next_below(words - tail);
+        break;
+    }
+  }
+  const u64 original = test::load_word(base, s.payload + 8 * word);
+  const u64 values[] = {0, 1, 2, 3, 7, 8, 200, 255, 256, 4096,
+                        0xffffffffull, u64{1} << 32,
+                        (u64{1} << 52) + rng.next_below(16), u64{1} << 63,
+                        ~u64{0} - 1, ~u64{0}, original + 1, original - 1};
+  test::forge_word(m, s, word, values[rng.next_below(std::size(values))]);
+  return m;
+}
+
+TEST(CheckpointFuzz, ResealedPayloadsFailTypedOrRunClean) {
+  // A 64 KiB window keeps the stream small; the records behind the pages
+  // are the same.
+  const std::string base = make_base_checkpoint(u64{1} << 16);
+  std::vector<test::CkptSection> sections;
+  for (const test::CkptSection& s : test::checkpoint_sections(base)) {
+    // HOST is an opaque pass-through blob (its own fuzzer is below).
+    if (s.type != ckpt::kSectionHost && s.len >= 8) sections.push_back(s);
+  }
+  ASSERT_EQ(sections.size(), 6u);  // CFG TOPO CLK DEVC WDOG CHAO
+
+  SplitMix64 rng(0x5EA1ED);
+  int rejected = 0;
+  int accepted = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::string m = reseal_mutate(base, sections, rng);
+    std::istringstream is(m);
+    Simulator sim;
+    CheckpointError err;
+    if (!ok(sim.restore_checkpoint(is, &err, nullptr))) {
+      ++rejected;
+      ASSERT_NE(err.code, CheckpointErrorCode::None)
+          << "untyped failure at iter " << iter;
+      ASSERT_NE(err.code, CheckpointErrorCode::SectionCrcMismatch)
+          << "iter " << iter << ": the reseal did not hold";
+      continue;
+    }
+    // The value was legal: the machine must run on it and save it back.
+    ++accepted;
+    for (int c = 0; c < 64; ++c) sim.clock();
+    std::ostringstream resaved;
+    ASSERT_EQ(sim.save_checkpoint(resaved), Status::Ok) << "iter " << iter;
+    Simulator again;
+    std::istringstream is2(resaved.str());
+    CheckpointError err2;
+    ASSERT_EQ(again.restore_checkpoint(is2, &err2, nullptr), Status::Ok)
+        << "iter " << iter << ": " << err2.message();
+  }
+  // Both outcomes must be common, or the mutator is not reaching the
+  // decoders (all rejected) or not probing their limits (all accepted).
+  EXPECT_GT(rejected, 200);
+  EXPECT_GT(accepted, 200);
 }
 
 TEST(CheckpointFuzz, MutatedHostBlobsAlwaysFailCleanly) {

@@ -141,6 +141,19 @@ TEST(FaultStore, RoundTripThroughRestore) {
   EXPECT_EQ(sa.uncorrectable, sb.uncorrectable);
 }
 
+TEST(FaultStore, RestoreRejectsIndicesThatWrapPastCapacity) {
+  // A restored index is compared as an index: index * size must not wrap
+  // back under the capacity and pass the bound check.
+  SparseStore store(1 << 16);
+  const std::vector<u8> page(SparseStore::kPageBytes, 0xAB);
+  EXPECT_FALSE(store.restore_page((u64{1} << 52) + 5, page));
+  EXPECT_FALSE(store.restore_page(16, page));
+  EXPECT_TRUE(store.restore_page(15, page));
+  EXPECT_FALSE(store.restore_fault((u64{1} << 61) + 1, 1, 0));
+  EXPECT_FALSE(store.restore_fault(8192, 1, 0));
+  EXPECT_TRUE(store.restore_fault(8191, 1, 0));
+}
+
 TEST(FaultStore, ClearDropsFaults) {
   SparseStore store(1 << 16);
   ASSERT_TRUE(store.write(0x800, pattern(8)));

@@ -76,6 +76,11 @@ TEST_F(ExitCodes, OneOnBadInputFiles) {
   EXPECT_EQ(run(tool() + " --workload trace --trace-in " +
                 path("bad.trace") + " --requests 16"),
             1);
+  // A queue depth past DeviceConfig::kMaxQueueDepth fails validation; it
+  // must not reach the queue allocator.
+  std::ofstream(path("deep.conf")) << "xbar_depth = 4294967295\n";
+  EXPECT_EQ(run(tool() + " --config " + path("deep.conf") + " --requests 16"),
+            1);
 }
 
 TEST_F(ExitCodes, TwoOnUsageErrors) {
