@@ -1,6 +1,8 @@
 // Shared plumbing for the experiment harnesses.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -12,11 +14,22 @@
 namespace hmcsim::bench {
 
 /// Environment override helper (e.g. HMCSIM_TABLE1_REQUESTS=33554432 for
-/// the paper's full 2^25-request runs).
+/// the paper's full 2^25-request runs).  As strict as hmcsim_run's flags:
+/// the whole token must convert (decimal, 0x hex or 0 octal), with no sign
+/// and no overflow; anything else names the variable and exits 2.
 inline u64 env_u64(const char* name, u64 fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 0);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(value, &end, 0);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr, "error: %s expects an unsigned number, got '%s'\n",
+                 name, value);
+    std::exit(2);
+  }
+  return parsed;
 }
 
 struct NamedConfig {
@@ -52,16 +65,20 @@ inline DriverResult run_random_access(Simulator& sim, u64 requests,
   return driver.run();
 }
 
-inline Simulator make_sim_or_die(const DeviceConfig& device) {
-  DeviceConfig dc = device;
-  dc.model_data = false;  // random sweeps touch GBs; skip data payloads
+inline Simulator init_or_die(const DeviceConfig& device) {
   Simulator sim;
   std::string diag;
-  if (!ok(sim.init_simple(dc, &diag))) {
+  if (!ok(sim.init_simple(device, &diag))) {
     std::fprintf(stderr, "simulator init failed: %s\n", diag.c_str());
     std::exit(1);
   }
   return sim;
+}
+
+inline Simulator make_sim_or_die(const DeviceConfig& device) {
+  DeviceConfig dc = device;
+  dc.model_data = false;  // random sweeps touch GBs; skip data payloads
+  return init_or_die(dc);
 }
 
 }  // namespace hmcsim::bench

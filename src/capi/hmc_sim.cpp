@@ -127,7 +127,8 @@ int hmcsim_init(struct hmcsim_t* hmc, uint32_t num_devs, uint32_t num_links,
   dc.drams_per_bank = (num_drams == 0) ? 8 : num_drams;
   dc.vault_depth = queue_depth;
   dc.xbar_depth = xbar_depth;
-  dc.capacity_bytes = capacity * (u64{1} << 30);  // GB, as in the paper
+  if (capacity > (UINT64_MAX >> 30)) return -1;  // the byte count would wrap
+  dc.capacity_bytes = capacity << 30;  // GB, as in the paper
 
   if (!ok(shim->config.validate())) return -1;
 

@@ -4,7 +4,7 @@
 //
 // Perf contract: every entry point here is behind a single config-gated
 // branch in the clock engine, so with all RAS knobs at their defaults the
-// per-cycle cost is ~0 (see bench/bench_ras_overhead.cpp).
+// per-cycle cost is ~0 (the `ras` row of bench/bench_overhead.cpp).
 #include <algorithm>
 #include <sstream>
 

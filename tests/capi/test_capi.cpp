@@ -30,6 +30,9 @@ TEST(CApiInit, RejectsBadGeometry) {
   EXPECT_EQ(hmcsim_init(&hmc, 1, 4, 16, 64, 8, 8, 8, 128), -1);
   // bad link count.
   EXPECT_EQ(hmcsim_init(&hmc, 1, 6, 24, 64, 8, 8, 2, 128), -1);
+  // capacity in GB whose byte count wraps u64 (2^34 + 2 GB would wrap to
+  // 2 GB, the right size for this geometry).
+  EXPECT_EQ(hmcsim_init(&hmc, 1, 4, 16, 64, 8, 8, (1ull << 34) + 2, 128), -1);
   // null object.
   EXPECT_EQ(hmcsim_init(nullptr, 1, 4, 16, 64, 8, 8, 2, 128), -1);
 }

@@ -63,6 +63,10 @@ struct Scenario {
   const char* name;
 };
 
+// gtest prints a parameter without a PrintTo as raw bytes, and ctest puts
+// that dump, `name` pointer included, into the test name.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
+
 // Each scenario exercises a different slice of the vault timing model:
 // closed-page busy windows, open-page hit/miss latencies, refresh
 // participation, and the atomic (read-modify-write) path.

@@ -70,6 +70,10 @@ struct Scenario {
   TimingBackend backend{TimingBackend::HmcDram};
 };
 
+// gtest prints a parameter without a PrintTo as raw bytes, and ctest puts
+// that dump, `name` pointer included, into the test name.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
+
 // Keep runtimes modest: each scenario runs a few times (plus 2x more on
 // failure).
 constexpr Scenario kScenarios[] = {
