@@ -298,15 +298,19 @@ void put_request_queue(std::ostream& os,
   put_queue_stats(os, q.stats());
 }
 
+/// `banks` is set for a vault queue, whose entries are keyed by their bank
+/// as stage 2 keys them; link queues pass null and key every entry 0.
 bool get_request_queue(std::istream& is, BoundedQueue<RequestEntry>& q,
-                       const EntryContext& ctx) {
+                       const EntryContext& ctx,
+                       const AddressMap* banks = nullptr) {
   u64 count = 0;
   if (!get_u64(is, count) || count > q.capacity()) return false;
   q.clear();
   for (u64 i = 0; i < count; ++i) {
     RequestEntry e;
     if (!get_request_entry(is, e, ctx)) return false;
-    if (!q.push(std::move(e))) return false;
+    const u32 key = banks != nullptr ? banks->bank_of(e.req.addr) : 0;
+    if (!q.push(std::move(e), key)) return false;
   }
   QueueStats stats;
   if (!get_queue_stats(is, stats)) return false;
@@ -636,7 +640,7 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
   }
   for (VaultState& vault : dev.vaults) {
     *what = "vault queue";
-    if (!get_request_queue(is, vault.rqst, ctx) ||
+    if (!get_request_queue(is, vault.rqst, ctx, &dev.address_map()) ||
         !get_response_queue(is, vault.rsp, ctx)) {
       return false;
     }

@@ -894,9 +894,8 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
 
       // ---- packets for other cubes: forward one hop ---------------------
       if (cub != dev.id()) {
-        const auto hops = cub >= devices_.size()
-                              ? std::vector<LinkId>{}
-                              : topo_.next_hops(CubeId{dev.id()}, CubeId{cub});
+        const std::span<const LinkId> hops =
+            topo_.next_hops(CubeId{dev.id()}, CubeId{cub});
         if (hops.empty()) {
           // Nonexistent or unreachable cube: deliberate misconfiguration.
           // Count the misroute only when the error response actually lands
@@ -1129,7 +1128,10 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
       RequestEntry moved = entry;
       moved.ready_cycle = cycle_ + 1;
       moved.life.vault_arrive = cycle_;
-      if (!dev.vaults[vault].rqst.push(std::move(moved))) {
+      // Vault queues key each entry by its bank (read by stages 3 and 4).
+      if (!dev.vaults[vault].rqst.push(std::move(moved),
+                                       dev.address_map().bank_of(
+                                           entry.req.addr))) {
         ++dev.stats.xbar_rqst_stalls;
         trace(TraceEvent::XbarRqstStall, stage, dev.id(), link,
               dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
@@ -1164,7 +1166,7 @@ void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index) {
   for (usize i = 0; i < limit; ++i) {
     RequestEntry& entry = vault.rqst.at(i);
     if (entry.ready_cycle > cycle_) continue;
-    const u32 bank = dev.address_map().bank_of(entry.req.addr);
+    const u32 bank = vault.rqst.key(i);
     const bool busy = vault.bank_busy_until[bank] > cycle_;
     const bool duplicated = (seen_banks & (1u << bank)) != 0;
     seen_banks |= 1u << bank;
@@ -1240,27 +1242,32 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
   usize i = 0;
   while (i < vault.rqst.size()) {
     if (cfg.vault_drain_limit != 0 && retired >= cfg.vault_drain_limit) break;
-    RequestEntry& entry = vault.rqst.at(i);
-    if (entry.ready_cycle > cycle_) {
+    // Ordering gates (blocked/used) are the engine's and need only the
+    // bank key: an entry behind an earlier request to its bank, or whose
+    // bank already served this cycle, waits whether or not it is ready.
+    const u32 bank = vault.rqst.key(i);
+    const u32 bit = 1u << bank;
+    if ((blocked_banks | used_banks) & bit) {
       if (strict) break;  // strict FIFO: nothing may pass the head
-      // Not yet visible to this stage; it still holds its bank's order slot.
-      blocked_banks |= 1u << dev.address_map().bank_of(entry.req.addr);
       ++i;
       continue;
     }
-    const u32 bank = dev.address_map().bank_of(entry.req.addr);
-    const u32 bit = 1u << bank;
-    // Ordering gates (blocked/used) are the engine's; bank readiness is
-    // the timing backend's.  Atomics and custom commands run at the vault
-    // as read-modify-writes.
+    RequestEntry& entry = vault.rqst.at(i);
+    if (entry.ready_cycle > cycle_) {
+      if (strict) break;
+      // Not yet visible to this stage; it still holds its bank's order slot.
+      blocked_banks |= bit;
+      ++i;
+      continue;
+    }
+    // Bank readiness is the timing backend's.  Atomics and custom commands
+    // run at the vault as read-modify-writes.
     const AccessClass access =
         entry.custom != nullptr || is_atomic(entry.req.cmd)
             ? AccessClass::Rmw
             : (is_write(entry.req.cmd) ? AccessClass::Write
                                        : AccessClass::Read);
-    const BankGate gate = (blocked_banks & bit) || (used_banks & bit)
-                              ? BankGate::Busy
-                              : vault.timing->gate(vault, bank, access, cycle_);
+    const BankGate gate = vault.timing->gate(vault, bank, access, cycle_);
     if (gate != BankGate::Ready) {
       if (gate == BankGate::Throttled) {
         ++dev.stats.pcm_write_throttle_stalls;

@@ -12,13 +12,19 @@
 // for ancillary devices may pass those waiting for local vault access, and
 // vaults may retire non-head packets whose banks are free — §III.C).
 //
-// Entries are held in FIFO order in a contiguous array; middle removal is
-// O(n) with n <= the configured depth (128 in the paper's experiments),
-// which profiles faster than a linked structure at these sizes.
+// As in the hardware, arbitration changes which slot is served next, not
+// where a packet sits: an entry stays in its slot from push to removal.
+// The FIFO order lives in a separate array of 8-byte handles, each naming a
+// slot plus a caller-chosen `key` (vault queues store the entry's bank, so
+// the vault scan can test its bank masks without touching the slot).  The
+// first size() handles are the queue in FIFO order; the rest name free
+// slots.  Middle removal is O(n) handle moves with n <= the configured
+// depth (128 in the paper's experiments), never an entry move.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -36,31 +42,60 @@ struct QueueStats {
 
 template <typename Entry>
 class BoundedQueue {
+  /// One FIFO position: the slot holding the entry, and its key.
+  struct Handle {
+    u32 slot;
+    u32 key;
+  };
+
+  /// Walks the handles in FIFO order and yields the entries they name
+  /// (what range-for needs).
+  template <typename E>
+  class Iterator {
+   public:
+    Iterator(E* slots, const Handle* handle) : slots_(slots), handle_(handle) {}
+    E& operator*() const { return slots_[handle_->slot]; }
+    Iterator& operator++() {
+      ++handle_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return handle_ == other.handle_;
+    }
+
+   private:
+    E* slots_;
+    const Handle* handle_;
+  };
+
  public:
   BoundedQueue() = default;
+  /// Reserves every slot and handle up front (two allocations); a slot's
+  /// entry is constructed the first time the slot is used.
   explicit BoundedQueue(usize capacity) : capacity_(capacity) {
-    entries_.reserve(capacity);
+    slots_.reserve(capacity);
+    order_.reserve(capacity);
   }
 
   [[nodiscard]] usize capacity() const { return capacity_; }
-  [[nodiscard]] usize size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
+  [[nodiscard]] usize size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool full() const { return size_ >= capacity_; }
   [[nodiscard]] usize free_slots() const {
     // Saturating: push_front can transiently overfill (bounced forwards).
-    return entries_.size() >= capacity_ ? 0 : capacity_ - entries_.size();
+    return size_ >= capacity_ ? 0 : capacity_ - size_;
   }
 
-  /// Append at the FIFO back.  Returns false (and counts a rejection) when
-  /// every slot is valid — the caller turns this into a stall signal.
-  bool push(Entry e) {
+  /// Append at the FIFO back with the given key.  Returns false (and counts
+  /// a rejection) when every slot is valid — the caller turns this into a
+  /// stall signal.
+  bool push(Entry e, u32 key = 0) {
     if (full()) {
       ++stats_.rejected_full;
       return false;
     }
-    entries_.push_back(std::move(e));
+    occupy(std::move(e), key);
     ++stats_.total_pushes;
-    stats_.high_water = std::max(stats_.high_water, entries_.size());
     return true;
   }
 
@@ -69,20 +104,28 @@ class BoundedQueue {
   /// crossbar's two-phase forward, when other devices filled the
   /// destination before this device's outbox was flushed); the queue may
   /// transiently exceed its capacity until the entry moves on, during which
-  /// free_slots() saturates at zero.
-  void push_front(Entry e) {
-    entries_.insert(entries_.begin(), std::move(e));
-    stats_.high_water = std::max(stats_.high_water, entries_.size());
+  /// free_slots() saturates at zero.  Overfilling grows the slot storage,
+  /// which moves every entry: no reference from at(), front() or an
+  /// iterator may be held across this call.
+  void push_front(Entry e, u32 key = 0) {
+    occupy(std::move(e), key);
+    const auto last = order_.begin() + static_cast<std::ptrdiff_t>(size_);
+    std::rotate(order_.begin(), last - 1, last);
   }
 
   /// FIFO-ordered access; index 0 is the oldest entry.
   [[nodiscard]] Entry& at(usize i) {
-    assert(i < entries_.size());
-    return entries_[i];
+    assert(i < size_);
+    return slots_[order_[i].slot];
   }
   [[nodiscard]] const Entry& at(usize i) const {
-    assert(i < entries_.size());
-    return entries_[i];
+    assert(i < size_);
+    return slots_[order_[i].slot];
+  }
+  /// The key the entry at FIFO position `i` was pushed with.
+  [[nodiscard]] u32 key(usize i) const {
+    assert(i < size_);
+    return order_[i].key;
   }
 
   [[nodiscard]] Entry& front() { return at(0); }
@@ -90,17 +133,27 @@ class BoundedQueue {
   /// Remove the entry at FIFO position `i` (0 == head).  Preserves the
   /// relative order of everything else, which is what keeps the
   /// link-to-bank stream ordering intact when non-head entries retire.
+  /// Only handles shift; every other entry stays in its slot.
   Entry remove(usize i) {
-    assert(i < entries_.size());
-    Entry e = std::move(entries_[i]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+    assert(i < size_);
+    const Handle freed = order_[i];
+    Entry e = std::move(slots_[freed.slot]);
+    std::copy(order_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+              order_.begin() + static_cast<std::ptrdiff_t>(size_),
+              order_.begin() + static_cast<std::ptrdiff_t>(i));
+    order_[--size_] = freed;
     ++stats_.total_pops;
     return e;
   }
 
   Entry pop_front() { return remove(0); }
 
-  void clear() { entries_.clear(); }
+  /// Destroy every entry; the reserved storage is kept.
+  void clear() {
+    slots_.clear();
+    order_.clear();
+    size_ = 0;
+  }
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
   void reset_stats() { stats_ = QueueStats{}; }
@@ -108,14 +161,42 @@ class BoundedQueue {
   void restore_stats(const QueueStats& s) { stats_ = s; }
 
   /// Iteration in FIFO order (oldest first).
-  [[nodiscard]] auto begin() { return entries_.begin(); }
-  [[nodiscard]] auto end() { return entries_.end(); }
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
+  using iterator = Iterator<Entry>;
+  using const_iterator = Iterator<const Entry>;
+  [[nodiscard]] iterator begin() { return {slots_.data(), order_.data()}; }
+  [[nodiscard]] iterator end() {
+    return {slots_.data(), order_.data() + size_};
+  }
+  [[nodiscard]] const_iterator begin() const {
+    return {slots_.data(), order_.data()};
+  }
+  [[nodiscard]] const_iterator end() const {
+    return {slots_.data(), order_.data() + size_};
+  }
 
  private:
+  /// Store `e` in a free slot and append its handle at position size().
+  /// A freed slot is reused (most recently freed first); a slot never used
+  /// before is constructed here.
+  void occupy(Entry&& e, u32 key) {
+    if (size_ < slots_.size()) {
+      Handle& h = order_[size_];
+      slots_[h.slot] = std::move(e);
+      h.key = key;
+    } else {
+      slots_.push_back(std::move(e));
+      order_.push_back(Handle{static_cast<u32>(slots_.size() - 1), key});
+    }
+    ++size_;
+    stats_.high_water = std::max(stats_.high_water, size_);
+  }
+
   usize capacity_{0};
-  std::vector<Entry> entries_;
+  usize size_{0};
+  /// Entry storage; every slot in here has been constructed.
+  std::vector<Entry> slots_;
+  /// slots_.size() handles: FIFO order, then the free slots.
+  std::vector<Handle> order_;
   QueueStats stats_;
 };
 

@@ -165,6 +165,29 @@ Status Topology::finalize() {
     }
   }
 
+  // Equal-cost next hops for every (src, dst) pair: each device-wired link
+  // whose peer sits one hop closer to `dst`.  Self routes stay empty.
+  hop_start_.assign(usize{num_devices_} * num_devices_ + 1, 0);
+  hop_links_.clear();
+  for (u32 src = 0; src < num_devices_; ++src) {
+    for (u32 dst = 0; dst < num_devices_; ++dst) {
+      const usize pair = usize{src} * num_devices_ + dst;
+      hop_start_[pair] = static_cast<u32>(hop_links_.size());
+      const u32 my_dist = route_dist_[pair];
+      if (src == dst || my_dist == kUnreachable) continue;
+      for (u32 l = 0; l < links_per_device_; ++l) {
+        const LinkEndpoint& e = ep(src, l);
+        if (e.kind != EndpointKind::Device) continue;
+        const u32 peer_dist =
+            route_dist_[usize{e.peer_dev} * num_devices_ + dst];
+        if (peer_dist != kUnreachable && peer_dist + 1 == my_dist) {
+          hop_links_.push_back(LinkId{l});
+        }
+      }
+    }
+  }
+  hop_start_.back() = static_cast<u32>(hop_links_.size());
+
   finalized_ = true;
   return Status::Ok;
 }
@@ -174,25 +197,6 @@ std::optional<LinkId> Topology::next_hop(CubeId dev, CubeId dst) const {
   const u32 link = route_next_[usize{dev.get()} * num_devices_ + dst.get()];
   if (link == kUnreachable) return std::nullopt;
   return LinkId{link};
-}
-
-std::vector<LinkId> Topology::next_hops(CubeId dev, CubeId dst) const {
-  std::vector<LinkId> hops_out;
-  if (!finalized_ || !valid_dev(dev) || !valid_dev(dst) || dev == dst) {
-    return hops_out;
-  }
-  const u32 my_dist = route_dist_[usize{dev.get()} * num_devices_ + dst.get()];
-  if (my_dist == kUnreachable) return hops_out;
-  for (u32 l = 0; l < links_per_device_; ++l) {
-    const LinkEndpoint& e = ep(dev.get(), l);
-    if (e.kind != EndpointKind::Device) continue;
-    const u32 peer_dist =
-        route_dist_[usize{e.peer_dev} * num_devices_ + dst.get()];
-    if (peer_dist != kUnreachable && peer_dist + 1 == my_dist) {
-      hops_out.push_back(LinkId{l});
-    }
-  }
-  return hops_out;
 }
 
 std::optional<u32> Topology::hops(CubeId dev, CubeId dst) const {

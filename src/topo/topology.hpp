@@ -17,6 +17,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,10 +89,18 @@ class Topology {
   [[nodiscard]] std::optional<LinkId> next_hop(CubeId dev, CubeId dst) const;
 
   /// ALL shortest-path next-hop links from `dev` toward `dst` (equal-cost
-  /// multipath over parallel trunk links); empty when unreachable.  The
-  /// simulator spreads request streams across these deterministically so
-  /// per-(link, bank) packet order is preserved.
-  [[nodiscard]] std::vector<LinkId> next_hops(CubeId dev, CubeId dst) const;
+  /// multipath over parallel trunk links), in link order; empty when
+  /// unreachable.  The simulator spreads request streams across these
+  /// deterministically so per-(link, bank) packet order is preserved.  The
+  /// span points into a table finalize() builds and stays valid until the
+  /// next finalize().
+  [[nodiscard]] std::span<const LinkId> next_hops(CubeId dev,
+                                                  CubeId dst) const {
+    if (!finalized_ || !valid_dev(dev) || !valid_dev(dst)) return {};
+    const usize pair = usize{dev.get()} * num_devices_ + dst.get();
+    return {hop_links_.data() + hop_start_[pair],
+            hop_start_[pair + 1] - hop_start_[pair]};
+  }
 
   /// Device-to-device hop distance, or nullopt when unreachable.
   [[nodiscard]] std::optional<u32> hops(CubeId dev, CubeId dst) const;
@@ -124,6 +133,10 @@ class Topology {
   std::vector<u32> route_next_;
   std::vector<u32> route_dist_;
   std::vector<u32> host_dist_;
+  /// next_hops(src, dst) is hop_links_[hop_start_[p] .. hop_start_[p + 1])
+  /// with p = src * num_devices + dst.
+  std::vector<u32> hop_start_;
+  std::vector<LinkId> hop_links_;
 };
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 // to catch those.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -61,6 +62,9 @@ struct Scenario {
   bool open_page;  ///< OpenPage row policy (row-hit/miss timing paths)
   bool refresh;    ///< staggered refresh schedule on
   const char* name;
+  u32 vault_depth{0};  ///< 0 keeps small_device()'s 4-deep vault queues
+  VaultSchedule schedule{VaultSchedule::BankReady};
+  u32 drain_limit{0};  ///< DeviceConfig::vault_drain_limit
 };
 
 // gtest prints a parameter without a PrintTo as raw bytes, and ctest puts
@@ -69,13 +73,20 @@ void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 // Each scenario exercises a different slice of the vault timing model:
 // closed-page busy windows, open-page hit/miss latencies, refresh
-// participation, and the atomic (read-modify-write) path.
+// participation, and the atomic (read-modify-write) path.  The two deep_*
+// scenarios queue twice as many requests per vault as it has banks, so the
+// engine's ordering gates — a per-cycle drain limit, and strict FIFO —
+// decide which non-head entries retire.
 constexpr Scenario kScenarios[] = {
-    // requests, kind, open_page, refresh, name
+    // requests, kind, open_page, refresh, name[, depth, schedule, drain]
     {2500, Kind::Random, false, true, "random_closed_refresh"},
     {2500, Kind::Random, true, false, "random_open"},
     {2000, Kind::Stream, true, true, "stream_open_refresh"},
     {2000, Kind::TraceFile, false, false, "trace_mixed"},
+    {2500, Kind::Random, false, true, "deep_drain_limit", 16,
+     VaultSchedule::BankReady, 2},
+    {2500, Kind::Random, true, false, "deep_strict_fifo", 16,
+     VaultSchedule::StrictFifo, 0},
 };
 
 DeviceConfig scenario_device(const Scenario& s) {
@@ -90,6 +101,9 @@ DeviceConfig scenario_device(const Scenario& s) {
     dc.refresh_interval_cycles = 512;
     dc.refresh_busy_cycles = 8;
   }
+  if (s.vault_depth != 0) dc.vault_depth = s.vault_depth;
+  dc.vault_schedule = s.schedule;
+  dc.vault_drain_limit = s.drain_limit;
   return dc;
 }
 
@@ -228,6 +242,15 @@ std::string capture(const Scenario& s, DeviceConfig dc, bool fast_forward) {
   // An idle tail crosses more refresh boundaries and (in fast-forward
   // runs) guarantees the skip engine engages.
   for (u32 i = 0; i < 2000; ++i) sim.clock();
+  if (s.vault_depth != 0) {
+    // Non-vacuousness: some vault queue held more requests than it has
+    // banks, so the ordering gates had non-head entries to choose among.
+    usize deepest = 0;
+    for (const VaultState& vault : sim.device(0).vaults) {
+      deepest = std::max(deepest, vault.rqst.stats().high_water);
+    }
+    EXPECT_GT(deepest, dc.banks_per_vault) << s.name;
+  }
 
   std::ostringstream os;
   os << "scenario " << s.name << '\n';

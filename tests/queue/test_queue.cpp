@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.hpp"
 
@@ -103,27 +106,58 @@ TEST(BoundedQueue, MoveOnlyEntries) {
   EXPECT_EQ(*p, 7);
 }
 
+TEST(BoundedQueue, EntriesStayInTheirSlots) {
+  // Arbitration changes which slot is served next, not where a packet
+  // sits: removing an earlier entry and pushing more must not move one.
+  BoundedQueue<u64> q(8);
+  for (u64 v = 0; v < 6; ++v) ASSERT_TRUE(q.push(v));
+  const u64* fourth = &q.at(3);
+  EXPECT_EQ(q.remove(1), 1u);
+  ASSERT_TRUE(q.push(6));
+  ASSERT_TRUE(q.push(7));
+  EXPECT_EQ(&q.at(2), fourth);
+  EXPECT_EQ(q.pop_front(), 0u);
+  EXPECT_EQ(&q.at(1), fourth);
+  EXPECT_EQ(q.at(1), 3u);
+}
+
 TEST(BoundedQueue, RandomizedAgainstReferenceModel) {
-  BoundedQueue<u64> q(16);
-  std::vector<u64> model;
+  // Every mutator against a vector of (value, key) pairs, push_front past
+  // capacity included (the cross-device bounce); keys follow their entries.
+  constexpr usize kCap = 16;
+  BoundedQueue<u64> q(kCap);
+  std::vector<std::pair<u64, u32>> model;
+  usize deepest = 0;
   SplitMix64 rng(4);
   for (int step = 0; step < 20000; ++step) {
-    const u64 op = rng.next_below(3);
+    const u64 op = rng.next_below(4);
+    const u64 v = rng.next();
+    const u32 key = static_cast<u32>(rng.next_below(8));
     if (op == 0) {
-      const u64 v = rng.next();
-      const bool pushed = q.push(v);
-      EXPECT_EQ(pushed, model.size() < 16);
-      if (pushed) model.push_back(v);
+      const bool pushed = q.push(v, key);
+      EXPECT_EQ(pushed, model.size() < kCap);
+      if (pushed) model.emplace_back(v, key);
     } else if (op == 1 && !model.empty()) {
-      EXPECT_EQ(q.pop_front(), model.front());
+      EXPECT_EQ(q.pop_front(), model.front().first);
       model.erase(model.begin());
     } else if (op == 2 && !model.empty()) {
       const usize i = rng.next_below(model.size());
-      EXPECT_EQ(q.remove(i), model[i]);
+      EXPECT_EQ(q.remove(i), model[i].first);
       model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op == 3) {
+      q.push_front(v, key);
+      model.emplace(model.begin(), v, key);
     }
     ASSERT_EQ(q.size(), model.size());
+    EXPECT_EQ(q.free_slots(), model.size() >= kCap ? 0 : kCap - model.size());
+    for (usize i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(q.at(i), model[i].first) << "step " << step << " pos " << i;
+      ASSERT_EQ(q.key(i), model[i].second) << "step " << step << " pos " << i;
+    }
+    deepest = std::max(deepest, model.size());
   }
+  EXPECT_GT(deepest, kCap) << "push_front never overfilled the queue";
+  EXPECT_EQ(q.stats().high_water, deepest);
 }
 
 }  // namespace
