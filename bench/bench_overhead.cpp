@@ -18,7 +18,7 @@
 //
 // Scale knobs (env), each overriding every row's default when set:
 // HMCSIM_OVERHEAD_REQUESTS (requests per episode; idle modes clock 16
-// cycles and the dispatch kernel makes 1024 calls per request) and
+// cycles and the dispatch kernel makes 1024 bank probes per request) and
 // HMCSIM_OVERHEAD_REPS (interleaved rounds).
 //
 // Exit status: 0 every check and gate passed; 1 a validity check failed
@@ -220,10 +220,13 @@ inline void keep(T& value) {
 }
 
 /// Dispatch micro-kernel: a rotating 8-bank scan with the clock advancing
-/// every 8 probes, so both gate outcomes and the issue path run.  The
-/// inline arm is the closed-page arithmetic as the pre-backend vault scan
-/// inlined it; the virtual arm makes the same decisions through the
-/// factory's opaque pointer, as core/simulator.cpp dispatches them.
+/// every 8 probes.  Both arms test bank occupancy inline, as the vault scan
+/// does, so only a free bank reaches the backend.  The inline arm is the
+/// closed-page arithmetic as the pre-backend vault scan inlined it; the
+/// virtual arm makes the same decision through the factory's opaque
+/// pointer, gate() then issue(), as core/simulator.cpp dispatches them.
+/// Work is counted in backend calls, two per free probe: the unit of
+/// dispatches_per_req.
 template <bool kVirtual>
 u64 dispatch_kernel(Lane& l, u64 n) {
   constexpr u32 kBanks = 8;
@@ -235,11 +238,12 @@ u64 dispatch_kernel(Lane& l, u64 n) {
   std::unique_ptr<VaultTimingBackend> backend = make_timing_backend(dc, 0);
   VaultTimingBackend* p = backend.get();
   keep(p);  // opaque: no devirtualization
-  const u64 calls = 1024 * n;
+  const u64 probes = 1024 * n;
   u64 ready = 0;
-  for (u64 i = 0; i < calls; ++i) {
+  for (u64 i = 0; i < probes; ++i) {
     const Cycle now = static_cast<Cycle>(i / kBanks);
     const u32 bank = static_cast<u32>(i % kBanks);
+    if (vault.bank_busy_until[bank] > now) continue;
     if constexpr (kVirtual) {
       if (p->gate(vault, bank, AccessClass::Read, now) != BankGate::Ready) {
         continue;
@@ -247,14 +251,13 @@ u64 dispatch_kernel(Lane& l, u64 n) {
       ++ready;
       p->issue(vault, bank, /*row=*/0, AccessClass::Read, now, stats);
     } else {
-      if (vault.bank_busy_until[bank] > now) continue;
       ++ready;
       vault.bank_busy_until[bank] = now + dc.bank_busy_cycles;
     }
   }
   keep(ready);
   keep(vault.bank_busy_until[0]);
-  return calls;
+  return 2 * ready;
 }
 
 void die(const std::string& what) {
@@ -475,14 +478,17 @@ Edit backend(TimingBackend b) {
   };
 }
 
-/// Backend decisions per retired request: issues + gated conflict scans +
-/// refreshes.
+/// Backend calls per retired request, as the vault scan makes them: one
+/// issue() per retire, one gate() per ready bank head on a free bank (it
+/// retires, or stalls on the pcm write throttle or a full response queue)
+/// and one refresh() per refresh.
 void record_dispatch_density(Lane& l) {
   l.collect = [](Lane& lane) {
     const DeviceStats& s = lane.stats;
+    const u64 gates =
+        s.retired() + s.pcm_write_throttle_stalls + s.vault_rsp_stalls;
     lane.note("dispatches_per_req",
-              static_cast<double>(s.retired() + s.bank_conflicts +
-                                  s.refreshes) /
+              static_cast<double>(s.retired() + gates + s.refreshes) /
                   static_cast<double>(s.retired()));
   };
 }

@@ -40,12 +40,6 @@ class HmcDramBackend final : public VaultTimingBackend {
 
   void reset() override {}
 
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass /*access*/,
-                Cycle now) const override {
-    return vault.bank_busy_until[bank] > now ? BankGate::Busy
-                                             : BankGate::Ready;
-  }
-
   void issue(VaultState& vault, u32 bank, u64 row, AccessClass /*access*/,
              Cycle now, DeviceStats& stats) override {
     if (config_->row_policy == RowPolicy::OpenPage) {
@@ -79,12 +73,6 @@ class GenericDdrBackend final : public VaultTimingBackend {
   TimingBackend kind() const override { return TimingBackend::GenericDdr; }
 
   void reset() override {}
-
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass /*access*/,
-                Cycle now) const override {
-    return vault.bank_busy_until[bank] > now ? BankGate::Busy
-                                             : BankGate::Ready;
-  }
 
   void issue(VaultState& vault, u32 bank, u64 row, AccessClass /*access*/,
              Cycle now, DeviceStats& stats) override {
@@ -127,13 +115,10 @@ class PcmLikeBackend final : public VaultTimingBackend {
 
   void reset() override { write_ok_ = 0; }
 
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass access,
+  BankGate gate(const VaultState& /*vault*/, u32 /*bank*/, AccessClass access,
                 Cycle now) const override {
-    if (vault.bank_busy_until[bank] > now) return BankGate::Busy;
-    if (access != AccessClass::Read && write_ok_ > now) {
-      return BankGate::Throttled;
-    }
-    return BankGate::Ready;
+    return access != AccessClass::Read && write_ok_ > now ? BankGate::Throttled
+                                                          : BankGate::Ready;
   }
 
   void issue(VaultState& vault, u32 bank, u64 /*row*/, AccessClass access,
@@ -165,6 +150,11 @@ class PcmLikeBackend final : public VaultTimingBackend {
 };
 
 }  // namespace
+
+BankGate VaultTimingBackend::gate(const VaultState& /*vault*/, u32 /*bank*/,
+                                  AccessClass /*access*/, Cycle /*now*/) const {
+  return BankGate::Ready;
+}
 
 void VaultTimingBackend::refresh(VaultState& vault, Cycle now,
                                  u32 busy_cycles) {

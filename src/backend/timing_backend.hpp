@@ -1,13 +1,13 @@
 // Pluggable vault bank-timing backends (docs/BACKENDS.md).
 //
 // The clock engine owns everything around the banks — queues, crossbar
-// arbitration, refresh scheduling, vault ordering, RAS — and delegates
-// exactly one question to the backend: when may a bank accept a command,
-// and how long does it stay occupied afterwards.  The seam is deliberately
-// narrow so memory models compose instead of fork (Ramulator-style
-// implementable interfaces):
+// arbitration, refresh scheduling, vault ordering, bank occupancy, RAS —
+// and delegates one question to the backend: how long does a bank stay
+// occupied after a command, and may a free bank take this class of
+// command now.  The seam is deliberately narrow so memory models compose
+// instead of fork (Ramulator-style implementable interfaces):
 //
-//   gate()     may (bank, access class) issue at cycle `now`?
+//   gate()     may (free bank, access class) issue at cycle `now`?
 //   issue()    commit the access: update the bank timing arrays and any
 //              backend-private state, attribute stats
 //   refresh()  take every bank offline for the refresh window
@@ -20,8 +20,11 @@
 //     `VaultState::open_row` remain the single source of truth for bank
 //     occupancy: the watchdog diagnostics, the conflict scanner, tools
 //     (--wedge-vaults) and tests read — and sometimes write — them
-//     directly.  A backend must honor external writes to the arrays (a
-//     wedged bank stays wedged) and must keep them current on issue().
+//     directly.  A backend must keep them current on issue().
+//   * The engine tests `bank_busy_until[bank] <= now` itself and asks
+//     gate() only about a free bank at the head of its bank's queue, so a
+//     backend never re-checks occupancy, and an external write to the
+//     arrays (a wedged bank stays wedged) holds without its help.
 //   * The clock engine is serial, so backends need no locking, but they
 //     must be deterministic: identical call sequences produce identical
 //     state for either fast_forward setting.
@@ -45,11 +48,10 @@ struct DeviceStats;
 /// custom (CMC) commands are read-modify-writes.
 enum class AccessClass : u8 { Read, Write, Rmw };
 
-/// Why a bank can / cannot accept a command this cycle.
+/// Whether a free bank may accept a command this cycle.
 enum class BankGate : u8 {
   Ready,      ///< the command may issue now
-  Busy,       ///< the bank itself is occupied
-  Throttled,  ///< bank free, but a backend-wide limit gates this class
+  Throttled,  ///< a backend-wide limit gates this class
 };
 
 class VaultTimingBackend {
@@ -62,9 +64,10 @@ class VaultTimingBackend {
   /// shared bank arrays itself.
   virtual void reset() = 0;
 
-  /// May (bank, access) issue at cycle `now`?
+  /// May (bank, access) issue at cycle `now`?  Asked only when
+  /// `vault.bank_busy_until[bank] <= now`.  The default admits every class.
   virtual BankGate gate(const VaultState& vault, u32 bank, AccessClass access,
-                        Cycle now) const = 0;
+                        Cycle now) const;
 
   /// Commit the access at cycle `now`: set the bank's busy window, manage
   /// the row buffer, update backend-private state, attribute stats

@@ -139,10 +139,10 @@ struct VaultState {
   /// other vaults retire.  Seeded from (fault_seed, device, vault);
   /// checkpointed since format v4, so it is simulated state.
   SplitMix64 dram_rng{0};
-  /// Bank-timing backend (src/backend/): decides when banks accept
-  /// commands and how long they stay busy.  Owns only backend-private
-  /// state; the shared arrays above remain the source of truth for bank
-  /// occupancy.
+  /// Bank-timing backend (src/backend/): decides how long a bank stays
+  /// busy after a command and whether a free bank may take one now.  Owns
+  /// only backend-private state; the shared arrays above remain the
+  /// source of truth for bank occupancy.
   std::unique_ptr<VaultTimingBackend> timing;
 };
 

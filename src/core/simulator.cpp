@@ -91,6 +91,13 @@ Status Simulator::init(const SimConfig& config, Topology topo,
   }
   xbar_free_.assign(usize{config.num_devices} * links, 0);
   failed_snapshot_.assign(config.num_devices, 0);
+  // Vault v's refresh slot is staggered v/vaults of the way into the
+  // interval (every device alike).
+  refresh_offset_.resize(vaults);
+  for (u32 v = 0; v < vaults; ++v) {
+    refresh_offset_[v] =
+        Cycle{v} * config.device.refresh_interval_cycles / vaults;
+  }
   bounce_mark_.assign(usize{config.num_devices} * links, 0);
   bounced_.clear();
 
@@ -552,6 +559,12 @@ bool Simulator::ff_queues_idle() const {
   return true;
 }
 
+Cycle Simulator::cycles_to_refresh(u32 vault) const {
+  const Cycle interval = config_.device.refresh_interval_cycles;
+  const Cycle rem = (cycle_ + refresh_offset_[vault]) % interval;
+  return rem == 0 ? 0 : interval - rem;
+}
+
 bool Simulator::ff_arm() {
   if (!ff_queues_idle()) return false;
   const DeviceConfig& cfg = config_.device;
@@ -609,11 +622,8 @@ bool Simulator::ff_arm() {
     stop = std::min(stop, ((cycle_ + 1 + h - 1) / h) * h - 1);
   }
   if (cfg.refresh_interval_cycles != 0) {
-    const Cycle interval = cfg.refresh_interval_cycles;
     for (u32 v = 0; v < cfg.num_vaults(); ++v) {
-      const Cycle offset = Cycle{v} * interval / cfg.num_vaults();
-      const Cycle rem = (cycle_ + offset) % interval;
-      stop = std::min(stop, rem == 0 ? cycle_ : cycle_ + (interval - rem));
+      stop = std::min(stop, cycle_ + cycles_to_refresh(v));
     }
   }
   if (chaos_) {
@@ -1222,59 +1232,53 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
   // DRAM refresh: when this vault's (staggered) refresh slot comes due,
   // the timing backend takes every bank offline for the refresh window and
   // nothing retires.
-  if (cfg.refresh_interval_cycles != 0) {
-    const Cycle offset = Cycle{vault_index} * cfg.refresh_interval_cycles /
-                         cfg.num_vaults();
-    if ((cycle_ + offset) % cfg.refresh_interval_cycles == 0) {
-      vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
-      ++dev.stats.refreshes;
-    }
+  if (cfg.refresh_interval_cycles != 0 &&
+      cycles_to_refresh(vault_index) == 0) {
+    vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
+    ++dev.stats.refreshes;
   }
 
   if (vault.rqst.empty()) return;
 
+  // Only a bank head (its bank's oldest queued request) may retire, and
+  // only while its bank is free: every later entry of a bank waits behind
+  // its head, ready or not, and a busy bank serves nobody.  One pass over
+  // the handle keys lists those heads in FIFO order, so no slot is read
+  // for an entry that cannot retire.  The store is unconditional; only a
+  // free head advances the count (hence the spare element).
+  u32 heads[spec::kBanks16 + 1] = {};
+  u32 listed = 0;
+  u32 seen_banks = 0;
+  for (usize i = 0; i < vault.rqst.size(); ++i) {
+    const u32 bank = vault.rqst.key(i);
+    const u32 first = ((seen_banks >> bank) & 1u) ^ 1u;
+    seen_banks |= 1u << bank;
+    heads[listed] = static_cast<u32>(i);
+    listed += first & static_cast<u32>(vault.bank_busy_until[bank] <= cycle_);
+  }
+
   const bool strict = cfg.vault_schedule == VaultSchedule::StrictFifo;
   u32 retired = 0;
-  u32 used_banks = 0;     // banks that already served a request this cycle
-  u32 blocked_banks = 0;  // banks with an earlier, still-queued request
   bool rsp_stalled_logged = false;
-
-  usize i = 0;
-  while (i < vault.rqst.size()) {
+  for (u32 h = 0; h < listed; ++h) {
     if (cfg.vault_drain_limit != 0 && retired >= cfg.vault_drain_limit) break;
-    // Ordering gates (blocked/used) are the engine's and need only the
-    // bank key: an entry behind an earlier request to its bank, or whose
-    // bank already served this cycle, waits whether or not it is ready.
-    const u32 bank = vault.rqst.key(i);
-    const u32 bit = 1u << bank;
-    if ((blocked_banks | used_banks) & bit) {
-      if (strict) break;  // strict FIFO: nothing may pass the head
-      ++i;
-      continue;
-    }
+    // Each head retired ahead of this one moved it up a position.
+    const usize i = heads[h] - retired;
+    // Strict FIFO: nothing may pass the head, so the walk ends at the first
+    // position that is not a free head or that did not retire.
+    if (strict && i != 0) break;
     RequestEntry& entry = vault.rqst.at(i);
-    if (entry.ready_cycle > cycle_) {
-      if (strict) break;
-      // Not yet visible to this stage; it still holds its bank's order slot.
-      blocked_banks |= bit;
-      ++i;
-      continue;
-    }
-    // Bank readiness is the timing backend's.  Atomics and custom commands
-    // run at the vault as read-modify-writes.
+    if (entry.ready_cycle > cycle_) continue;  // not yet visible here
+    const u32 bank = vault.rqst.key(i);
+    // Atomics and custom commands run at the vault as read-modify-writes.
     const AccessClass access =
         entry.custom != nullptr || is_atomic(entry.req.cmd)
             ? AccessClass::Rmw
             : (is_write(entry.req.cmd) ? AccessClass::Write
                                        : AccessClass::Read);
-    const BankGate gate = vault.timing->gate(vault, bank, access, cycle_);
-    if (gate != BankGate::Ready) {
-      if (gate == BankGate::Throttled) {
-        ++dev.stats.pcm_write_throttle_stalls;
-      }
-      if (strict) break;
-      blocked_banks |= bit;
-      ++i;
+    // The bank is free; a backend-wide limit may still hold this class.
+    if (vault.timing->gate(vault, bank, access, cycle_) != BankGate::Ready) {
+      ++dev.stats.pcm_write_throttle_stalls;
       continue;
     }
     // Non-posted requests need response queue space before they may retire.
@@ -1290,18 +1294,9 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
               /*kind: vault rsp full*/ 3);
         rsp_stalled_logged = true;
       }
-      if (strict) break;
-      blocked_banks |= bit;
-      ++i;
       continue;
     }
-    if (!retire_request(dev, vault_index, entry)) {
-      if (strict) break;
-      blocked_banks |= bit;
-      ++i;
-      continue;
-    }
-    used_banks |= bit;
+    if (!retire_request(dev, vault_index, entry)) continue;
     vault.timing->issue(vault, bank, dev.address_map().row_of(entry.req.addr),
                         access, cycle_, dev.stats);
     vault.rqst.remove(i);

@@ -333,6 +333,9 @@ class Simulator {
   void scan_bank_conflicts(Device& dev, u32 vault_index);
   /// Stage 4 helpers.
   void process_vault(Device& dev, u32 vault_index);
+  /// Cycles from now until vault `vault`'s staggered refresh slot, 0 when
+  /// it is due this cycle.  Requires refresh_interval_cycles != 0.
+  [[nodiscard]] Cycle cycles_to_refresh(u32 vault) const;
   /// Drain a failed vault's queued requests as VAULT_FAILED errors.
   void drain_failed_vault(Device& dev, u32 vault_index);
   /// Retire one request at a bank: perform the memory/register operation
@@ -480,6 +483,9 @@ class Simulator {
   /// drain after every live vault; bits earned during the stage wait for
   /// the next cycle.
   std::vector<u64> failed_snapshot_;
+  /// Per-vault refresh stagger (see cycles_to_refresh), derived from the
+  /// config at init, so it is not serialized.
+  std::vector<Cycle> refresh_offset_;
   /// flush_outboxes working state (members to avoid per-cycle allocation).
   std::vector<u8> bounce_mark_;
   std::vector<StagedForward> bounced_;

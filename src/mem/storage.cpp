@@ -8,17 +8,40 @@
 namespace hmcsim {
 
 void SparseStore::release_pages() {
-  for (auto& slot : pages_) {
-    delete slot.exchange(nullptr, std::memory_order_relaxed);
+  for (auto& slot : chunks_) {
+    const Chunk* chunk = slot.exchange(nullptr, std::memory_order_relaxed);
+    if (chunk == nullptr) continue;
+    for (const auto& page : *chunk) {
+      delete page.load(std::memory_order_relaxed);
+    }
+    delete chunk;
   }
 }
 
 const SparseStore::Page* SparseStore::find_page(u64 page_index) const {
-  return pages_[page_index].load(std::memory_order_acquire);
+  const Chunk* chunk =
+      chunks_[page_index / kChunkPages].load(std::memory_order_acquire);
+  if (chunk == nullptr) return nullptr;
+  return (*chunk)[page_index % kChunkPages].load(std::memory_order_acquire);
+}
+
+SparseStore::Chunk& SparseStore::materialize_chunk(u64 chunk_index) {
+  std::atomic<Chunk*>& slot = chunks_[chunk_index];
+  Chunk* chunk = slot.load(std::memory_order_acquire);
+  if (chunk != nullptr) return *chunk;
+  // Same race as a page's below: the loser frees its empty candidate.
+  Chunk* fresh = new Chunk();
+  if (slot.compare_exchange_strong(chunk, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;
+  return *chunk;
 }
 
 SparseStore::Page& SparseStore::materialize_page(u64 page_index) {
-  std::atomic<Page*>& slot = pages_[page_index];
+  std::atomic<Page*>& slot =
+      materialize_chunk(page_index / kChunkPages)[page_index % kChunkPages];
   Page* page = slot.load(std::memory_order_acquire);
   if (page != nullptr) return *page;
   // First touch: race to install a zero-filled page.  The loser frees its
@@ -88,7 +111,7 @@ bool SparseStore::restore_page(u64 page_index, std::span<const u8> bytes) {
   if (bytes.size() != kPageBytes) return false;
   // Compare indices, not byte products: a forged index near 2^64 / 4096
   // would wrap the product back under the capacity.
-  if (page_index >= pages_.size()) return false;
+  if (page_index >= page_count_) return false;
   Page& page = materialize_page(page_index);
   std::memcpy(page.data(), bytes.data(), kPageBytes);
   return true;

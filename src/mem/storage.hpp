@@ -10,15 +10,21 @@
 // controller's block granularity), but arbitrary byte spans are supported
 // for host-side convenience and tests.
 //
+// The page table has two levels: a directory of chunk pointers, sized at
+// construction, and chunks of kChunkPages page pointers, each allocated on
+// the first write into its 2 MiB of address space.  A store that is never
+// written (model_data off) costs only the directory, 32 KiB for an 8 GB
+// cube.  The table's index order is the page order, so page iteration
+// is deterministic by construction (ascending index), which checkpointing
+// relies on.
+//
 // Concurrency: the clock engine is serial, but the store stays safe for
 // callers that access it from several threads at once, provided each
 // thread works on its own vaults' blocks (a 4 KiB page spans many vaults'
-// interleaved blocks).  The page table is a flat array of atomic page
-// pointers: lookups are lock-free loads, and first-touch materialization
-// is a compare-exchange (the loser frees its zero-filled candidate, so
-// page contents are identical regardless of which thread wins).  The flat
-// table also makes page iteration order deterministic by construction
-// (ascending index), which checkpointing relies on.
+// interleaved blocks).  Every table slot is an atomic pointer: lookups are
+// lock-free loads, and first-touch materialization of a chunk or a page is
+// a compare-exchange (the loser frees its empty candidate, so contents are
+// identical regardless of which thread wins).
 //
 // DRAM fault domain: faults are planted per 64-bit word as real bit flips in
 // the stored data plus a sidecar record of the ground-truth flip masks.  The
@@ -48,6 +54,8 @@ namespace hmcsim {
 class SparseStore {
  public:
   static constexpr usize kPageBytes = 4096;
+  /// Pages per page-table chunk: 4 KiB of pointers covering 2 MiB.
+  static constexpr usize kChunkPages = 512;
 
   /// Result of running the SECDED codec over a span's fault records.
   struct FaultSummary {
@@ -57,7 +65,8 @@ class SparseStore {
 
   explicit SparseStore(u64 capacity_bytes)
       : capacity_(capacity_bytes),
-        pages_((capacity_bytes + kPageBytes - 1) / kPageBytes) {}
+        page_count_((capacity_bytes + kPageBytes - 1) / kPageBytes),
+        chunks_((page_count_ + kChunkPages - 1) / kChunkPages) {}
 
   ~SparseStore() { release_pages(); }
 
@@ -141,9 +150,14 @@ class SparseStore {
   /// checkpointing).  Pages are kPageBytes long.
   template <typename Fn>  // Fn(u64 page_index, std::span<const u8> bytes)
   void for_each_page(Fn&& fn) const {
-    for (usize i = 0; i < pages_.size(); ++i) {
-      if (const Page* page = pages_[i].load(std::memory_order_acquire)) {
-        fn(i, std::span<const u8>(page->data(), kPageBytes));
+    for (usize c = 0; c < chunks_.size(); ++c) {
+      const Chunk* chunk = chunks_[c].load(std::memory_order_acquire);
+      if (chunk == nullptr) continue;
+      for (usize i = 0; i < kChunkPages; ++i) {
+        if (const Page* page = (*chunk)[i].load(std::memory_order_acquire)) {
+          fn(u64{c} * kChunkPages + i,
+             std::span<const u8>(page->data(), kPageBytes));
+        }
       }
     }
   }
@@ -155,6 +169,8 @@ class SparseStore {
 
  private:
   using Page = std::array<u8, kPageBytes>;
+  /// Value-initialized: every page pointer starts null.
+  using Chunk = std::array<std::atomic<Page*>, kChunkPages>;
 
   struct FaultRecord {
     u64 data_flips = 0;  ///< xor mask currently applied to the stored word
@@ -164,6 +180,7 @@ class SparseStore {
   using FaultMap = std::map<u64, FaultRecord>;
 
   [[nodiscard]] const Page* find_page(u64 page_index) const;
+  Chunk& materialize_chunk(u64 chunk_index);
   Page& materialize_page(u64 page_index);
   void release_pages();
 
@@ -181,10 +198,10 @@ class SparseStore {
   void clear_faults_in(u64 addr, usize bytes);
 
   u64 capacity_;
-  /// Flat page table: slot i holds page i or nullptr.  ~2 MiB of pointers
-  /// per simulated GiB — cheaper than the hash map it replaced, lock-free,
-  /// and deterministically ordered.
-  std::vector<std::atomic<Page*>> pages_;
+  u64 page_count_;  ///< pages the capacity spans (the restore bound)
+  /// Page directory: chunk c holds pages [c, c + 1) * kChunkPages, or is
+  /// null when none of them was ever written (they all read as zero).
+  std::vector<std::atomic<Chunk*>> chunks_;
   std::atomic<usize> resident_{0};
   FaultMap faults_;
   std::atomic<usize> fault_count_{0};

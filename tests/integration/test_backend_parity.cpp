@@ -11,7 +11,10 @@
 //     encodes: final cycle, every DeviceStats counter, the end-state
 //     per-vault bank timing arrays, the per-vault DRAM RNG streams, and
 //     the full packet-lifecycle latency histograms
-//     (count/sum/min/max/buckets per class and segment).
+//     (count/sum/min/max/buckets per class and segment).  The two stall
+//     scenarios' goldens (pcm_deep_throttle, rsp_bound_reads) were
+//     generated before stage 4 stopped asking the backend about busy
+//     banks, and pin that change the same way.
 //   * staged == fast-forward holds for every backend, not just the
 //     default one (the differential harness covers hmc_dram; here the
 //     same capture runs under generic_ddr and pcm_like).
@@ -65,6 +68,10 @@ struct Scenario {
   u32 vault_depth{0};  ///< 0 keeps small_device()'s 4-deep vault queues
   VaultSchedule schedule{VaultSchedule::BankReady};
   u32 drain_limit{0};  ///< DeviceConfig::vault_drain_limit
+  TimingBackend backend{TimingBackend::HmcDram};
+  double read_fraction{0.5};  ///< Kind::Random only
+  /// A stage-4 counter the golden run must drive above zero, or null.
+  const char* nonzero_stat{nullptr};
 };
 
 // gtest prints a parameter without a PrintTo as raw bytes, and ctest puts
@@ -76,9 +83,13 @@ void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 // participation, and the atomic (read-modify-write) path.  The two deep_*
 // scenarios queue twice as many requests per vault as it has banks, so the
 // engine's ordering gates — a per-cycle drain limit, and strict FIFO —
-// decide which non-head entries retire.
+// decide which non-head entries retire.  The last two reach the stage-4
+// stalls the others never take: pcm_like's write throttle under 16-deep
+// queues, and a read-only load whose 5-FLIT responses outrun the links
+// until the vault response queues fill.
 constexpr Scenario kScenarios[] = {
-    // requests, kind, open_page, refresh, name[, depth, schedule, drain]
+    // requests, kind, open_page, refresh, name[, depth, schedule, drain,
+    // backend, read_fraction, nonzero_stat]
     {2500, Kind::Random, false, true, "random_closed_refresh"},
     {2500, Kind::Random, true, false, "random_open"},
     {2000, Kind::Stream, true, true, "stream_open_refresh"},
@@ -87,7 +98,31 @@ constexpr Scenario kScenarios[] = {
      VaultSchedule::BankReady, 2},
     {2500, Kind::Random, true, false, "deep_strict_fifo", 16,
      VaultSchedule::StrictFifo, 0},
+    {2500, Kind::Random, false, true, "pcm_deep_throttle", 16,
+     VaultSchedule::BankReady, 0, TimingBackend::PcmLike, 0.5,
+     "pcm_write_throttle_stalls"},
+    {2500, Kind::Random, false, false, "rsp_bound_reads", 0,
+     VaultSchedule::BankReady, 0, TimingBackend::HmcDram, 1.0,
+     "vault_rsp_stalls"},
 };
+
+/// Non-default backend parameterizations.  Values are scaled to the
+/// small-device geometry (bank_busy 2) so the scenarios finish quickly but
+/// still overlap refresh windows and the pcm write throttle.
+DeviceConfig with_backend(DeviceConfig dc, TimingBackend backend) {
+  dc.timing_backend = backend;
+  if (backend == TimingBackend::GenericDdr) {
+    dc.ddr_tcl = 3;
+    dc.ddr_trcd = 2;
+    dc.ddr_trp = 2;
+    dc.ddr_tras = 6;
+  } else if (backend == TimingBackend::PcmLike) {
+    dc.pcm_read_cycles = 4;
+    dc.pcm_write_cycles = 12;
+    dc.pcm_write_gap_cycles = 6;
+  }
+  return dc;
+}
 
 DeviceConfig scenario_device(const Scenario& s) {
   DeviceConfig dc = test::small_device();
@@ -104,13 +139,14 @@ DeviceConfig scenario_device(const Scenario& s) {
   if (s.vault_depth != 0) dc.vault_depth = s.vault_depth;
   dc.vault_schedule = s.schedule;
   dc.vault_drain_limit = s.drain_limit;
-  return dc;
+  return with_backend(dc, s.backend);
 }
 
 std::unique_ptr<Generator> make_generator(const Scenario& s, u64 capacity) {
   GeneratorConfig gc;
   gc.capacity_bytes = capacity;
   gc.seed = 4242;
+  gc.read_fraction = s.read_fraction;
   switch (s.kind) {
     case Kind::Random:
       return std::make_unique<RandomAccessGenerator>(gc);
@@ -320,29 +356,19 @@ void expect_matches_golden(const Scenario& s, const std::string& got) {
   }
 }
 
-/// Non-default backend parameterizations for the staged vs fast-forward
-/// runs.  Values are scaled to the small-device geometry (bank_busy 2) so
-/// the scenarios finish quickly but still overlap refresh windows and the
-/// pcm write throttle.
-DeviceConfig with_backend(DeviceConfig dc, TimingBackend backend) {
-  dc.timing_backend = backend;
-  if (backend == TimingBackend::GenericDdr) {
-    dc.ddr_tcl = 3;
-    dc.ddr_trcd = 2;
-    dc.ddr_trp = 2;
-    dc.ddr_tras = 6;
-  } else if (backend == TimingBackend::PcmLike) {
-    dc.pcm_read_cycles = 4;
-    dc.pcm_write_cycles = 12;
-    dc.pcm_write_gap_cycles = 6;
-  }
-  return dc;
+/// The value of counter `name` in a capture's "stat <name> <value>" line.
+u64 captured_stat(const std::string& got, const std::string& name) {
+  const std::string key = "\nstat " + name + ' ';
+  const usize at = got.find(key);
+  EXPECT_NE(at, std::string::npos) << "no stat " << name;
+  return at == std::string::npos ? 0 : std::stoull(got.substr(at + key.size()));
 }
 
 class BackendParity : public ::testing::TestWithParam<Scenario> {};
 
-// The headline proof: the default backend reproduces the pre-refactor
-// simulator exactly, scenario by scenario.
+// The headline proof: every scenario reproduces its committed golden.  The
+// first six goldens predate the backend extraction, so the default backend
+// reproduces the pre-refactor simulator exactly, scenario by scenario.
 TEST_P(BackendParity, HmcDramMatchesPreRefactorGolden) {
   const Scenario& s = GetParam();
   const std::string got =
@@ -350,6 +376,9 @@ TEST_P(BackendParity, HmcDramMatchesPreRefactorGolden) {
   // Non-vacuousness: the run must have been a real run.
   EXPECT_NE(got.find("completed " + std::to_string(s.requests)),
             std::string::npos);
+  if (s.nonzero_stat != nullptr) {
+    EXPECT_GT(captured_stat(got, s.nonzero_stat), 0u) << s.name;
+  }
   expect_matches_golden(s, got);
 }
 
@@ -374,7 +403,8 @@ TEST_P(BackendParity, StagedFastForwardAgreePerBackend) {
 // arrays, same histograms.
 TEST_P(BackendParity, GenericDdrEquivalenceMappingMatchesHmcDram) {
   const Scenario& s = GetParam();
-  const DeviceConfig hmc = scenario_device(s);
+  const DeviceConfig hmc = with_backend(scenario_device(s),
+                                        TimingBackend::HmcDram);
   DeviceConfig ddr = hmc;
   ddr.timing_backend = TimingBackend::GenericDdr;
   ddr.ddr_trcd = 0;

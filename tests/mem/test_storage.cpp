@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
@@ -102,6 +104,45 @@ TEST(SparseStore, SparsityLargeCapacitySmallFootprint) {
     ASSERT_TRUE(store.write_words(addr, {&word, 1}));
   }
   EXPECT_LE(store.resident_pages(), 100u);
+}
+
+// The page table grows a chunk at a time, on the first write into each.
+// Pages written into a later chunk first must still come back in ascending
+// index order (the order checkpointing walks), and the restore bound is
+// the capacity's last page, whichever chunks exist.
+TEST(SparseStore, PagesInTwoChunksIterateInIndexOrder) {
+  // Two full chunks and a partial third one.
+  constexpr u64 kPages = 2 * SparseStore::kChunkPages + 3;
+  SparseStore store(kPages * SparseStore::kPageBytes);
+  const u64 written[] = {SparseStore::kChunkPages + 7, 5,
+                         SparseStore::kChunkPages, 4};
+  for (const u64 page : written) {
+    const u64 tag = page;
+    ASSERT_TRUE(store.write_words(page * SparseStore::kPageBytes, {&tag, 1}));
+  }
+  EXPECT_EQ(store.resident_pages(), 4u);
+
+  std::vector<u64> order;
+  store.for_each_page([&](u64 page, std::span<const u8> bytes) {
+    ASSERT_EQ(bytes.size(), SparseStore::kPageBytes);
+    u64 tag = 0;
+    std::memcpy(&tag, bytes.data(), sizeof tag);
+    EXPECT_EQ(tag, page);
+    order.push_back(page);
+  });
+  const std::vector<u64> ascending = {4, 5, SparseStore::kChunkPages,
+                                      SparseStore::kChunkPages + 7};
+  EXPECT_EQ(order, ascending);
+
+  // No write touched the partial last chunk: its last page restores, and
+  // one past it is refused although the chunk would have room for it.
+  const std::vector<u8> page(SparseStore::kPageBytes, 0xC3);
+  EXPECT_FALSE(store.restore_page(kPages, page));
+  EXPECT_TRUE(store.restore_page(kPages - 1, page));
+  std::vector<u8> back(16);
+  ASSERT_TRUE(store.read((kPages - 1) * SparseStore::kPageBytes, back));
+  for (const u8 b : back) EXPECT_EQ(b, 0xC3);
+  EXPECT_EQ(store.resident_pages(), 5u);
 }
 
 TEST(SparseStore, RandomizedReadYourWrites) {
