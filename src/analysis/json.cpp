@@ -79,13 +79,6 @@ JsonWriter& JsonWriter::value(u64 v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(i64 v) {
-  separator();
-  *os_ << v;
-  need_comma_ = true;
-  return *this;
-}
-
 JsonWriter& JsonWriter::value(double v) {
   separator();
   if (std::isfinite(v)) {

@@ -31,7 +31,6 @@ class JsonWriter {
   JsonWriter& key(std::string_view name);
 
   JsonWriter& value(u64 v);
-  JsonWriter& value(i64 v);
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
   JsonWriter& value(std::string_view v);

@@ -323,7 +323,9 @@ int hmcsim_chaos_invariants(struct hmcsim_t* hmc, uint32_t cadence);
 /* Compile the chaos plan text in `plan` (the docs/CHAOS.md directive
  * grammar) and arm it; freezes the topology.  Returns 0 on success, -1 on
  * a bad handle or a plan the compiler/validator rejects (the diagnostic is
- * written to `err` when non-NULL). */
+ * written to `err` when non-NULL).  Link actions need the link retry
+ * protocol, which this API does not turn on, so any link action other
+ * than a zero rate, a burst of 1 or a restore is refused. */
 int hmcsim_chaos_plan(struct hmcsim_t* hmc, const char* plan, FILE* err);
 /* Returns 1 when an invariant violation froze the machine (the post-mortem
  * report is written to `out` when non-NULL), 0 when it has not, -1 on a

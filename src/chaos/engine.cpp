@@ -14,6 +14,25 @@ u32 clamp_u32(u64 v) {
   return v > 0xffffffffull ? 0xffffffffu : static_cast<u32>(v);
 }
 
+// True when `ev` needs the link retry protocol: link errors exist only
+// there, and the structural link events act on its per-link state.
+// Zero-valued and restore events re-arm the error-free defaults, so they
+// (and with them `quiet` blocks) stay legal on any configuration.
+bool needs_link_protocol(const ChaosEvent& ev) {
+  switch (ev.action) {
+    case ChaosAction::LinkErrorPpm:
+      return !ev.restore && ev.a > 0;
+    case ChaosAction::LinkBurst:
+      return !ev.restore && ev.a > 1;
+    case ChaosAction::LinkRetrain:
+    case ChaosAction::KillLink:
+    case ChaosAction::ReviveLink:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 ChaosEngine::ChaosEngine(const DeviceConfig& baseline) : baseline_(baseline) {}
@@ -27,6 +46,11 @@ Status ChaosEngine::arm(ChaosPlan plan, const DeviceConfig& cfg,
     return Status::InvalidConfig;
   };
   for (const ChaosEvent& ev : plan.events) {
+    if (!cfg.link_protocol && needs_link_protocol(ev)) {
+      return fail(ev, std::string(to_string(ev.action)) + " " +
+                          std::to_string(ev.a) +
+                          " requires link_protocol = true");
+    }
     switch (ev.action) {
       case ChaosAction::LinkRetrain:
       case ChaosAction::KillLink:
@@ -186,12 +210,7 @@ void ChaosEngine::check_cadence(Simulator& sim) {
   if (violated_ || interval == 0) return;
   if (sim.cycle_ % interval != 0) return;
   ++invariant_checks_;
-  (void)run_checks(sim);
-}
-
-bool ChaosEngine::check_now(Simulator& sim) {
-  if (violated_) return false;
-  return run_checks(sim);
+  run_checks(sim);
 }
 
 void ChaosEngine::fail(Simulator& sim, const char* invariant,
@@ -212,7 +231,7 @@ void ChaosEngine::fail(Simulator& sim, const char* invariant,
   report_ = os.str();
 }
 
-bool ChaosEngine::run_checks(Simulator& sim) {
+void ChaosEngine::run_checks(Simulator& sim) {
   const DeviceConfig& cfg = sim.config_.device;
   const Cycle now = sim.cycle_;
   for (const auto& dev_ptr : sim.devices_) {
@@ -230,14 +249,14 @@ bool ChaosEngine::run_checks(Simulator& sim) {
             << " = " << in_flight << " but pool " << pool << " - tokens "
             << st.tokens << " = " << (pool - st.tokens);
           fail(sim, "link_token_identity", d.str());
-          return false;
+          return;
         }
         if (st.tokens < 0 || st.tokens > pool) {
           std::ostringstream d;
           d << "dev " << dev.id() << " link " << l << ": tokens "
             << st.tokens << " outside [0, " << pool << "]";
           fail(sim, "link_token_bounds", d.str());
-          return false;
+          return;
         }
         if (st.retry_buf_flits > cfg.link_retry_buffer_flits) {
           std::ostringstream d;
@@ -245,7 +264,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
             << st.retry_buf_flits << " FLITs, capacity "
             << cfg.link_retry_buffer_flits;
           fail(sim, "link_retry_buffer_bound", d.str());
-          return false;
+          return;
         }
       }
     }
@@ -258,7 +277,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
           << link.rqst.size() << " rsp=" << link.rsp.size()
           << " exceed xbar_depth " << cfg.xbar_depth;
         fail(sim, "queue_bound", d.str());
-        return false;
+        return;
       }
     }
     if (dev.mode_rsp.size() > cfg.xbar_depth) {
@@ -266,7 +285,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
       d << "dev " << dev.id() << ": mode_rsp=" << dev.mode_rsp.size()
         << " exceeds xbar_depth " << cfg.xbar_depth;
       fail(sim, "queue_bound", d.str());
-      return false;
+      return;
     }
     for (u32 v = 0; v < cfg.num_vaults(); ++v) {
       const VaultState& vault = dev.vaults[v];
@@ -277,7 +296,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
           << vault.rqst.size() << " rsp=" << vault.rsp.size()
           << " exceed vault_depth " << cfg.vault_depth;
         fail(sim, "queue_bound", d.str());
-        return false;
+        return;
       }
     }
     if (cfg.scrub_interval_cycles != 0 && now != 0) {
@@ -291,7 +310,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
           << " != expected " << expected << " (interval "
           << cfg.scrub_interval_cycles << ", cycle " << now << ")";
         fail(sim, "scrub_accounting", d.str());
-        return false;
+        return;
       }
     }
     if (cfg.refresh_interval_cycles != 0 && now != 0) {
@@ -304,7 +323,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
         d << "dev " << dev.id() << ": refreshes " << dev.stats.refreshes
           << " exceed bound " << bound;
         fail(sim, "refresh_bound", d.str());
-        return false;
+        return;
       }
     }
     if (cfg.num_vaults() < 64 &&
@@ -314,7 +333,7 @@ bool ChaosEngine::run_checks(Simulator& sim) {
         << dev.ras.failed_vaults << std::dec << " has bits past vault "
         << cfg.num_vaults() - 1;
       fail(sim, "vault_fail_mask", d.str());
-      return false;
+      return;
     }
   }
   if (cfg.watchdog_cycles != 0 && !sim.watchdog_fired_ &&
@@ -324,16 +343,14 @@ bool ChaosEngine::run_checks(Simulator& sim) {
       << " ran past the watchdog threshold " << cfg.watchdog_cycles
       << " without firing";
     fail(sim, "watchdog_liveness", d.str());
-    return false;
+    return;
   }
   if (host_probe_) {
     std::string msg;
     if (!host_probe_(&msg)) {
       fail(sim, "host_conservation", std::move(msg));
-      return false;
     }
   }
-  return true;
 }
 
 void ChaosEngine::set_host_timeout_hook(std::function<void(u64)> hook,

@@ -43,7 +43,8 @@ class ChaosEngine {
   explicit ChaosEngine(const DeviceConfig& baseline);
 
   /// Arm a compiled plan.  Validates every structural index against the
-  /// configuration (link < num_links, vault < num_vaults); re-arming with
+  /// configuration (link < num_links, vault < num_vaults) and refuses link
+  /// events that need link_protocol when it is off; re-arming with
   /// a plan whose CRC matches the current one is a no-op so a checkpoint
   /// resume may re-pass the same plan file without resetting the cursor.
   [[nodiscard]] Status arm(ChaosPlan plan, const DeviceConfig& cfg,
@@ -61,10 +62,6 @@ class ChaosEngine {
   /// incremented) cycle counter.  Called from stage 6; on the fast-forward
   /// path the arm horizon guarantees cadence cycles execute staged.
   void check_cadence(Simulator& sim);
-
-  /// Run the invariant suite unconditionally (tools and tests).  Returns
-  /// false — and latches the violation — on the first failing identity.
-  bool check_now(Simulator& sim);
 
   /// First cycle >= the simulator's current cycle with a pending event
   /// (~Cycle{0} when the campaign is exhausted).  Fast-forward horizon.
@@ -107,8 +104,8 @@ class ChaosEngine {
 
  private:
   void apply_event(Simulator& sim, const ChaosEvent& ev);
-  /// Returns false and records `violation_` on the first failing check.
-  bool run_checks(Simulator& sim);
+  /// Records `violation_` and stops at the first failing check.
+  void run_checks(Simulator& sim);
   void fail(Simulator& sim, const char* invariant, std::string detail);
 
   ChaosPlan plan_;

@@ -183,10 +183,11 @@ Status DeviceConfig::validate(std::string* diagnostic) const {
          << ") or the watchdog misreads link recovery as deadlock";
       return fail(Status::InvalidConfig);
     }
-  } else if (link_tokens != 0 || link_stuck_window_cycles != 0 ||
-             link_error_burst_len > 1 || link_fail_threshold != 0) {
-    os << "link_tokens / link_error_burst_len / link_stuck_* / "
-          "link_fail_threshold require link_protocol = true";
+  } else if (link_error_rate_ppm != 0 || link_tokens != 0 ||
+             link_stuck_window_cycles != 0 || link_error_burst_len > 1 ||
+             link_fail_threshold != 0) {
+    os << "link_error_rate_ppm / link_tokens / link_error_burst_len / "
+          "link_stuck_* / link_fail_threshold require link_protocol = true";
     return fail(Status::InvalidConfig);
   }
   if (link_error_burst_len == 0 || link_error_burst_len > 64) {

@@ -151,27 +151,27 @@ struct DeviceConfig {
   TimingBackend backend_for_vault(u32 vault) const;
 
   // ---- fault injection ---------------------------------------------------
-  /// Probability, in parts per million, that a request packet crossing a
-  /// crossbar link suffers an unrecoverable link error (CRC failure after
-  /// retry exhaustion).  The packet dies and an ERROR response with
-  /// ERRSTAT=CRC_FAILURE returns to the host.  Deterministic per seed.
+  /// Probability, in parts per million, that a packet transmission on a
+  /// link (host ingress, each peer hop, and each replay) arrives corrupted.
+  /// The receiver enters error-abort and the transmitter replays the
+  /// packet; see link_retry_limit for the terminal case.  Deterministic per
+  /// fault_seed.  Nonzero requires link_protocol.
   u32 link_error_rate_ppm{0};
   /// Seed for the per-device fault-injection generator.
   u64 fault_seed{0x5eed};
-  /// Link-level retry budget (spec: IRTRY/retry-pointer protocol).  A
-  /// packet hit by an injected link error is retransmitted from the retry
-  /// buffer up to this many times before it is dropped and an ERROR
-  /// response returns; each retransmission costs one cycle of link time.
-  /// 0 disables retry (every injected error is fatal) — illegal when
-  /// link_protocol is on (the spec protocol always retries).
+  /// Replay budget of the link retry protocol: a packet whose replay is
+  /// corrupted again after this many replays dies, and an ERROR response
+  /// with ERRSTAT=CRC_FAILURE returns to the host.  Must be in [1,256]
+  /// when link_protocol is on; unused when it is off.
   u32 link_retry_limit{0};
 
   // ---- link layer: spec-faithful retry / token protocol -------------------
   /// Enable the HMC 1.0 link reliability layer (core/link_layer.hpp):
   /// FRP-addressed transmit retry buffers with RRP deallocation, 3-bit SEQ
   /// continuity, token-based injection gating, and the IRTRY error-abort
-  /// recovery machine.  Off (the default) keeps the legacy abstract model:
-  /// a per-packet coin flip with a bare retry counter.
+  /// recovery machine.  It is the only source of link errors: with it off
+  /// (the default) links are error-free, and every link_* fault knob must
+  /// stay at its default.
   bool link_protocol{false};
   /// Input-buffer token pool per link, in FLITs.  A transmission debits its
   /// FLIT count and blocks at zero tokens; credits return when the receiver

@@ -130,9 +130,9 @@ bool LinkLayer::step_replay(Device& dev, u32 link, Cycle cycle,
   RequestEntry entry = std::move(st.replay);
   st.replay = RequestEntry{};
   st.replay_pending = false;
-  // Bugfix over the legacy model: re-validate the stored copy before
-  // replaying it.  A corrupt retry-buffer image must die as a CRC failure,
-  // not be silently re-injected into the pipeline.
+  // Re-validate the stored copy before replaying it.  A corrupt
+  // retry-buffer image must die as a CRC failure, not be silently
+  // re-injected into the pipeline.
   if (!check_crc(entry.pkt)) {
     failed = std::move(entry);
     return true;

@@ -17,9 +17,9 @@
 //   * the error-abort state machine: on a CRC or SEQ failure the receiver
 //     drops into error-abort, discards the corrupted FLITs, and streams
 //     StartRetry IRTRYs; the transmitter answers with a PRET, replays the
-//     packet from its retry buffer (re-validating the stored CRC — the
-//     legacy model charged a retransmission without ever re-checking it),
-//     and the receiver clears the abort with ClearError IRTRYs.  The
+//     packet from its retry buffer (re-validating the stored CRC, so a
+//     corrupt retry-buffer image dies instead of being re-injected), and
+//     the receiver clears the abort with ClearError IRTRYs.  The
 //     exchange occupies the link for `link_retry_latency` cycles.
 //
 // The state for one link direction lives in `LinkProtoState`, owned by the

@@ -795,38 +795,6 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
   }
 }
 
-Simulator::LegacyFault Simulator::legacy_link_fault(Device& dev,
-                                                    LinkState& link_state,
-                                                    RequestEntry& entry,
-                                                    u8 stage) {
-  const DeviceConfig& cfg = dev.config();
-  if (cfg.link_protocol || cfg.link_error_rate_ppm == 0 ||
-      dev.fault_rng.next_below(1'000'000) >= cfg.link_error_rate_ppm) {
-    return LegacyFault::None;
-  }
-  // The transmission is corrupted.  With retry budget remaining — and a
-  // retry-buffer copy whose CRC still checks out (the model used to charge
-  // the retransmission without ever re-validating the stored copy) — the
-  // link replays the packet, costing the transmission's link time.  Once
-  // the budget is exhausted the packet dies and an ERROR response with
-  // CRC_FAILURE returns to the host.
-  if (entry.retries < cfg.link_retry_limit && check_crc(entry.pkt)) {
-    ++entry.retries;
-    ++dev.stats.link_retries;
-    link_state.rqst_budget -= entry.pkt.flits;  // wasted link time
-    trace(TraceEvent::LinkRetry, stage, dev.id(),
-          static_cast<u32>(&link_state - dev.links.data()), kNoCoord,
-          kNoCoord, kNoCoord, entry.req.addr, entry.req.tag, entry.req.cmd,
-          entry.retries);
-    return LegacyFault::Replay;
-  }
-  if (emit_error_response(dev, entry, ErrStat::CrcFailure, stage)) {
-    ++dev.stats.link_errors;
-    return LegacyFault::Killed;
-  }
-  return LegacyFault::Blocked;
-}
-
 bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage) {
   LinkState& link_state = dev.links[link];
   LinkProtoState& st = link_state.proto;
@@ -938,23 +906,6 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
           blocked_links |= 1u << out_link;
           ++i;
           continue;
-        }
-        // Injected link error (legacy abstract model; under link_protocol
-        // the roll already happened at arrival and this is a no-op).
-        switch (legacy_link_fault(dev, link_state, entry, stage)) {
-          case LegacyFault::None:
-            break;
-          case LegacyFault::Replay:
-            blocked_links |= 1u << out_link;  // nothing may pass the replay
-            ++i;
-            continue;
-          case LegacyFault::Killed:
-            link_state.rqst_budget -= entry.pkt.flits;
-            queue.remove(i);
-            continue;
-          case LegacyFault::Blocked:
-            ++i;
-            continue;
         }
         const LinkEndpoint& e =
             topo_.endpoint(CubeId{dev.id()}, LinkId{out_link});
@@ -1116,23 +1067,6 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
         blocked_vaults |= u64{1} << vault;
         ++i;
         continue;
-      }
-
-      // Injected link error on the internal hop (see above).
-      switch (legacy_link_fault(dev, link_state, entry, stage)) {
-        case LegacyFault::None:
-          break;
-        case LegacyFault::Replay:
-          blocked_vaults |= u64{1} << vault;  // preserve stream order
-          ++i;
-          continue;
-        case LegacyFault::Killed:
-          link_state.rqst_budget -= entry.pkt.flits;
-          queue.remove(i);
-          continue;
-        case LegacyFault::Blocked:
-          ++i;
-          continue;
       }
 
       RequestEntry moved = entry;

@@ -348,23 +348,6 @@ class Simulator {
   bool emit_error_response(Device& dev, const RequestEntry& entry,
                            ErrStat errstat, u8 stage);
 
-  /// Outcome of the legacy (link_protocol off) per-transmission fault roll.
-  enum class LegacyFault : u8 {
-    None,     ///< no injected error; the transmission proceeds
-    Replay,   ///< retried from the retry buffer; the link is blocked
-    Killed,   ///< retry budget exhausted; error response emitted, remove
-    Blocked,  ///< kill wanted but the staging queue is full; retry later
-  };
-
-  /// Shared legacy fault-injection roll for both crossbar forwarding sites
-  /// (peer-forward and link-to-vault).  Rolls the device fault generator,
-  /// charges retries against the budget, re-validating the retry-buffer
-  /// copy's CRC before every replay, and emits the CRC_FAILURE error once
-  /// the budget is spent.  No-op (no RNG draw) when the spec link protocol
-  /// is on — injection then happens at link arrival instead.
-  LegacyFault legacy_link_fault(Device& dev, LinkState& link_state,
-                                RequestEntry& entry, u8 stage);
-
   /// Link-layer protocol prologue for one crossbar link: drain a dead
   /// link's queue as LINK_FAILED errors, account retraining cycles, and
   /// step the error-abort replay machine.  Returns false when the link is

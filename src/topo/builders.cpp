@@ -1,6 +1,7 @@
 // Builders for the paper's Figure 1 device topologies.
-#include <sstream>
+#include <string>
 
+#include "common/limits.hpp"
 #include "topo/topology.hpp"
 
 namespace hmcsim {
@@ -9,6 +10,19 @@ namespace {
 Topology fail(std::string* error, const std::string& message) {
   if (error) *error = message;
   return Topology{};
+}
+
+// The 3-bit CUB field addresses spec::kMaxDevices cubes (the top id is
+// reserved for hosts).  Every builder checks the count before allocating,
+// so an absurd request fails at once instead of exhausting memory.
+bool over_device_cap(u64 devices, const char* shape, std::string* error) {
+  if (devices <= spec::kMaxDevices) return false;
+  if (error) {
+    *error = std::string(shape) + " of " + std::to_string(devices) +
+             " devices exceeds " + std::to_string(spec::kMaxDevices) +
+             " (the 3-bit CUB field reserves the top id for hosts)";
+  }
+  return true;
 }
 
 bool finalize_or_fail(Topology& t, std::string* error) {
@@ -34,6 +48,7 @@ Topology make_simple(u32 links, std::string* error) {
 Topology make_chain(u32 devices, u32 links, u32 host_links, u32 trunk_links,
                     std::string* error) {
   if (devices == 0) return fail(error, "chain needs at least one device");
+  if (over_device_cap(devices, "chain", error)) return Topology{};
   if (host_links == 0) return fail(error, "chain needs a host port");
   // Device 0 spends host_links on the host and trunk_links downstream;
   // interior devices spend 2*trunk_links.
@@ -65,6 +80,7 @@ Topology make_chain(u32 devices, u32 links, u32 host_links, u32 trunk_links,
 
 Topology make_ring(u32 devices, u32 links, u32 host_links, std::string* error) {
   if (devices < 3) return fail(error, "a ring needs at least three devices");
+  if (over_device_cap(devices, "ring", error)) return Topology{};
   // Every device spends two links on ring neighbors; device 0 additionally
   // hosts.  Link assignment: link (links-1) goes clockwise, link (links-2)
   // counterclockwise.
@@ -89,12 +105,8 @@ Topology make_ring(u32 devices, u32 links, u32 host_links, std::string* error) {
 Topology make_mesh(u32 rows, u32 cols, u32 links, u32 host_links,
                    std::string* error) {
   if (rows == 0 || cols == 0) return fail(error, "mesh dimensions are zero");
+  if (over_device_cap(u64{rows} * cols, "mesh", error)) return Topology{};
   const u32 devices = rows * cols;
-  if (devices > 7) {
-    return fail(error,
-                "mesh exceeds 7 devices (the 3-bit CUB field reserves the "
-                "top id for hosts)");
-  }
   // Link plan per node: 0 = west, 1 = east, 2 = north, 3 = south; host links
   // take the highest indices of the corner node (0,0).
   if (links < 4) return fail(error, "mesh needs 4-link (or larger) devices");
@@ -137,10 +149,8 @@ Topology make_torus2d(u32 rows, u32 cols, u32 links, u32 host_links,
   if (rows < 2 || cols < 2) {
     return fail(error, "a 2-D torus needs at least 2x2 devices");
   }
+  if (over_device_cap(u64{rows} * cols, "torus", error)) return Topology{};
   const u32 devices = rows * cols;
-  if (devices > 7) {
-    return fail(error, "torus exceeds 7 devices (3-bit CUB limit)");
-  }
   // Every node uses four links for wraparound neighbors; the host node
   // additionally needs host_links, so 8-link devices are required.
   if (links < 4 + host_links) {

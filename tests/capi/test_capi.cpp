@@ -4,19 +4,39 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "chaos/plan.hpp"
+#include "core/simulator.hpp"
+
 namespace {
 
-struct HmcFixture : ::testing::Test {
-  void SetUp() override {
-    ASSERT_EQ(hmcsim_init(&hmc, 1, 4, 16, 64, 8, 8, 2, 128), 0);
-    for (uint32_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(hmcsim_link_config(&hmc, 2, 0, i, i, HMC_LINK_HOST_DEV), 0);
-    }
+/// Bring up the fixture geometry on a fresh handle (4 links, all host).
+void init_handle(hmcsim_t& hmc) {
+  ASSERT_EQ(hmcsim_init(&hmc, 1, 4, 16, 64, 8, 8, 2, 128), 0);
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(hmcsim_link_config(&hmc, 2, 0, i, i, HMC_LINK_HOST_DEV), 0);
   }
+}
+
+/// Everything a FILE* received, read back from the start.
+std::string slurp(FILE* f) {
+  std::rewind(f);
+  std::string contents;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, f) != nullptr) contents += buf;
+  return contents;
+}
+
+struct HmcFixture : ::testing::Test {
+  void SetUp() override { init_handle(hmc); }
   void TearDown() override { EXPECT_EQ(hmcsim_free(&hmc), 0); }
 
   hmcsim_t hmc{};
@@ -297,10 +317,7 @@ TEST_F(HmcFixture, JsonDump) {
   ASSERT_NE(tmp, nullptr);
   ASSERT_EQ(hmcsim_dump_stats_json(&hmc, tmp), 0);
   EXPECT_EQ(hmcsim_dump_stats_json(&hmc, nullptr), -1);
-  std::rewind(tmp);
-  std::string contents;
-  char buf[512];
-  while (std::fgets(buf, sizeof buf, tmp) != nullptr) contents += buf;
+  const std::string contents = slurp(tmp);
   std::fclose(tmp);
   EXPECT_NE(contents.find("\"simulator\":\"hmcsim++\""), std::string::npos);
   EXPECT_NE(contents.find("\"reads\":1"), std::string::npos);
@@ -567,13 +584,220 @@ TEST(CApiTrace, TextTraceWrittenToFile) {
   (void)hmcsim_recv(&hmc, 0, 0, packet);
   EXPECT_EQ(hmcsim_free(&hmc), 0);
 
-  std::rewind(tmp);
-  std::string contents;
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, tmp) != nullptr) contents += buf;
+  const std::string contents = slurp(tmp);
   std::fclose(tmp);
   EXPECT_NE(contents.find("HMCSIM_TRACE"), std::string::npos);
   EXPECT_NE(contents.find("RD16"), std::string::npos);
+}
+
+// ---- checkpoints, chaos, observability and the watchdog -------------------
+
+/// A temporary file path unique to this process and test.
+std::string temp_path(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          ("hmcsim_capi_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+/// Send one 16-byte read per tag, round-robin over the four host links.
+void send_reads(hmcsim_t& hmc, uint16_t first_tag, uint16_t count) {
+  uint64_t packet[HMC_MAX_UQ_PACKET];
+  for (uint16_t t = first_tag; t < first_tag + count; ++t) {
+    ASSERT_EQ(hmcsim_build_memrequest(&hmc, 0, 0x40ull * t, t, HMC_RD16,
+                                      static_cast<uint8_t>(t % 4), nullptr,
+                                      nullptr, nullptr, packet),
+              0);
+    ASSERT_EQ(hmcsim_send(&hmc, packet), 0);
+  }
+}
+
+using Packet = std::array<uint64_t, HMC_MAX_UQ_PACKET>;
+
+/// Clock `cycles` times, draining every host link after each clock.
+std::vector<Packet> clock_and_drain(hmcsim_t& hmc, int cycles) {
+  std::vector<Packet> got;
+  for (int c = 0; c < cycles; ++c) {
+    EXPECT_EQ(hmcsim_clock(&hmc), 0);
+    for (uint32_t link = 0; link < 4; ++link) {
+      Packet p{};
+      while (hmcsim_recv(&hmc, 0, link, p.data()) == 0) {
+        got.push_back(p);
+        p = Packet{};
+      }
+    }
+  }
+  return got;
+}
+
+/// Save a checkpoint of a machine built through the C++ core, for state
+/// the C API cannot configure itself (it has no setter for the watchdog
+/// or the link protocol) but restores from a file like any other.
+void save_core_checkpoint(hmcsim::Simulator& sim, const std::string& path) {
+  hmcsim::CheckpointError err;
+  ASSERT_EQ(sim.save_checkpoint_file(path, &err), hmcsim::Status::Ok)
+      << err.message();
+}
+
+TEST(CApiCheckpoint, SaveRestoreRoundTripsAndNamesFailures) {
+  const std::string path = temp_path("roundtrip.ckpt");
+  hmcsim_t a{};
+  init_handle(a);
+  send_reads(a, 0, 64);
+  for (int c = 0; c < 20; ++c) ASSERT_EQ(hmcsim_clock(&a), 0);
+  ASSERT_EQ(hmcsim_checkpoint_save(&a, path.c_str()), 0)
+      << hmcsim_last_error();
+  EXPECT_STREQ(hmcsim_last_error(), "");
+
+  // A second handle restores the snapshot and continues cycle-for-cycle.
+  hmcsim_t b{};
+  init_handle(b);
+  ASSERT_EQ(hmcsim_checkpoint_restore(&b, path.c_str()), 0)
+      << hmcsim_last_error();
+  EXPECT_STREQ(hmcsim_last_error(), "");
+  EXPECT_EQ(hmcsim_get_clock(&b), hmcsim_get_clock(&a));
+  const std::vector<Packet> from_a = clock_and_drain(a, 400);
+  const std::vector<Packet> from_b = clock_and_drain(b, 400);
+  EXPECT_EQ(from_a.size(), 64u);
+  EXPECT_EQ(from_a, from_b);
+  EXPECT_EQ(hmcsim_get_clock(&b), hmcsim_get_clock(&a));
+
+  // Failures return -1 and leave a reason behind.
+  EXPECT_EQ(hmcsim_checkpoint_restore(&b, temp_path("missing.ckpt").c_str()),
+            -1);
+  EXPECT_GT(std::strlen(hmcsim_last_error()), 0u);
+  EXPECT_EQ(hmcsim_checkpoint_save(&a, nullptr), -1);
+  EXPECT_GT(std::strlen(hmcsim_last_error()), 0u);
+  EXPECT_EQ(hmcsim_free(&a), 0);
+  EXPECT_EQ(hmcsim_free(&b), 0);
+  std::remove(path.c_str());
+}
+
+TEST(CApiChaos, PlanArmsWithItsCadenceAndReportsViolations) {
+  hmcsim_t hmc{};
+  init_handle(hmc);
+  ASSERT_EQ(hmcsim_chaos_invariants(&hmc, 64), 0);
+  FILE* err = std::tmpfile();
+  ASSERT_NE(err, nullptr);
+  // The C API cannot turn the link protocol on, and link errors exist only
+  // there: a link event is refused with a diagnostic naming its line.
+  EXPECT_EQ(hmcsim_chaos_plan(&hmc, "at 10 link_error_ppm 2000\n", err), -1);
+  const std::string diag = slurp(err);
+  std::fclose(err);
+  EXPECT_NE(diag.find("1: "), std::string::npos) << diag;
+  EXPECT_NE(diag.find("link_protocol"), std::string::npos) << diag;
+  EXPECT_EQ(hmcsim_chaos_invariants(&hmc, 32), -1);  // the plan call froze it
+
+  // A structural storm arms and runs green under the invariant checker.
+  ASSERT_EQ(hmcsim_chaos_plan(&hmc, "storm 20 200\n  wedge 3\nend\n",
+                              nullptr),
+            0);
+  send_reads(hmc, 0, 32);
+  EXPECT_EQ(clock_and_drain(hmc, 600).size(), 32u);
+  EXPECT_EQ(hmcsim_chaos_violated(&hmc, nullptr), 0);
+
+  // A protocol-on machine whose plan corrupts the token ledger at cycle
+  // 100, restored into this handle: the restore keeps the handle's
+  // cadence, and the first check after the corruption freezes the run.
+  const std::string path = temp_path("broken.ckpt");
+  {
+    hmcsim::DeviceConfig dc;
+    dc.link_protocol = true;
+    dc.link_retry_limit = 8;
+    hmcsim::Simulator core;
+    ASSERT_EQ(core.init_simple(dc), hmcsim::Status::Ok);
+    hmcsim::ChaosPlanParseResult plan =
+        hmcsim::parse_chaos_plan_string("at 100 break_invariant 5\n");
+    ASSERT_TRUE(plan.ok) << plan.error;
+    ASSERT_EQ(core.set_chaos_plan(std::move(plan.plan)), hmcsim::Status::Ok);
+    save_core_checkpoint(core, path);
+  }
+  ASSERT_EQ(hmcsim_checkpoint_restore(&hmc, path.c_str()), 0)
+      << hmcsim_last_error();
+  (void)clock_and_drain(hmc, 300);
+  FILE* report = std::tmpfile();
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(hmcsim_chaos_violated(&hmc, report), 1);
+  EXPECT_NE(slurp(report).find("link_token_identity"), std::string::npos);
+  std::fclose(report);
+  EXPECT_EQ(hmcsim_chaos_violated(nullptr, nullptr), -1);
+  EXPECT_EQ(hmcsim_free(&hmc), 0);
+  std::remove(path.c_str());
+}
+
+TEST_F(HmcFixture, ObservabilitySettersFeedTheirDumps) {
+  FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  // Nothing to dump before bring-up, and nothing that was never enabled.
+  EXPECT_EQ(hmcsim_dump_profile(&hmc, out), -1);
+  EXPECT_EQ(hmcsim_dump_flight_recorder(&hmc, out), -1);
+  ASSERT_EQ(hmcsim_profile_enable(&hmc), 0);
+  ASSERT_EQ(hmcsim_telemetry_interval(&hmc, 16), 0);
+  ASSERT_EQ(hmcsim_flight_recorder_depth(&hmc, 64), 0);
+
+  send_reads(hmc, 0, 16);
+  EXPECT_EQ(clock_and_drain(hmc, 300).size(), 16u);
+  // The knobs are bring-up settings: the first send froze them.
+  EXPECT_EQ(hmcsim_profile_enable(&hmc), -1);
+  EXPECT_EQ(hmcsim_telemetry_interval(&hmc, 8), -1);
+  EXPECT_EQ(hmcsim_flight_recorder_depth(&hmc, 8), -1);
+
+  ASSERT_EQ(hmcsim_dump_profile(&hmc, out), 0);
+  const std::string profile = slurp(out);
+  EXPECT_NE(profile.find("Self-Profile"), std::string::npos) << profile;
+  EXPECT_NE(profile.find("Occupancy Telemetry"), std::string::npos)
+      << profile;
+  std::fclose(out);
+
+  // The idle tail after the reads drained fast-forwards, which the
+  // recorder logs as skip spans.
+  out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(hmcsim_dump_flight_recorder(&hmc, out), 0);
+  const std::string text = slurp(out);
+  EXPECT_NE(text.find("flight recorder dev 0"), std::string::npos) << text;
+  EXPECT_NE(text.find("FF_SKIP_SPAN"), std::string::npos) << text;
+  std::fclose(out);
+  out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(hmcsim_dump_flight_recorder_chrome(&hmc, out), 0);
+  const std::string chrome = slurp(out);
+  EXPECT_EQ(chrome.rfind("{\"traceEvents\":[", 0), 0u) << chrome;
+  EXPECT_NE(chrome.find("FF_SKIP_SPAN"), std::string::npos) << chrome;
+  EXPECT_EQ(hmcsim_dump_flight_recorder_chrome(&hmc, nullptr), -1);
+  std::fclose(out);
+}
+
+TEST(CApiWatchdog, FiresOnAWedgedMachine) {
+  // Every bank of every vault busy forever, one read in flight, and a
+  // 500-cycle watchdog: the request can never retire.
+  const std::string path = temp_path("wedged.ckpt");
+  {
+    hmcsim::DeviceConfig dc;
+    dc.watchdog_cycles = 500;
+    hmcsim::Simulator core;
+    ASSERT_EQ(core.init_simple(dc), hmcsim::Status::Ok);
+    for (hmcsim::VaultState& vault : core.device(0).vaults) {
+      for (hmcsim::Cycle& busy : vault.bank_busy_until) {
+        busy = ~hmcsim::Cycle{0};
+      }
+    }
+    save_core_checkpoint(core, path);
+  }
+  hmcsim_t hmc{};
+  init_handle(hmc);
+  EXPECT_EQ(hmcsim_watchdog_fired(&hmc, nullptr), 0);
+  ASSERT_EQ(hmcsim_checkpoint_restore(&hmc, path.c_str()), 0)
+      << hmcsim_last_error();
+  send_reads(hmc, 0, 1);
+  (void)clock_and_drain(hmc, 1000);
+  FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(hmcsim_watchdog_fired(&hmc, out), 1);
+  EXPECT_FALSE(slurp(out).empty());
+  std::fclose(out);
+  EXPECT_EQ(hmcsim_watchdog_fired(nullptr, nullptr), -1);
+  EXPECT_EQ(hmcsim_free(&hmc), 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 namespace hmcsim {
 namespace {
 
+// Link chaos events need the link retry protocol (ChaosEngine::arm).
+using test::proto_device;
+
 ChaosPlan compile(const std::string& text) {
   ChaosPlanParseResult r = parse_chaos_plan_string(text);
   EXPECT_TRUE(r.ok) << r.error;
@@ -31,7 +34,7 @@ void arm(Simulator& sim, const std::string& text) {
 }
 
 TEST(ChaosSim, EventsApplyAtTheirExactCycle) {
-  Simulator sim = test::make_simple_sim();
+  Simulator sim = test::make_simple_sim(proto_device());
   arm(sim, "at 10 link_error_ppm 7777\n");
   for (int i = 0; i < 10; ++i) sim.clock();
   // Cycle 10 has not executed yet: the event is still pending.
@@ -45,7 +48,7 @@ TEST(ChaosSim, EventsApplyAtTheirExactCycle) {
 }
 
 TEST(ChaosSim, RestoreReturnsToTheConfiguredBaseline) {
-  DeviceConfig dc = test::small_device();
+  DeviceConfig dc = proto_device();
   dc.link_error_rate_ppm = 1234;
   Simulator sim = test::make_simple_sim(dc);
   arm(sim,
@@ -59,7 +62,7 @@ TEST(ChaosSim, RestoreReturnsToTheConfiguredBaseline) {
 }
 
 TEST(ChaosSim, ArmValidatesStructuralIndices) {
-  Simulator sim = test::make_simple_sim();  // 4 links, 16 vaults
+  Simulator sim = test::make_simple_sim(proto_device());  // 4 links, 16 vaults
   std::string diag;
   EXPECT_EQ(sim.set_chaos_plan(compile("at 10 kill_link 4\n"), &diag),
             Status::InvalidConfig);
@@ -69,6 +72,35 @@ TEST(ChaosSim, ArmValidatesStructuralIndices) {
   EXPECT_EQ(sim.set_chaos_plan(compile("at 10 wedge 16\n"), &diag),
             Status::InvalidConfig);
   EXPECT_NE(diag.find("out of range"), std::string::npos);
+
+  // Without the link protocol there are no link errors and no link state
+  // for the structural link events to act on, so each is refused, naming
+  // its plan line (a rate or burst would also leave a live config that no
+  // checkpoint restore accepts).
+  Simulator plain = test::make_simple_sim();
+  for (const char* refused :
+       {"at 10 link_error_ppm 1\n", "at 10 link_burst 2\n",
+        "at 10 link_retrain 0 16\n", "at 10 kill_link 0\n",
+        "at 10 revive_link 0\n", "ramp 10 40 3 link_error_ppm 0 900\n"}) {
+    SCOPED_TRACE(refused);
+    diag.clear();
+    EXPECT_EQ(plain.set_chaos_plan(compile(std::string("# line 1\n") +
+                                           refused),
+                                   &diag),
+              Status::InvalidConfig);
+    EXPECT_NE(diag.find("2: "), std::string::npos) << diag;
+    EXPECT_NE(diag.find("link_protocol"), std::string::npos) << diag;
+  }
+  // Zero-valued and restore events re-arm the error-free defaults, so
+  // they stay legal — and with them `quiet` blocks.
+  ASSERT_EQ(plain.set_chaos_plan(compile("at 10 link_error_ppm 0\n"
+                                         "at 20 link_burst 1\n"
+                                         "at 30 restore link_error_ppm\n"
+                                         "at 40 restore link_burst\n"
+                                         "quiet 50 60\n"),
+                                 &diag),
+            Status::Ok)
+      << diag;
 }
 
 TEST(ChaosSim, WedgedVaultsStallUntilTheStormLifts) {
@@ -125,9 +157,7 @@ TEST(ChaosSim, CheckerAloneRunsWithoutAPlan) {
 }
 
 TEST(ChaosSim, BreakInvariantFreezesTheMachineWithAReport) {
-  DeviceConfig dc = test::small_device();
-  dc.link_protocol = true;
-  dc.link_retry_limit = 8;
+  DeviceConfig dc = proto_device();
   dc.chaos_invariants = 64;
   Simulator sim = test::make_simple_sim(dc);
   arm(sim, "at 100 break_invariant 5\n");
@@ -166,9 +196,7 @@ TEST(ChaosSim, BreakInvariantTripsScrubAccountingWithoutLinkProtocol) {
 /// vault, a wedged vault, and a host-timeout squeeze — all under the link
 /// protocol with the invariant checker on a prime cadence.
 DeviceConfig storm_device() {
-  DeviceConfig dc = test::small_device();
-  dc.link_protocol = true;
-  dc.link_retry_limit = 8;
+  DeviceConfig dc = proto_device();
   dc.link_retry_latency = 4;
   dc.model_data = true;  // DRAM fault injection needs backing data
   dc.scrub_interval_cycles = 128;
@@ -273,7 +301,7 @@ TEST(ChaosSimDifferential, StormIsBitIdenticalAcrossStrategies) {
 TEST(ChaosSim, FastForwardStopsAtTheEventHorizon) {
   // An idle machine with a far-future event: the skip engine must treat
   // the pending chaos event as a horizon and land it at its exact cycle.
-  DeviceConfig dc = test::small_device();
+  DeviceConfig dc = proto_device();
   dc.fast_forward = true;
   Simulator sim = test::make_simple_sim(dc);
   arm(sim, "at 500 link_error_ppm 7777\n");
@@ -338,7 +366,7 @@ TEST(ChaosSim, MidStormCheckpointRestoresAndReplaysBitIdentically) {
 }
 
 TEST(ChaosSim, ResetRewindsTheCampaign) {
-  Simulator sim = test::make_simple_sim();
+  Simulator sim = test::make_simple_sim(proto_device());
   arm(sim, "at 10 link_error_ppm 7777\n");
   for (int i = 0; i < 20; ++i) sim.clock();
   EXPECT_EQ(sim.chaos()->events_applied(), 1u);
@@ -355,9 +383,7 @@ TEST(ChaosSim, ResetRewindsTheCampaign) {
 TEST(ChaosSim, EveryLinkDeathIsLogged) {
   // kill -> revive -> kill: the link dies twice, and the flight recorder
   // logs LINK_FAILED for each death, at its kill cycle.
-  DeviceConfig dc = test::small_device();
-  dc.link_protocol = true;
-  dc.link_retry_limit = 8;
+  DeviceConfig dc = proto_device();
   dc.flight_recorder_depth = 65536;
   Simulator sim = test::make_simple_sim(dc);
   arm(sim,

@@ -23,6 +23,15 @@ inline DeviceConfig small_device() {
   return dc;
 }
 
+/// small_device() under the link retry protocol, the only source of link
+/// errors.  The spec retry machine always replays, so it needs a budget.
+inline DeviceConfig proto_device() {
+  DeviceConfig dc = small_device();
+  dc.link_protocol = true;
+  dc.link_retry_limit = 8;
+  return dc;
+}
+
 /// Simulator with one small device, all links host-attached.
 inline Simulator make_simple_sim(DeviceConfig dc = small_device()) {
   Simulator sim;

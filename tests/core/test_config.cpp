@@ -144,8 +144,9 @@ TEST(DeviceConfig, LinkProtocolKnobRanges) {
 
 TEST(DeviceConfig, LinkProtocolKnobsRequireTheProtocol) {
   // The sub-knobs are meaningless with the protocol off; silently ignoring
-  // them would hide a configuration mistake.
-  for (int knob = 0; knob < 4; ++knob) {
+  // them would hide a configuration mistake.  Link errors exist only in
+  // the protocol, so a nonzero error rate is one of them.
+  for (int knob = 0; knob < 5; ++knob) {
     DeviceConfig dc;
     switch (knob) {
       case 0: dc.link_tokens = 32; break;
@@ -154,6 +155,7 @@ TEST(DeviceConfig, LinkProtocolKnobsRequireTheProtocol) {
         dc.link_stuck_interval_cycles = 64;
         dc.link_stuck_window_cycles = 8;
         break;
+      case 3: dc.link_error_rate_ppm = 20000; break;
       default: dc.link_fail_threshold = 2; break;
     }
     std::string diag;

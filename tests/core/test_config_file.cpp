@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "core/simulator.hpp"
+
 namespace hmcsim {
 namespace {
 
@@ -101,6 +103,7 @@ TEST(ConfigFile, WriteParseRoundTrip) {
   original.device = table1_config_8link_16bank();
   original.device.map_mode = AddrMapMode::BankFirst;
   original.device.vault_schedule = VaultSchedule::StrictFifo;
+  original.device.link_protocol = true;  // link errors need the protocol
   original.device.link_error_rate_ppm = 1234;
   original.device.link_retry_limit = 3;
   original.device.refresh_interval_cycles = 9750;
@@ -118,6 +121,7 @@ TEST(ConfigFile, WriteParseRoundTrip) {
   EXPECT_EQ(a.vault_depth, b.vault_depth);
   EXPECT_EQ(a.map_mode, b.map_mode);
   EXPECT_EQ(a.vault_schedule, b.vault_schedule);
+  EXPECT_EQ(a.link_protocol, b.link_protocol);
   EXPECT_EQ(a.link_error_rate_ppm, b.link_error_rate_ppm);
   EXPECT_EQ(a.link_retry_limit, b.link_retry_limit);
   EXPECT_EQ(a.refresh_interval_cycles, b.refresh_interval_cycles);
@@ -166,8 +170,38 @@ TEST(ConfigFile, LinkProtocolSemanticValidationStillApplies) {
   EXPECT_NE(r.error.find("link_protocol"), std::string::npos) << r.error;
 }
 
+TEST(ConfigFile, LinkErrorRateRequiresTheProtocol) {
+  // Link errors are modelled by the link retry protocol alone: a nonzero
+  // rate with the protocol off is refused by the parser's semantic check
+  // and by Simulator::init, with a message naming the key.
+  const auto r = parse_config_string("link_error_rate_ppm = 5000\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("link_error_rate_ppm"), std::string::npos)
+      << r.error;
+
+  SimConfig sc;
+  sc.device.link_error_rate_ppm = 5000;
+  Simulator sim;
+  std::string diag;
+  EXPECT_EQ(sim.init(sc, make_simple(sc.device.num_links), &diag),
+            Status::InvalidConfig);
+  EXPECT_NE(diag.find("link_error_rate_ppm"), std::string::npos) << diag;
+
+  const auto on = parse_config_string(
+      "link_protocol = true\n"
+      "link_retry_limit = 4\n"
+      "link_error_rate_ppm = 5000\n");
+  ASSERT_TRUE(on.ok) << on.error;
+  Simulator live;
+  EXPECT_EQ(live.init(on.config,
+                      make_simple(on.config.device.num_links), &diag),
+            Status::Ok)
+      << diag;
+}
+
 TEST(ConfigFile, FaultKnobsParse) {
   const auto r = parse_config_string(
+      "link_protocol = true\n"
       "link_error_rate_ppm = 5000\n"
       "fault_seed = 42\n"
       "link_retry_limit = 7\n"

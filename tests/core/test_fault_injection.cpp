@@ -1,6 +1,8 @@
-// Injected link-error model ("error simulation", paper §IV requirement 5):
-// packets probabilistically die crossing crossbar links and surface as
-// in-band CRC_FAILURE error responses — no request is ever silently lost.
+// Injected link errors ("error simulation", paper §IV requirement 5): the
+// HMC 1.0 link retry protocol corrupts transmissions at the configured
+// rate, replays them from the retry buffer, and once a packet's replay
+// budget is spent it dies as an in-band CRC_FAILURE error response — no
+// request is ever silently lost.
 #include <gtest/gtest.h>
 
 #include "tests/core/helpers.hpp"
@@ -10,6 +12,37 @@ namespace hmcsim {
 namespace {
 
 using test::small_device;
+
+/// A packet dies once `retry_limit` replays have been corrupted too, so
+/// with one replay the death odds per link crossing are rate².
+DeviceConfig faulty_device(u32 rate_ppm, u32 retry_limit) {
+  DeviceConfig dc = test::proto_device();
+  dc.link_error_rate_ppm = rate_ppm;
+  dc.link_retry_limit = retry_limit;
+  return dc;
+}
+
+/// Send one request on device 0, clocking while its link is in
+/// error-abort: the protocol backpressures injection instead of dropping.
+Status send_when_accepted(Simulator& sim, u32 link, PhysAddr addr, Tag tag) {
+  Status s = Status::Stalled;
+  for (int attempt = 0; attempt < 1000 && s == Status::Stalled; ++attempt) {
+    s = test::send_request(sim, 0, link, Command::Rd16, addr, tag);
+    if (s == Status::Stalled) sim.clock();
+  }
+  return s;
+}
+
+DriverResult run_random(Simulator& sim, u64 requests, u64 max_cycles) {
+  GeneratorConfig gc;
+  gc.capacity_bytes = sim.config().device.derived_capacity();
+  RandomAccessGenerator gen(gc);
+  DriverConfig dcfg;
+  dcfg.total_requests = requests;
+  dcfg.max_cycles = max_cycles;
+  HostDriver driver(sim, gen, dcfg);
+  return driver.run();
+}
 
 TEST(FaultInjection, ZeroRateInjectsNothing) {
   DeviceConfig dc = small_device();
@@ -26,12 +59,10 @@ TEST(FaultInjection, ZeroRateInjectsNothing) {
 }
 
 TEST(FaultInjection, FullRateKillsEveryPacket) {
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 1'000'000;  // certain death
-  Simulator sim = test::make_simple_sim(dc);
+  // Certain corruption: every transmission and every replay fails.
+  Simulator sim = test::make_simple_sim(faulty_device(1'000'000, 1));
   for (Tag t = 0; t < 16; ++t) {
-    ASSERT_EQ(test::send_request(sim, 0, t % 4, Command::Rd16, 64 * t, t),
-              Status::Ok);
+    ASSERT_EQ(send_when_accepted(sim, t % 4, 64 * t, t), Status::Ok);
   }
   const auto responses = test::drain_all(sim, 2000);
   ASSERT_EQ(responses.size(), 16u);  // every request still answers
@@ -44,18 +75,11 @@ TEST(FaultInjection, FullRateKillsEveryPacket) {
 }
 
 TEST(FaultInjection, PartialRateConservesRequests) {
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 100'000;  // ~10%
+  // 316228 ppm is sqrt(0.1): with one replay, ~10% of packets die.
+  DeviceConfig dc = faulty_device(316'228, 1);
   dc.model_data = false;
   Simulator sim = test::make_simple_sim(dc);
-  GeneratorConfig gc;
-  gc.capacity_bytes = dc.derived_capacity();
-  RandomAccessGenerator gen(gc);
-  DriverConfig dcfg;
-  dcfg.total_requests = 3000;
-  dcfg.max_cycles = 500000;
-  HostDriver driver(sim, gen, dcfg);
-  const DriverResult r = driver.run();
+  const DriverResult r = run_random(sim, 3000, 500000);
 
   // Every request completes: either with data or with an error response.
   EXPECT_EQ(r.completed, 3000u);
@@ -69,19 +93,12 @@ TEST(FaultInjection, PartialRateConservesRequests) {
 
 TEST(FaultInjection, DeterministicPerSeed) {
   const auto run_errors = [](u64 seed) {
-    DeviceConfig dc = small_device();
-    dc.link_error_rate_ppm = 50'000;
+    // 223607 ppm is sqrt(0.05): ~5% of packets die.
+    DeviceConfig dc = faulty_device(223'607, 1);
     dc.fault_seed = seed;
     dc.model_data = false;
     Simulator sim = test::make_simple_sim(dc);
-    GeneratorConfig gc;
-    gc.capacity_bytes = dc.derived_capacity();
-    RandomAccessGenerator gen(gc);
-    DriverConfig dcfg;
-    dcfg.total_requests = 1000;
-    dcfg.max_cycles = 200000;
-    HostDriver driver(sim, gen, dcfg);
-    return driver.run().errors;
+    return run_random(sim, 1000, 200000).errors;
   };
   EXPECT_EQ(run_errors(1), run_errors(1));
   // Different seeds should (overwhelmingly) fault different packets.
@@ -89,22 +106,13 @@ TEST(FaultInjection, DeterministicPerSeed) {
 }
 
 TEST(LinkRetry, RetryBudgetAbsorbsTransientErrors) {
-  // ~30% error rate with a healthy retry budget: every request should
-  // survive (P(4 consecutive corruptions) ~ 0.8%, and the budget renews
+  // ~30% error rate with a healthy replay budget: every request should
+  // survive (P(9 consecutive corruptions) ~ 2e-5, and the budget renews
   // per link crossing).
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 300'000;
-  dc.link_retry_limit = 8;
+  DeviceConfig dc = faulty_device(300'000, 8);
   dc.model_data = false;
   Simulator sim = test::make_simple_sim(dc);
-  GeneratorConfig gc;
-  gc.capacity_bytes = dc.derived_capacity();
-  RandomAccessGenerator gen(gc);
-  DriverConfig dcfg;
-  dcfg.total_requests = 2000;
-  dcfg.max_cycles = 500000;
-  HostDriver driver(sim, gen, dcfg);
-  const DriverResult r = driver.run();
+  const DriverResult r = run_random(sim, 2000, 500000);
   EXPECT_EQ(r.completed, 2000u);
   EXPECT_EQ(r.errors, 0u);  // all errors absorbed by retries
   const DeviceStats s = sim.total_stats();
@@ -116,12 +124,11 @@ TEST(LinkRetry, RetryBudgetAbsorbsTransientErrors) {
 TEST(LinkRetry, TransientErrorRecoveredByRetransmission) {
   // Close the retry-success accounting path at single-request granularity:
   // with a 50% corruption rate and a deep budget, a lone request is
-  // (deterministically, per fixed seed) corrupted at least once, replayed,
-  // and still answers with DATA — link_retries counts the replays while
-  // link_errors stays zero.
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 500'000;
-  dc.link_retry_limit = 16;
+  // (deterministically, per fixed seed) corrupted at least once, replayed
+  // from a retry-buffer copy whose CRC still checks out, and still answers
+  // with DATA — link_retries counts the replays while link_errors stays
+  // zero.
+  DeviceConfig dc = faulty_device(500'000, 16);
   dc.fault_seed = 3;
   Simulator sim = test::make_simple_sim(dc);
   u32 retried_runs = 0;
@@ -140,46 +147,47 @@ TEST(LinkRetry, TransientErrorRecoveredByRetransmission) {
   EXPECT_GT(sim.stats(0).link_retries, 0u);
   EXPECT_EQ(sim.stats(0).link_errors, 0u);
   EXPECT_EQ(sim.stats(0).retired(), 8u);
+
+  // The same holds for a whole workload: healthy packets replay as often
+  // as they need to and every one retires.
+  Simulator loaded = test::make_simple_sim(dc);
+  const DriverResult r = run_random(loaded, 500, 200000);
+  EXPECT_EQ(r.completed, 500u);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_GT(loaded.total_stats().link_retries, 0u);
+  EXPECT_EQ(loaded.total_stats().link_errors, 0u);
 }
 
 TEST(LinkRetry, ExhaustedBudgetStillFails) {
-  // Certain corruption with one retry: every packet burns its retry and
-  // then dies.
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 1'000'000;
-  dc.link_retry_limit = 1;
-  Simulator sim = test::make_simple_sim(dc);
-  for (Tag t = 0; t < 8; ++t) {
-    ASSERT_EQ(test::send_request(sim, 0, t % 4, Command::Rd16, 64 * t, t),
-              Status::Ok);
+  // Certain corruption: every packet burns its whole replay budget, never
+  // more, and then dies with CRC_FAILURE.
+  for (const u32 limit : {1u, 3u}) {
+    SCOPED_TRACE("link_retry_limit " + std::to_string(limit));
+    Simulator sim = test::make_simple_sim(faulty_device(1'000'000, limit));
+    for (Tag t = 0; t < 8; ++t) {
+      ASSERT_EQ(send_when_accepted(sim, t % 4, 64 * t, t), Status::Ok);
+    }
+    const auto responses = test::drain_all(sim, 2000);
+    ASSERT_EQ(responses.size(), 8u);
+    for (const auto& r : responses) {
+      EXPECT_EQ(r.cmd, Command::Error);
+      EXPECT_EQ(r.errstat, ErrStat::CrcFailure);
+    }
+    EXPECT_EQ(sim.stats(0).link_retries, 8u * limit);
+    EXPECT_EQ(sim.stats(0).link_errors, 8u);
   }
-  const auto responses = test::drain_all(sim, 2000);
-  ASSERT_EQ(responses.size(), 8u);
-  for (const auto& r : responses) {
-    EXPECT_EQ(r.cmd, Command::Error);
-  }
-  EXPECT_EQ(sim.stats(0).link_retries, 8u);
-  EXPECT_EQ(sim.stats(0).link_errors, 8u);
 }
 
 TEST(LinkRetry, RetriesCostCycles) {
   // At equal (survivable) error rates, a run with retries takes longer
-  // than an error-free run: replays consume link time.
+  // than an error-free run: every error-abort holds the link for the
+  // retry latency.
   const auto run_cycles = [](u32 rate_ppm) {
-    DeviceConfig dc = small_device();
-    dc.link_error_rate_ppm = rate_ppm;
-    dc.link_retry_limit = 16;
+    DeviceConfig dc = faulty_device(rate_ppm, 16);
     dc.xbar_flits_per_cycle = 2;  // make link time the bottleneck
     dc.model_data = false;
     Simulator sim = test::make_simple_sim(dc);
-    GeneratorConfig gc;
-    gc.capacity_bytes = dc.derived_capacity();
-    RandomAccessGenerator gen(gc);
-    DriverConfig dcfg;
-    dcfg.total_requests = 2000;
-    dcfg.max_cycles = 500000;
-    HostDriver driver(sim, gen, dcfg);
-    const DriverResult r = driver.run();
+    const DriverResult r = run_random(sim, 2000, 500000);
     EXPECT_EQ(r.completed, 2000u);
     EXPECT_EQ(r.errors, 0u);
     return r.cycles;
@@ -195,8 +203,8 @@ TEST(FaultInjection, ChainedLinksMultiplyExposure) {
   const auto error_fraction = [](u32 target_cub) {
     SimConfig sc;
     sc.num_devices = 4;
-    DeviceConfig dc = small_device();
-    dc.link_error_rate_ppm = 80'000;
+    // 282843 ppm is sqrt(0.08): ~8% of packets die per link crossing.
+    DeviceConfig dc = faulty_device(282'843, 1);
     dc.model_data = false;
     sc.device = dc;
     std::string err;

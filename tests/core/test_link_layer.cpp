@@ -15,15 +15,9 @@ namespace {
 
 using test::await_response;
 using test::drain_all;
+using test::proto_device;
 using test::send_request;
 using test::small_device;
-
-DeviceConfig proto_device() {
-  DeviceConfig dc = small_device();
-  dc.link_protocol = true;
-  dc.link_retry_limit = 8;  // the spec retry machine always replays
-  return dc;
-}
 
 /// Per-device credit-loop identity: every pool back at its fixed point and
 /// lifetime debits equal lifetime returns.  Holds at quiescence for every
@@ -128,7 +122,7 @@ TEST(LinkLayer, ErrorAbortRecoversEveryPacket) {
   EXPECT_EQ(s.link_pret_tx, s.link_abort_entries);  // one PRET per abort
   EXPECT_GT(s.link_irtry_tx, s.link_abort_entries); // StartRetry + ClearError
   EXPECT_GT(s.link_replayed_flits, 0u);
-  EXPECT_EQ(s.link_errors, 0u);  // legacy kill counter stays quiet
+  EXPECT_EQ(s.link_errors, 0u);  // no packet exhausted its budget
 }
 
 TEST(LinkLayer, SeqAndCrcFlavorsBothDetected) {
@@ -299,12 +293,12 @@ TEST(LinkLayer, CheckpointRoundTripsMidRecovery) {
 }
 
 TEST(LinkLayer, CorruptPacketsRejectedAtEveryIngress) {
-  // Companion to the legacy-replay bugfix: the stored-copy CRC
-  // re-validation in the fault model is defense-in-depth, because no
-  // ingress path may seat a corrupt packet in a queue in the first
-  // place.  Both host send paths — standard requests (decode_request)
-  // and custom commands (decode_custom_request) — must bounce a packet
-  // whose CRC no longer matches its bits.
+  // The retry machine's stored-copy CRC re-validation before a replay is
+  // defense-in-depth, because no ingress path may seat a corrupt packet
+  // in a queue in the first place.  Both host send paths — standard
+  // requests (decode_request) and custom commands
+  // (decode_custom_request) — must bounce a packet whose CRC no longer
+  // matches its bits.
   DeviceConfig dc = small_device();
   Simulator sim = test::make_simple_sim(dc);
 
@@ -342,37 +336,6 @@ TEST(LinkLayer, CorruptPacketsRejectedAtEveryIngress) {
   // Nothing entered a queue; the device is untouched.
   EXPECT_TRUE(sim.quiescent());
   EXPECT_EQ(sim.stats(0).link_errors, 0u);
-}
-
-TEST(LinkLayer, LegacyFaultKillsPacketOnceRetriesExhaust) {
-  // Legacy-model bugfix regression: when the retry budget runs out the
-  // packet must die with CRC_FAILURE, and retries charged never exceed
-  // the configured limit per packet.
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 1'000'000;  // every crossing faults
-  dc.link_retry_limit = 3;
-  Simulator sim = test::make_simple_sim(dc);
-
-  ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 0x40, 1), Status::Ok);
-  const auto rsp = await_response(sim, 0, 0, 500);
-  ASSERT_TRUE(rsp.has_value());
-  EXPECT_EQ(rsp->errstat, ErrStat::CrcFailure);
-  EXPECT_EQ(sim.stats(0).link_errors, 1u);
-  EXPECT_LE(sim.stats(0).link_retries, 3u);
-}
-
-TEST(LinkLayer, LegacyReplayStillWorksForHealthyPackets) {
-  // Regression guard around the bugfix: a valid packet under the legacy
-  // fault model is still replayed (charged to link_retries) and retires.
-  DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 500'000;
-  dc.link_retry_limit = 32;
-  Simulator sim = test::make_simple_sim(dc);
-  const DriverResult r = run_workload(sim, 500, 3);
-  EXPECT_EQ(r.completed, 500u);
-  EXPECT_EQ(r.errors, 0u);
-  EXPECT_GT(sim.total_stats().link_retries, 0u);
-  EXPECT_EQ(sim.total_stats().link_errors, 0u);
 }
 
 TEST(LinkLayer, FastForwardStaysBitIdenticalUnderProtocol) {

@@ -73,7 +73,9 @@ TEST(LiveRegisters, ErrCountsErrorResponses) {
 
 TEST(LiveRegisters, ErrHighWordCountsInjectedLinkErrors) {
   DeviceConfig dc = small_device();
-  dc.link_error_rate_ppm = 1'000'000;
+  dc.link_protocol = true;
+  dc.link_retry_limit = 1;
+  dc.link_error_rate_ppm = 1'000'000;  // the one replay fails too
   Simulator sim = test::make_simple_sim(dc);
   ASSERT_EQ(test::send_request(sim, 0, 0, Command::Rd16, 0x40, 1),
             Status::Ok);

@@ -253,6 +253,8 @@ TEST(Conservation, EveryRequestTerminatesUnderFullFaultRates) {
   DeviceConfig dc = ras_device();
   dc.dram_sbe_rate_ppm = 500'000;
   dc.dram_dbe_rate_ppm = 500'000;  // every access rolls a fault
+  dc.link_protocol = true;
+  dc.link_retry_limit = 3;
   dc.link_error_rate_ppm = 100'000;
   dc.failed_vault_mask = 0x2;
   dc.scrub_interval_cycles = 32;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "tests/core/helpers.hpp"
 
 namespace hmcsim {
@@ -160,21 +162,38 @@ TEST(SimulatorBasic, StatsCountSendsAndRecvs) {
 }
 
 TEST(SimulatorBasic, ResetRestoresPowerOnState) {
-  Simulator sim = make_simple_sim();
-  ASSERT_EQ(send_request(sim, 0, 0, Command::Wr16, 0x80, 1, 0, {1, 2}),
-            Status::Ok);
-  (void)await_response(sim, 0, 0);
-  EXPECT_GT(sim.now(), 0u);
-  EXPECT_GT(sim.stats(0).writes, 0u);
+  // Under every timing backend: the backend's private state (pcm_like's
+  // write-gap deadline) powers on again along with the shared bank arrays.
+  for (const TimingBackend backend :
+       {TimingBackend::HmcDram, TimingBackend::GenericDdr,
+        TimingBackend::PcmLike}) {
+    SCOPED_TRACE(to_string(backend));
+    DeviceConfig dc = small_device();
+    dc.timing_backend = backend;
+    dc.pcm_write_gap_cycles = 64;
+    Simulator sim = make_simple_sim(dc);
+    std::ostringstream power_on;
+    ASSERT_EQ(sim.save_checkpoint(power_on), Status::Ok);
 
-  sim.reset();
-  EXPECT_EQ(sim.now(), 0u);
-  EXPECT_EQ(sim.stats(0).writes, 0u);
-  EXPECT_TRUE(sim.quiescent());
-  // Memory was cleared too.
-  u64 word = 1;
-  ASSERT_TRUE(sim.device(0).store.read_words(0x80, {&word, 1}));
-  EXPECT_EQ(word, 0u);
+    ASSERT_EQ(send_request(sim, 0, 0, Command::Wr16, 0x80, 1, 0, {1, 2}),
+              Status::Ok);
+    (void)await_response(sim, 0, 0);
+    EXPECT_GT(sim.now(), 0u);
+    EXPECT_GT(sim.stats(0).writes, 0u);
+
+    sim.reset();
+    EXPECT_EQ(sim.now(), 0u);
+    EXPECT_EQ(sim.stats(0).writes, 0u);
+    EXPECT_TRUE(sim.quiescent());
+    // Memory was cleared too.
+    u64 word = 1;
+    ASSERT_TRUE(sim.device(0).store.read_words(0x80, {&word, 1}));
+    EXPECT_EQ(word, 0u);
+    // Every serialized byte, backend blobs included, is back at power-on.
+    std::ostringstream after;
+    ASSERT_EQ(sim.save_checkpoint(after), Status::Ok);
+    EXPECT_EQ(after.str(), power_on.str());
+  }
 }
 
 TEST(SimulatorBasic, ResetCanPreserveMemory) {

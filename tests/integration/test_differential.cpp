@@ -102,6 +102,7 @@ DeviceConfig scenario_device(const Scenario& s) {
     dc.dram_dbe_rate_ppm = 4000;
     dc.scrub_interval_cycles = 128;
     dc.vault_fail_threshold = 2;
+    dc.link_protocol = true;
     dc.link_error_rate_ppm = 2000;
     dc.link_retry_limit = 3;
   }

@@ -146,6 +146,7 @@ TEST(WeakOrdering, HoldsUnderDeepQueuesAndSlowBanks) {
 
 TEST(WeakOrdering, HoldsUnderLinkRetries) {
   DeviceConfig dc = small_device();
+  dc.link_protocol = true;
   dc.link_error_rate_ppm = 200'000;
   dc.link_retry_limit = 10;  // survivable: replays must not reorder
   expect_streams_ordered(run_and_collect(dc, 1500, 4));

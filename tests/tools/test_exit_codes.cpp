@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,9 +26,17 @@ std::string tool() { return HMCSIM_TOOL_PATH; }
 
 /// Run a shell command, returning the process exit status (or -1 when the
 /// child did not exit normally — signals are reported distinctly so a
-/// crash never masquerades as an exit code).
-int run(const std::string& cmd) {
-  const int raw = std::system((cmd + " >/dev/null 2>&1").c_str());
+/// crash never masquerades as an exit code).  The command's combined
+/// stdout and stderr land in `output` when it is non-null.
+int run(const std::string& cmd, std::string* output = nullptr) {
+  FILE* pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+    if (output != nullptr) output->append(buf, n);
+  }
+  const int raw = ::pclose(pipe);
   if (raw == -1) return -1;
   if (WIFEXITED(raw)) return WEXITSTATUS(raw);
   return -1;
@@ -94,6 +101,33 @@ TEST_F(ExitCodes, TwoOnUsageErrors) {
             2);
 }
 
+TEST_F(ExitCodes, OneOnLinkErrorsWithoutTheProtocol) {
+  // Link errors are modelled by the link retry protocol alone; a rate
+  // without it is refused by validation, naming the config key.
+  std::string out;
+  EXPECT_EQ(run(tool() + " --preset a --requests 64 --link-error-ppm 20000",
+                &out),
+            1);
+  EXPECT_NE(out.find("link_error_rate_ppm"), std::string::npos) << out;
+  EXPECT_EQ(run(tool() + " --preset a --requests 4096 --link-protocol 1"
+                         " --link-retry-limit 8 --link-error-ppm 20000"),
+            0);
+}
+
+TEST_F(ExitCodes, TopologySpecsAreParsedStrictlyAndCapped) {
+  // Trailing junk in a size is a usage error, not a 3-cube chain.
+  EXPECT_EQ(run(tool() + " --requests 64 --topology chain:3junk"), 2);
+  EXPECT_EQ(run(tool() + " --requests 64 --topology mesh:2x3junk"), 2);
+  // Cube counts past the 3-bit CUB field fail in the builder, before any
+  // allocation (these used to abort on bad_alloc, hang, or wrap
+  // rows * cols to zero).
+  EXPECT_EQ(run(tool() + " --requests 64 --topology chain:100000000"), 1);
+  EXPECT_EQ(run(tool() + " --requests 64 --topology ring:100000000"), 1);
+  EXPECT_EQ(run(tool() + " --requests 64 --topology chain:20000"), 1);
+  EXPECT_EQ(run(tool() + " --requests 64 --topology mesh:65536x65536"), 1);
+  EXPECT_EQ(run(tool() + " --requests 64 --topology chain:3"), 0);
+}
+
 TEST_F(ExitCodes, ThreeOnWatchdog) {
   EXPECT_EQ(run(tool() +
                 " --preset a --requests 64 --wedge-vaults 0xffff"
@@ -130,6 +164,29 @@ TEST_F(ExitCodes, TwoOnChaosPlanErrors) {
   EXPECT_EQ(run(tool() + " --preset a --chaos-plan " + path("range.plan")), 2);
   // --chaos-shrink without a campaign to shrink is a usage error.
   EXPECT_EQ(run(tool() + " --chaos-shrink " + path("out.plan")), 2);
+}
+
+TEST_F(ExitCodes, TwoOnLinkChaosWithoutTheProtocol) {
+  // A link event on a protocol-off machine would leave a live config that
+  // no checkpoint restore accepts (a resume used to exit 4), so arming
+  // refuses it up front.
+  std::ofstream(path("burst.plan")) << "at 10 link_burst 4\n";
+  std::ofstream(path("rate.plan")) << "at 10 link_error_ppm 2000\n";
+  const std::string ckpt = (dir_ / "ckpt").string();
+  EXPECT_EQ(run(tool() + " --preset a --requests 20000 --chaos-plan " +
+                path("burst.plan") + " --checkpoint-dir " + ckpt +
+                " --checkpoint-interval 500"),
+            2);
+  EXPECT_EQ(run(tool() + " --preset a --requests 64 --chaos-plan " +
+                path("rate.plan")),
+            2);
+  // With the protocol on, the same campaign checkpoints and resumes.
+  const std::string proto = " --preset a --requests 20000 --link-protocol 1"
+                            " --link-retry-limit 8 --chaos-plan " +
+                            path("burst.plan") + " --checkpoint-dir " + ckpt +
+                            " --checkpoint-interval 500";
+  EXPECT_EQ(run(tool() + proto), 0);
+  EXPECT_EQ(run(tool() + proto + " --resume"), 0);
 }
 
 TEST_F(ExitCodes, ChaosShrinkEmitsAReplayableReproducer) {

@@ -1,6 +1,7 @@
 // Tests for the Figure 1 topology builders: simple, ring, mesh, 2-D torus.
 #include <gtest/gtest.h>
 
+#include "common/limits.hpp"
 #include "topo/topology.hpp"
 
 namespace hmcsim {
@@ -45,6 +46,20 @@ TEST(ChainTopology, RejectsOverSubscribedLinks) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(ChainTopology, RejectsMoreCubesThanTheCubFieldAddresses) {
+  // Refused before the topology is allocated: a huge count must fail at
+  // once, not exhaust memory or grind through routing.
+  std::string err;
+  EXPECT_EQ(make_chain(spec::kMaxDevices, 4, 2, 1, &err).num_devices(),
+            spec::kMaxDevices)
+      << err;
+  for (const u32 devices : {spec::kMaxDevices + 1, 20000u, 100000000u}) {
+    err.clear();
+    EXPECT_EQ(make_chain(devices, 4, 2, 1, &err).num_devices(), 0u);
+    EXPECT_NE(err.find("CUB"), std::string::npos) << err;
+  }
+}
+
 TEST(ChainTopology, WideTrunks) {
   std::string err;
   const Topology t = make_chain(2, 8, /*host_links=*/4, /*trunk_links=*/4,
@@ -71,6 +86,18 @@ TEST(RingTopology, RejectsTooFewDevices) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(RingTopology, RejectsMoreCubesThanTheCubFieldAddresses) {
+  std::string err;
+  EXPECT_EQ(make_ring(spec::kMaxDevices, 4, 2, &err).num_devices(),
+            spec::kMaxDevices)
+      << err;
+  for (const u32 devices : {spec::kMaxDevices + 1, 100000000u}) {
+    err.clear();
+    EXPECT_EQ(make_ring(devices, 4, 2, &err).num_devices(), 0u);
+    EXPECT_NE(err.find("CUB"), std::string::npos) << err;
+  }
+}
+
 TEST(RingTopology, RejectsLinkBudgetOverflow) {
   std::string err;
   EXPECT_EQ(make_ring(3, 4, /*host_links=*/3, &err).num_devices(), 0u);
@@ -93,6 +120,16 @@ TEST(MeshTopology, RejectsTooManyDevices) {
   std::string err;
   EXPECT_EQ(make_mesh(3, 3, 4, 1, &err).num_devices(), 0u);  // 9 > 7 cubes
   EXPECT_NE(err.find("CUB"), std::string::npos);
+}
+
+TEST(MeshTopology, RejectsCubeCountsThatWrapU32) {
+  // 65536 * 65536 wraps to 0 in 32 bits; the product must not.
+  std::string err;
+  EXPECT_EQ(make_mesh(65536, 65536, 4, 2, &err).num_devices(), 0u);
+  EXPECT_NE(err.find("CUB"), std::string::npos) << err;
+  err.clear();
+  EXPECT_EQ(make_torus2d(65536, 65536, 8, 2, &err).num_devices(), 0u);
+  EXPECT_NE(err.find("CUB"), std::string::npos) << err;
 }
 
 TEST(MeshTopology, CornerLinkBudget) {

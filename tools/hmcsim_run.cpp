@@ -35,11 +35,13 @@
 //     --failed-vaults <mask>      vaults failed from cycle 0 (bitmask)
 //     --vault-remap 0|1     remap failed-vault traffic to the partner vault
 //     --watchdog <n>        fail fast after n cycles without progress
-//     --link-error-ppm <n>  transient link error odds per packet, ppm
-//     --link-retry-limit <n>      link-level retry budget
 //
-//   Link reliability protocol (see docs/LINK_LAYER.md):
+//   Link reliability protocol (see docs/LINK_LAYER.md), the only source of
+//   link errors: --link-error-ppm, --link-tokens, --link-burst,
+//   --link-stuck-* and --link-fail-threshold need --link-protocol 1.
 //     --link-protocol 0|1   spec retry buffers / tokens / IRTRY recovery
+//     --link-error-ppm <n>  transient link error odds per transmission, ppm
+//     --link-retry-limit <n>      replays per packet before CRC_FAILURE
 //     --link-tokens <n>     receiver token pool, FLITs (0 = auto)
 //     --link-retry-latency <n>    error-abort retraining window, cycles
 //     --link-burst <n>      consecutive packets hit per injected error
@@ -150,10 +152,19 @@ using namespace hmcsim;
 
 namespace {
 
+/// A --topology spec split into its kind and sizes (parse_topology).
+struct TopologySpec {
+  std::string kind = "simple";
+  u32 n = 0;     ///< chain:N, ring:N
+  u32 rows = 0;  ///< mesh:RxC, torus:RxC
+  u32 cols = 0;
+};
+
 struct Args {
   std::string config_file;
   char preset = 'a';
   std::string topology = "simple";
+  TopologySpec topo;  ///< `topology`, parsed
   std::string workload = "random";
   std::string trace_in;
   u64 requests = u64{1} << 18;
@@ -281,6 +292,23 @@ bool parse_double_strict(const std::string& flag, const char* v, double& out) {
   }
   out = parsed;
   return true;
+}
+
+/// Split "<kind>[:N | :RxC]", parsing the sizes strictly: "chain:3junk" is
+/// a usage error, not a 3-cube chain.  Whether the kind exists and the
+/// sizes fit is for the topology builders to judge.
+bool parse_topology(const std::string& spec, TopologySpec& out) {
+  const auto colon = spec.find(':');
+  out.kind = spec.substr(0, colon);
+  if (colon == std::string::npos) return true;
+  const std::string dims = spec.substr(colon + 1);
+  const auto x = dims.find('x');
+  if (x == std::string::npos) {
+    return parse_u32_strict("--topology", dims.c_str(), out.n);
+  }
+  return parse_u32_strict("--topology", dims.substr(0, x).c_str(),
+                          out.rows) &&
+         parse_u32_strict("--topology", dims.substr(x + 1).c_str(), out.cols);
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -487,7 +515,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     usage(argv[0]);
     return false;
   }
-  return true;
+  return parse_topology(args.topology, args.topo);
 }
 
 std::unique_ptr<Generator> make_generator(const Args& args,
@@ -546,27 +574,14 @@ std::unique_ptr<Generator> make_generator(const Args& args,
 /// rebuild an identical topology for every candidate replay.
 Topology build_topology(const Args& args, const DeviceConfig& dc,
                         std::string* diag) {
-  const std::string& spec = args.topology;
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  u32 n = 0, rows = 0, cols = 0;
-  if (colon != std::string::npos) {
-    const std::string dims = spec.substr(colon + 1);
-    const auto x = dims.find('x');
-    if (x != std::string::npos) {
-      rows = static_cast<u32>(std::strtoul(dims.c_str(), nullptr, 0));
-      cols = static_cast<u32>(std::strtoul(dims.c_str() + x + 1, nullptr, 0));
-    } else {
-      n = static_cast<u32>(std::strtoul(dims.c_str(), nullptr, 0));
-    }
-  }
+  const TopologySpec& t = args.topo;
   const u32 links = dc.num_links;
-  if (kind == "simple") return make_simple(links, diag);
-  if (kind == "chain") return make_chain(n, links, 2, 1, diag);
-  if (kind == "ring") return make_ring(n, links, 2, diag);
-  if (kind == "mesh") return make_mesh(rows, cols, links, 2, diag);
-  if (kind == "torus") return make_torus2d(rows, cols, links, 2, diag);
-  if (diag != nullptr) *diag = "unknown topology '" + spec + "'";
+  if (t.kind == "simple") return make_simple(links, diag);
+  if (t.kind == "chain") return make_chain(t.n, links, 2, 1, diag);
+  if (t.kind == "ring") return make_ring(t.n, links, 2, diag);
+  if (t.kind == "mesh") return make_mesh(t.rows, t.cols, links, 2, diag);
+  if (t.kind == "torus") return make_torus2d(t.rows, t.cols, links, 2, diag);
+  if (diag != nullptr) *diag = "unknown topology '" + args.topology + "'";
   return Topology{};
 }
 
