@@ -683,6 +683,11 @@ int hmcsim_checkpoint_restore(struct hmcsim_t* hmc, const char* path) {
     g_last_error = "invalid handle or path";
     return -1;
   }
+  // Before bring-up the knobs set through this API live only in the
+  // shim's pending config; the restore must keep them.
+  if (!shim->frozen) {
+    (void)shim->sim.preset_execution_knobs(shim->config.device);
+  }
   CheckpointError err;
   if (!ok(shim->sim.restore_checkpoint_file(path, &err))) {
     g_last_error = err.message();

@@ -369,7 +369,9 @@ int hmcsim_build_custom_request(struct hmcsim_t* hmc, uint8_t cub,
  * impossible field values, unknown version — returns -1 with a
  * human-readable reason available from hmcsim_last_error(); no input can
  * crash the process.  On success the topology is frozen and the run
- * continues cycle-for-cycle identically to the saved one.
+ * continues cycle-for-cycle identically to the saved one.  The
+ * observability and chaos-cadence knobs set on this handle are kept:
+ * checkpoints never carry them.
  */
 int hmcsim_checkpoint_save(struct hmcsim_t* hmc, const char* path);
 int hmcsim_checkpoint_restore(struct hmcsim_t* hmc, const char* path);

@@ -695,6 +695,23 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
          get_u8(is, dev.ras.last_error_stat);
 }
 
+/// The knobs a checkpoint never carries.  fast_forward is not serialized
+/// (checkpoints are agnostic to the execution strategy).  The
+/// observability knobs (self_profile / telemetry_interval_cycles /
+/// flight_recorder_depth) are pure observation: checkpoint bytes are
+/// identical with them on or off.  The checkpoint_interval_cycles knob
+/// follows the same rule: how often a run snapshots itself must not leak
+/// into the snapshot, and neither does the chaos_invariants check cadence
+/// (the campaign itself travels in CHAO).
+void copy_execution_knobs(DeviceConfig& to, const DeviceConfig& from) {
+  to.fast_forward = from.fast_forward;
+  to.self_profile = from.self_profile;
+  to.telemetry_interval_cycles = from.telemetry_interval_cycles;
+  to.flight_recorder_depth = from.flight_recorder_depth;
+  to.checkpoint_interval_cycles = from.checkpoint_interval_cycles;
+  to.chaos_invariants = from.chaos_invariants;
+}
+
 }  // namespace
 
 // ---- error rendering -------------------------------------------------------
@@ -872,6 +889,12 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
 }
 
 // ---- restore ---------------------------------------------------------------
+
+Status Simulator::preset_execution_knobs(const DeviceConfig& knobs) {
+  if (initialized()) return Status::InvalidArgument;
+  copy_execution_knobs(config_.device, knobs);
+  return Status::Ok;
+}
 
 Status Simulator::restore_checkpoint(std::istream& is) {
   return restore_checkpoint(is, nullptr, nullptr);
@@ -1094,26 +1117,10 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
     return payload_fail("trailing bytes after topology");
   }
 
-  // fast_forward is not serialized (checkpoints are agnostic to the
-  // execution strategy); a restored simulator keeps the skip setting it
-  // already had.  The observability knobs
-  // (self_profile / telemetry_interval_cycles / flight_recorder_depth) are
-  // likewise pure observation: checkpoint bytes are identical with them on
-  // or off, and a restore keeps the current simulator's settings.  The
-  // checkpoint_interval_cycles knob follows the same rule: how often a run
-  // snapshots itself must not leak into the snapshot, and neither does the
-  // chaos_invariants check cadence (the campaign itself travels in CHAO).
-  if (initialized()) {
-    config.device.fast_forward = config_.device.fast_forward;
-    config.device.self_profile = config_.device.self_profile;
-    config.device.telemetry_interval_cycles =
-        config_.device.telemetry_interval_cycles;
-    config.device.flight_recorder_depth =
-        config_.device.flight_recorder_depth;
-    config.device.checkpoint_interval_cycles =
-        config_.device.checkpoint_interval_cycles;
-    config.device.chaos_invariants = config_.device.chaos_invariants;
-  }
+  // The execution knobs are not serialized, so a restore keeps the live
+  // ones: those of the last init(), or of preset_execution_knobs() before
+  // the first (the defaults when neither ran).
+  copy_execution_knobs(config.device, config_.device);
   const Status init_status = init(config, std::move(topo));
   if (!ok(init_status)) {
     (void)fail(CheckpointErrorCode::BadFieldValue, payload_off,

@@ -42,6 +42,15 @@ Device::Device(u32 cube_id, const DeviceConfig& config)
     vaults.push_back(std::move(vault));
   }
   mode_rsp = BoundedQueue<ResponseEntry>(config.xbar_depth);
+  mode_rsp.count_pushes_into(&queue_pushes);
+  for (LinkState& link : links) {
+    link.rqst.count_pushes_into(&queue_pushes);
+    link.rsp.count_pushes_into(&queue_pushes);
+  }
+  for (VaultState& vault : vaults) {
+    vault.rqst.count_pushes_into(&queue_pushes);
+    vault.rsp.count_pushes_into(&queue_pushes);
+  }
   fault_rng = SplitMix64(config.fault_seed + cube_id * 0x9e3779b97f4a7c15ull);
   ras.failed_vaults = config.failed_vault_mask;
   ras.vault_uncorrectable.assign(config.num_vaults(), 0);

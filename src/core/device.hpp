@@ -167,6 +167,10 @@ struct RasState {
 class Device {
  public:
   Device(u32 cube_id, const DeviceConfig& config);
+  /// Every queue counts into queue_pushes by address, so a Device stays
+  /// where it was built.
+  Device(const Device&) = delete;
+  Device& operator=(const Device&) = delete;
 
   /// Reset queues, banks, registers and (optionally) memory contents to the
   /// power-on state.
@@ -197,6 +201,10 @@ class Device {
   /// Deterministic fault-injection source (link error model).
   SplitMix64 fault_rng{0};
   RasState ras;
+  /// Pushes accepted by any queue above since construction.  Execution
+  /// bookkeeping, not simulated state (never serialized or reset): the
+  /// idle fast-forward engine reads it to notice a push between clocks.
+  u64 queue_pushes{0};
 
   /// True when vault `v` is serving traffic (not marked failed).
   [[nodiscard]] bool vault_alive(u32 v) const {

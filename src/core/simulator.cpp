@@ -559,9 +559,18 @@ bool Simulator::ff_queues_idle() const {
   return true;
 }
 
-Cycle Simulator::cycles_to_refresh(u32 vault) const {
+u64 Simulator::queue_pushes() const {
+  u64 total = 0;
+  for (const auto& dev : devices_) total += dev->queue_pushes;
+  return total;
+}
+
+Cycle Simulator::cycles_to_refresh(Cycle phase, u32 vault) const {
   const Cycle interval = config_.device.refresh_interval_cycles;
-  const Cycle rem = (cycle_ + refresh_offset_[vault]) % interval;
+  // phase and offset_v are both below the interval, so one subtraction
+  // reduces their sum: no per-vault division.
+  Cycle rem = phase + refresh_offset_[vault];
+  if (rem >= interval) rem -= interval;
   return rem == 0 ? 0 : interval - rem;
 }
 
@@ -622,8 +631,9 @@ bool Simulator::ff_arm() {
     stop = std::min(stop, ((cycle_ + 1 + h - 1) / h) * h - 1);
   }
   if (cfg.refresh_interval_cycles != 0) {
+    const Cycle phase = cycle_ % cfg.refresh_interval_cycles;
     for (u32 v = 0; v < cfg.num_vaults(); ++v) {
-      stop = std::min(stop, cycle_ + cycles_to_refresh(v));
+      stop = std::min(stop, cycle_ + cycles_to_refresh(phase, v));
     }
   }
   if (chaos_) {
@@ -642,6 +652,7 @@ bool Simulator::ff_arm() {
   }
   if (stop <= cycle_) return false;  // this very call has a bounded event
   ff_stop_cycle_ = stop;
+  ff_pushes_ = queue_pushes();
 
   // Freeze the watchdog's inputs: across fast cycles no queue changes and
   // no stat in the progress fingerprint moves (refresh/scrub cycles are
@@ -655,9 +666,11 @@ bool Simulator::ff_arm() {
 }
 
 bool Simulator::ff_fast_cycle() {
-  // Re-verify emptiness every call: tests (and embedders) may reach
-  // through device() and push queue entries directly between clocks.
-  if (cycle_ >= ff_stop_cycle_ || !ff_queues_idle()) {
+  // Tests (and embedders) may reach through device() and push queue
+  // entries directly between clocks.  The queues were empty at arm time,
+  // so an unchanged push count proves they still are; any push since, even
+  // one already removed again, hands the clock back to the staged path.
+  if (cycle_ >= ff_stop_cycle_ || queue_pushes() != ff_pushes_) {
     ff_armed_ = false;
     return false;
   }
@@ -1139,6 +1152,9 @@ void Simulator::stage3_and_4_vaults() {
   // devices, and the per-vault table only needs relative weights.  The
   // sampling key is the deterministic cycle counter, never wall time.
   const bool time_vaults = profiler_ != nullptr && (cycle_ & 0xF) == 0;
+  // One division per cycle places every vault's staggered refresh slot.
+  const Cycle interval = config_.device.refresh_interval_cycles;
+  const Cycle refresh_phase = interval != 0 ? cycle_ % interval : 0;
   for (u32 d = 0; d < devices_.size(); ++d) {
     Device& dev = *devices_[d];
     for (u32 v = 0; v < vaults; ++v) {
@@ -1146,7 +1162,9 @@ void Simulator::stage3_and_4_vaults() {
       // Stage 3 scans every vault's conflict window, failed vaults
       // included; stage 4 then retires from the same vault.
       scan_bank_conflicts(dev, v);
-      if ((failed_snapshot_[d] >> v & 1) == 0) process_vault(dev, v);
+      if ((failed_snapshot_[d] >> v & 1) == 0) {
+        process_vault(dev, v, refresh_phase);
+      }
       if (time_vaults) profiler_->add_vault(d, v, StageProfiler::now_ns() - t0);
     }
   }
@@ -1159,7 +1177,8 @@ void Simulator::stage3_and_4_vaults() {
   }
 }
 
-void Simulator::process_vault(Device& dev, u32 vault_index) {
+void Simulator::process_vault(Device& dev, u32 vault_index,
+                              Cycle refresh_phase) {
   const DeviceConfig& cfg = dev.config();
   VaultState& vault = dev.vaults[vault_index];
 
@@ -1167,7 +1186,7 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
   // the timing backend takes every bank offline for the refresh window and
   // nothing retires.
   if (cfg.refresh_interval_cycles != 0 &&
-      cycles_to_refresh(vault_index) == 0) {
+      cycles_to_refresh(refresh_phase, vault_index) == 0) {
     vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
     ++dev.stats.refreshes;
   }

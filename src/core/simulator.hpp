@@ -277,6 +277,14 @@ class Simulator {
   Status restore_checkpoint(std::istream& is, CheckpointError* err,
                             std::string* host_blob_out);
 
+  /// Checkpoints never carry the execution knobs (fast_forward,
+  /// self_profile, telemetry_interval_cycles, flight_recorder_depth,
+  /// checkpoint_interval_cycles, chaos_invariants): a restore keeps the
+  /// live ones, those init() was given.  Before the first init() this sets
+  /// the ones the first restore keeps; once initialized it returns
+  /// InvalidArgument and changes nothing.
+  Status preset_execution_knobs(const DeviceConfig& knobs);
+
   /// File entry points: save writes atomically (temp + fsync + rename via
   /// io/atomic_file.hpp) so an interrupted save can never tear an existing
   /// checkpoint; restore memory-buffers the file.  Both surface typed
@@ -331,11 +339,13 @@ class Simulator {
 
   /// Stage 3 for one vault: scan the request queue's conflict window.
   void scan_bank_conflicts(Device& dev, u32 vault_index);
-  /// Stage 4 helpers.
-  void process_vault(Device& dev, u32 vault_index);
+  /// Stage 4 helpers.  `refresh_phase` is cycle_ % refresh_interval_cycles
+  /// (0 when refresh is off).
+  void process_vault(Device& dev, u32 vault_index, Cycle refresh_phase);
   /// Cycles from now until vault `vault`'s staggered refresh slot, 0 when
-  /// it is due this cycle.  Requires refresh_interval_cycles != 0.
-  [[nodiscard]] Cycle cycles_to_refresh(u32 vault) const;
+  /// it is due this cycle, given phase = cycle_ % refresh_interval_cycles.
+  /// Requires refresh_interval_cycles != 0.
+  [[nodiscard]] Cycle cycles_to_refresh(Cycle phase, u32 vault) const;
   /// Drain a failed vault's queued requests as VAULT_FAILED errors.
   void drain_failed_vault(Device& dev, u32 vault_index);
   /// Retire one request at a bank: perform the memory/register operation
@@ -428,16 +438,20 @@ class Simulator {
   /// (non-empty queues, link budgets below their refill fixed point, RWS
   /// registers awaiting their self-clearing edge).
   bool ff_arm();
-  /// One fast cycle: re-verify queue emptiness (guarding against direct
-  /// Device mutation between calls), advance the clock, and step the
-  /// watchdog against the quiescence/fingerprint facts frozen at arm time.
-  /// Returns false when the staged path must run instead.
+  /// One fast cycle: check that no queue took a push since arming (which
+  /// guards against direct Device mutation between calls), advance the
+  /// clock, and step the watchdog against the quiescence/fingerprint facts
+  /// frozen at arm time.  Returns false when the staged path must run
+  /// instead.
   bool ff_fast_cycle();
   /// Every queue a clock stage would consume is empty.  Host-link response
   /// queues are exempt: stage 5 never touches them (they drain via recv()),
   /// so pending host responses are inert during a skip — though they do
   /// keep quiescent() false, which the watchdog emulation accounts for.
+  /// The arm-time proof; fast cycles compare push counts instead.
   [[nodiscard]] bool ff_queues_idle() const;
+  /// Sum of every device's queue_pushes.
+  [[nodiscard]] u64 queue_pushes() const;
   /// Drop the armed state.  Called by every mutation outside the clock
   /// domain (send/recv/JTAG writes/hook changes/custom-command
   /// registration); state is always materialized, so invalidation is just
@@ -490,6 +504,8 @@ class Simulator {
   /// those invalidate), letting the watchdog emulation run in O(1).
   bool ff_quiescent_{false};
   u64 ff_fingerprint_{0};
+  /// queue_pushes() at arm time: a fast cycle runs only while it holds.
+  u64 ff_pushes_{0};
   /// Self-observation layer (src/profile/); all null unless the matching
   /// DeviceConfig knob enables them.  Pure observation: none of these may
   /// influence simulated state (differential-proven).

@@ -20,6 +20,10 @@
 // first size() handles are the queue in FIFO order; the rest name free
 // slots.  Middle removal is O(n) handle moves with n <= the configured
 // depth (128 in the paper's experiments), never an entry move.
+//
+// A queue may also count its accepted pushes into a counter its owner
+// shares across queues (`count_pushes_into`): the idle fast-forward engine
+// compares one such count per device instead of re-walking every queue.
 #pragma once
 
 #include <algorithm>
@@ -155,6 +159,11 @@ class BoundedQueue {
     size_ = 0;
   }
 
+  /// Count every accepted push and push_front into `*counter` from now on.
+  /// A refused push, a removal and clear() do not count.  The counter must
+  /// outlive the queue, and a moved or copied queue keeps counting into it.
+  void count_pushes_into(u64* counter) { push_count_ = counter; }
+
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
   void reset_stats() { stats_ = QueueStats{}; }
   /// Checkpoint-restore path: reinstate previously captured statistics.
@@ -189,10 +198,13 @@ class BoundedQueue {
     }
     ++size_;
     stats_.high_water = std::max(stats_.high_water, size_);
+    if (push_count_ != nullptr) ++*push_count_;
   }
 
   usize capacity_{0};
   usize size_{0};
+  /// Shared push counter (see count_pushes_into); null when not counted.
+  u64* push_count_{nullptr};
   /// Entry storage; every slot in here has been constructed.
   std::vector<Entry> slots_;
   /// slots_.size() handles: FIFO order, then the free slots.

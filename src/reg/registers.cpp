@@ -1,5 +1,7 @@
 #include "reg/registers.hpp"
 
+#include <algorithm>
+
 namespace hmcsim {
 namespace {
 
@@ -87,6 +89,7 @@ void RegisterFile::reset() {
     values_[static_cast<usize>(def.linear)] = def.reset_value;
   }
   pending_self_clear_.fill(false);
+  pending_count_ = 0;
 }
 
 bool RegisterFile::present(Reg r) const {
@@ -119,10 +122,13 @@ Status RegisterFile::write(Reg r, u64 value) {
     case RegClass::RW:
       values_[static_cast<usize>(r)] = value;
       return Status::Ok;
-    case RegClass::RWS:
+    case RegClass::RWS: {
       values_[static_cast<usize>(r)] = value;
-      pending_self_clear_[static_cast<usize>(r)] = true;
+      bool& pending = pending_self_clear_[static_cast<usize>(r)];
+      if (!pending) ++pending_count_;
+      pending = true;
       return Status::Ok;
+    }
   }
   return Status::Internal;
 }
@@ -139,13 +145,21 @@ Status RegisterFile::write_phys(u32 phys_index, u64 value) {
   return write(*r, value);
 }
 
-void RegisterFile::clock_edge() {
+void RegisterFile::clear_pending() {
   for (usize i = 0; i < kRegCount; ++i) {
     if (pending_self_clear_[i]) {
       values_[i] = 0;
       pending_self_clear_[i] = false;
     }
   }
+  pending_count_ = 0;
+}
+
+void RegisterFile::restore(const Snapshot& s) {
+  values_ = s.values;
+  pending_self_clear_ = s.pending_self_clear;
+  pending_count_ = static_cast<u32>(std::count(
+      pending_self_clear_.begin(), pending_self_clear_.end(), true));
 }
 
 }  // namespace hmcsim

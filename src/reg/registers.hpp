@@ -126,17 +126,16 @@ class RegisterFile {
   [[nodiscard]] Status write_phys(u32 phys_index, u64 value);
 
   /// Called by the device at sub-cycle stage 6: clears any RWS register
-  /// written during the elapsed cycle.
-  void clock_edge();
+  /// written during the elapsed cycle.  Free when none was.
+  void clock_edge() {
+    if (pending_count_ != 0) clear_pending();
+  }
 
   /// True when any RWS register awaits its self-clearing edge — i.e. the
   /// next clock_edge() is not a no-op.  The idle-cycle fast-forward engine
   /// refuses to arm until this drains (it clears within one slow cycle).
   [[nodiscard]] bool any_pending_self_clear() const {
-    for (const bool pending : pending_self_clear_) {
-      if (pending) return true;
-    }
-    return false;
+    return pending_count_ != 0;
   }
 
   [[nodiscard]] u32 links() const { return links_; }
@@ -153,15 +152,17 @@ class RegisterFile {
   [[nodiscard]] Snapshot snapshot() const {
     return Snapshot{values_, pending_self_clear_};
   }
-  void restore(const Snapshot& s) {
-    values_ = s.values;
-    pending_self_clear_ = s.pending_self_clear;
-  }
+  void restore(const Snapshot& s);
 
  private:
+  /// clock_edge()'s work: zero every pending RWS register.
+  void clear_pending();
+
   u32 links_;
   std::array<u64, kRegCount> values_{};
   std::array<bool, kRegCount> pending_self_clear_{};
+  /// Number of set pending_self_clear_ flags, kept exact by every writer.
+  u32 pending_count_{0};
 };
 
 }  // namespace hmcsim

@@ -672,6 +672,38 @@ TEST(CApiCheckpoint, SaveRestoreRoundTripsAndNamesFailures) {
   std::remove(path.c_str());
 }
 
+TEST(CApiCheckpoint, RestoreBeforeBringUpKeepsObservabilityKnobs) {
+  const std::string path = temp_path("knobs.ckpt");
+  {
+    hmcsim::Simulator core;
+    ASSERT_EQ(core.init_simple(hmcsim::DeviceConfig{}), hmcsim::Status::Ok);
+    save_core_checkpoint(core, path);
+  }
+  // The knobs are set on a handle that has not been brought up yet (no
+  // send, recv or clock), so they exist only in its pending config; the
+  // checkpoint carries none of them, and the restore must keep them.
+  hmcsim_t hmc{};
+  init_handle(hmc);
+  ASSERT_EQ(hmcsim_flight_recorder_depth(&hmc, 64), 0);
+  ASSERT_EQ(hmcsim_profile_enable(&hmc), 0);
+  ASSERT_EQ(hmcsim_telemetry_interval(&hmc, 4), 0);
+  ASSERT_EQ(hmcsim_checkpoint_restore(&hmc, path.c_str()), 0)
+      << hmcsim_last_error();
+  for (int c = 0; c < 10; ++c) ASSERT_EQ(hmcsim_clock(&hmc), 0);
+
+  FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(hmcsim_dump_flight_recorder(&hmc, out), 0);
+  std::fclose(out);
+  out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(hmcsim_dump_profile(&hmc, out), 0);
+  EXPECT_NE(slurp(out).find("Occupancy Telemetry"), std::string::npos);
+  std::fclose(out);
+  EXPECT_EQ(hmcsim_free(&hmc), 0);
+  std::remove(path.c_str());
+}
+
 TEST(CApiChaos, PlanArmsWithItsCadenceAndReportsViolations) {
   hmcsim_t hmc{};
   init_handle(hmc);

@@ -148,7 +148,8 @@ TEST(Checkpoint, RestoredStateIsByteIdenticalUnderLockstep) {
       const PhysAddr addr = rng.next_below(1u << 20) * 16;
       const Tag tag = static_cast<Tag>(100 + cycle);
       ASSERT_EQ(build_memrequest(0, addr, tag, Command::Wr16, 1,
-                                 std::vector<u64>{cycle, 0}, pkt),
+                                 std::vector<u64>{static_cast<u64>(cycle), 0},
+                                 pkt),
                 Status::Ok);
       const Status sa = a.send(0, 1, pkt);
       const Status sb = b.send(0, 1, pkt);

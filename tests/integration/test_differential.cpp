@@ -24,9 +24,11 @@
 // exact foothold needed to debug a determinism regression.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tests/core/helpers.hpp"
@@ -569,6 +571,147 @@ TEST(DifferentialExtras, CheckpointBytesOmitFastForward) {
   std::ostringstream os2;
   ASSERT_EQ(restored.save_checkpoint(os2), Status::Ok);
   EXPECT_EQ(std::move(os2).str(), staged);
+}
+
+// ---- the fast-forward escape hatch ----------------------------------------
+//
+// Embedders may reach through device() and push queue entries between
+// clocks.  An armed skip must notice and hand that clock to the staged
+// path, so the entry is served exactly as on a machine that never skips.
+
+/// The address every poke below reads.
+constexpr PhysAddr kPokeAddr = 0x2340;
+
+/// A decoded, ready-to-queue request entry, as send() would build it.
+RequestEntry direct_entry(const Simulator& sim, Command cmd, PhysAddr addr,
+                          Tag tag) {
+  PacketBuffer pkt;
+  const std::vector<u64> payload(request_data_bytes(cmd) / 8, 0);
+  EXPECT_EQ(build_memrequest(0, addr, tag, cmd, 0, payload, pkt), Status::Ok);
+  RequestEntry e;
+  e.pkt = pkt;
+  EXPECT_EQ(decode_request(pkt, e.req), Status::Ok);
+  e.ready_cycle = sim.now() + 1;
+  e.life.inject = sim.now();
+  return e;
+}
+
+/// What one run of a poked machine leaves behind.
+struct Poked {
+  DeviceStats stats;
+  std::string bytes;
+  usize responses{0};
+  u64 skipped_before{0};  ///< cycles_skipped before the clock after the poke
+  u64 skipped_after{0};   ///< ... and after it
+};
+
+/// Idle long enough to arm a skip, apply `poke` between two clocks, then
+/// run on and drain.
+Poked run_poked(bool fast_forward,
+                const std::function<void(Simulator&)>& poke) {
+  DeviceConfig dc = test::small_device();
+  dc.fast_forward = fast_forward;
+  Simulator sim;
+  EXPECT_EQ(sim.init_simple(dc), Status::Ok);
+  EXPECT_EQ(test::send_request(sim, 0, 0, Command::Wr64, 0x1000, 7),
+            Status::Ok);
+  EXPECT_EQ(test::drain_all(sim).size(), 1u);
+  for (int i = 0; i < 64; ++i) sim.clock();
+  Poked out;
+  poke(sim);
+  out.skipped_before = sim.cycles_skipped();
+  sim.clock();
+  out.skipped_after = sim.cycles_skipped();
+  out.responses = test::drain_all(sim).size();
+  for (int i = 0; i < 64; ++i) sim.clock();
+  out.stats = sim.stats(0);
+  std::ostringstream os;
+  EXPECT_EQ(sim.save_checkpoint(os), Status::Ok);
+  out.bytes = std::move(os).str();
+  return out;
+}
+
+TEST(DifferentialExtras, DirectPushEndsAnArmedSkip) {
+  const std::vector<std::pair<const char*, std::function<void(Simulator&)>>>
+      pokes = {
+          {"vault queue",
+           [](Simulator& sim) {
+             Device& dev = sim.device(0);
+             RequestEntry e = direct_entry(sim, Command::Rd64, kPokeAddr, 9);
+             e.life.vault_arrive = sim.now();
+             const AddressMap& map = dev.address_map();
+             ASSERT_TRUE(dev.vaults[map.vault_of(kPokeAddr)].rqst.push(
+                 std::move(e), map.bank_of(kPokeAddr)));
+           }},
+          {"link request queue",
+           [](Simulator& sim) {
+             ASSERT_TRUE(sim.device(0).links[0].rqst.push(
+                 direct_entry(sim, Command::Rd64, kPokeAddr, 9)));
+           }},
+      };
+  for (const auto& [where, poke] : pokes) {
+    SCOPED_TRACE(where);
+    const Poked staged = run_poked(false, poke);
+    const Poked skipping = run_poked(true, poke);
+    EXPECT_EQ(staged.responses, 1u);
+    EXPECT_EQ(skipping.responses, 1u);
+    EXPECT_EQ(staged.stats, skipping.stats);
+    EXPECT_EQ(staged.bytes, skipping.bytes);
+    // The skip was live before the push, and the next clock ran staged.
+    EXPECT_GT(skipping.skipped_before, 0u);
+    EXPECT_EQ(skipping.skipped_after, skipping.skipped_before);
+  }
+}
+
+TEST(DifferentialExtras, PushThenRemoveBetweenClocksChangesNothing) {
+  const auto poke = [](Simulator& sim) {
+    Device& dev = sim.device(0);
+    const AddressMap& map = dev.address_map();
+    BoundedQueue<RequestEntry>& q = dev.vaults[map.vault_of(kPokeAddr)].rqst;
+    ASSERT_TRUE(q.push(direct_entry(sim, Command::Rd64, kPokeAddr, 9),
+                       map.bank_of(kPokeAddr)));
+    (void)q.remove(0);
+  };
+  const Poked staged = run_poked(false, poke);
+  const Poked skipping = run_poked(true, poke);
+  EXPECT_EQ(skipping.responses, 0u);
+  EXPECT_EQ(staged.stats, skipping.stats);
+  EXPECT_EQ(staged.bytes, skipping.bytes);
+  EXPECT_GT(skipping.skipped_before, 0u);
+}
+
+TEST(DifferentialExtras, RestoreArmsAsSoonAsTheSavedMachineWould) {
+  // A restored register file reports a pending self-clear exactly when the
+  // snapshot holds one, so the restored machine skips the same cycles as
+  // the machine that was saved.
+  for (const bool rws_pending : {false, true}) {
+    SCOPED_TRACE(rws_pending ? "RWS self-clear pending" : "none pending");
+    DeviceConfig dc = test::small_device();
+    Simulator saved;
+    ASSERT_EQ(saved.init_simple(dc), Status::Ok);
+    ASSERT_EQ(test::send_request(saved, 0, 0, Command::Wr64, 0x1000, 7),
+              Status::Ok);
+    ASSERT_EQ(test::drain_all(saved).size(), 1u);
+    for (int i = 0; i < 32; ++i) saved.clock();
+    if (rws_pending) {
+      ASSERT_EQ(saved.jtag_reg_write(0, phys_from_reg(Reg::Edr0), 1),
+                Status::Ok);
+    }
+    std::stringstream snap;
+    ASSERT_EQ(saved.save_checkpoint(snap), Status::Ok);
+    Simulator restored;
+    ASSERT_EQ(restored.init_simple(dc), Status::Ok);
+    ASSERT_EQ(restored.restore_checkpoint(snap), Status::Ok);
+    ASSERT_EQ(restored.cycles_skipped(), 0u);
+
+    const u64 before = saved.cycles_skipped();
+    for (int i = 0; i < 100; ++i) {
+      saved.clock();
+      restored.clock();
+    }
+    EXPECT_EQ(restored.cycles_skipped(), saved.cycles_skipped() - before);
+    EXPECT_EQ(restored.cycles_skipped(), rws_pending ? 99u : 100u);
+  }
 }
 
 TEST(DifferentialExtras, CheckpointBytesOmitObservability) {

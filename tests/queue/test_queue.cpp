@@ -81,6 +81,37 @@ TEST(BoundedQueue, ClearEmptiesWithoutCountingPops) {
   EXPECT_EQ(q.stats().total_pops, 0u);
 }
 
+// The idle fast-forward engine reads one such counter per device to learn
+// that a queue took an entry between clocks.
+TEST(BoundedQueue, PushCounterCountsAcceptedPushesOnly) {
+  u64 pushes = 0;
+  BoundedQueue<int> q(2);
+  EXPECT_TRUE(q.push(0));  // before the counter is attached
+  q.count_pushes_into(&pushes);
+  EXPECT_EQ(pushes, 0u);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_EQ(pushes, 1u);
+  EXPECT_FALSE(q.push(2));  // refused: the queue is full
+  EXPECT_EQ(pushes, 1u);
+  EXPECT_EQ(q.remove(1), 1);
+  EXPECT_EQ(q.pop_front(), 0);
+  EXPECT_EQ(pushes, 1u);
+  q.push_front(3);
+  EXPECT_TRUE(q.push(4));
+  q.push_front(5);  // overfills, and still counts
+  EXPECT_EQ(pushes, 4u);
+  q.clear();
+  EXPECT_EQ(pushes, 4u);
+
+  // Queues may share a counter, and a moved queue keeps counting into it.
+  BoundedQueue<int> other(2);
+  other.count_pushes_into(&pushes);
+  BoundedQueue<int> moved = std::move(q);
+  EXPECT_TRUE(other.push(6));
+  EXPECT_TRUE(moved.push(7));
+  EXPECT_EQ(pushes, 6u);
+}
+
 TEST(BoundedQueue, CapacityOneBehavesAsRegister) {
   // The paper requires at least one queue slot per logical queue, acting as
   // a registered input/output stage.

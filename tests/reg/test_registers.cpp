@@ -82,6 +82,81 @@ TEST(RegisterFile, RwsSelfClearsAtClockEdge) {
   EXPECT_EQ(v, 0u);
 }
 
+// The idle fast-forward engine arms only when any_pending_self_clear() is
+// false, so the flag must be exact: a stale "pending" would stage an extra
+// cycle (and move cycles_skipped), a missed one would skip a self-clear.
+TEST(RegisterFile, RwsWriteSelfClearsAfterExactlyOneEdge) {
+  RegisterFile rf(4);
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  // Two writes to one RWS register and one to another, plus an RW write,
+  // all in the same cycle.
+  ASSERT_EQ(rf.write_phys(phys_from_reg(Reg::Edr1), 1), Status::Ok);
+  ASSERT_EQ(rf.write_phys(phys_from_reg(Reg::Edr1), 2), Status::Ok);
+  ASSERT_EQ(rf.write_phys(phys_from_reg(Reg::Edr3), 3), Status::Ok);
+  ASSERT_EQ(rf.write_phys(phys_from_reg(Reg::Gc), 4), Status::Ok);
+  EXPECT_TRUE(rf.any_pending_self_clear());
+  u64 v = 0;
+  ASSERT_EQ(rf.read(Reg::Edr1, v), Status::Ok);
+  EXPECT_EQ(v, 2u);
+
+  rf.clock_edge();
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  ASSERT_EQ(rf.read(Reg::Edr1, v), Status::Ok);
+  EXPECT_EQ(v, 0u);
+  ASSERT_EQ(rf.read(Reg::Edr3, v), Status::Ok);
+  EXPECT_EQ(v, 0u);
+  ASSERT_EQ(rf.read(Reg::Gc, v), Status::Ok);
+  EXPECT_EQ(v, 4u);  // RW registers never self-clear
+
+  // RW and refused RO writes arm nothing.
+  ASSERT_EQ(rf.write_phys(phys_from_reg(Reg::Gc), 5), Status::Ok);
+  EXPECT_EQ(rf.write_phys(phys_from_reg(Reg::Err), 5),
+            Status::ReadOnlyRegister);
+  EXPECT_FALSE(rf.any_pending_self_clear());
+}
+
+TEST(RegisterFile, ResetDropsAPendingSelfClear) {
+  RegisterFile rf(4);
+  ASSERT_EQ(rf.write(Reg::Edr0, 7), Status::Ok);
+  EXPECT_TRUE(rf.any_pending_self_clear());
+  rf.reset();
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  // The next write counts from zero again: one edge clears it.
+  ASSERT_EQ(rf.write(Reg::Edr0, 8), Status::Ok);
+  EXPECT_TRUE(rf.any_pending_self_clear());
+  rf.clock_edge();
+  EXPECT_FALSE(rf.any_pending_self_clear());
+}
+
+TEST(RegisterFile, RestoreRecountsPendingSelfClears) {
+  RegisterFile src(4);
+  const RegisterFile::Snapshot idle = src.snapshot();
+  ASSERT_EQ(src.write(Reg::Edr2, 9), Status::Ok);
+  ASSERT_EQ(src.write(Reg::Edr0, 6), Status::Ok);
+  const RegisterFile::Snapshot pending = src.snapshot();
+
+  RegisterFile rf(4);
+  rf.restore(pending);
+  EXPECT_TRUE(rf.any_pending_self_clear());
+  u64 v = 0;
+  ASSERT_EQ(rf.read(Reg::Edr2, v), Status::Ok);
+  EXPECT_EQ(v, 9u);
+  rf.clock_edge();
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  ASSERT_EQ(rf.read(Reg::Edr2, v), Status::Ok);
+  EXPECT_EQ(v, 0u);
+
+  // A restore replaces the pending set: a snapshot without one leaves
+  // nothing pending, whatever was pending before.
+  ASSERT_EQ(rf.write(Reg::Edr1, 1), Status::Ok);
+  rf.restore(idle);
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  rf.restore(pending);
+  rf.restore(pending);
+  rf.clock_edge();
+  EXPECT_FALSE(rf.any_pending_self_clear());
+}
+
 TEST(RegisterFile, FourLinkPartsLackHighLinkRegisters) {
   RegisterFile rf4(4);
   u64 v = 0;
