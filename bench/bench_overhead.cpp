@@ -406,7 +406,7 @@ void record_observability(Lane& l) {
     for (u32 d = 0; d < sim.flight_recorder()->num_devices(); ++d) {
       events += sim.flight_recorder()->recorded(d);
     }
-    lane.note("sample_passes", sim.telemetry()->sample_passes());
+    lane.note("sample_passes", sim.telemetry()->rows().size());
     lane.note("profiled_cycles",
               sim.profiler()->staged_cycles() + sim.profiler()->fast_cycles());
     lane.note("flight_events", events);

@@ -163,11 +163,11 @@ void write_latency_breakdown(JsonWriter& json, const LifecycleSink& sink) {
   json.end_object();
 }
 
-void write_samples(JsonWriter& json, const MetricsSampler& sampler) {
+void write_samples(JsonWriter& json, Cycle interval, const Telemetry& tel) {
   json.key("samples").begin_object();
-  json.kv("interval", sampler.interval());
+  json.kv("interval", interval);
   json.key("data").begin_array();
-  for (const MetricsSampler::Sample& s : sampler.samples()) {
+  for (const TelemetryRow& s : tel.rows()) {
     json.begin_object();
     json.kv("cycle", s.cycle);
     json.kv("link_rqst", s.link_rqst);
@@ -228,7 +228,7 @@ void write_profile(JsonWriter& json, const StageProfiler& prof) {
 
 void write_telemetry(JsonWriter& json, const Telemetry& tel) {
   json.key("telemetry").begin_object();
-  json.kv("sample_passes", tel.sample_passes());
+  json.kv("sample_passes", u64{tel.rows().size()});
   json.key("host_tags");
   write_occupancy_track(json, tel.host_tags());
   json.key("devices").begin_array();
@@ -286,6 +286,7 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     json.kv("num_links", u64{dc.num_links});
     json.kv("num_vaults", u64{dc.num_vaults()});
     json.kv("banks_per_vault", u64{dc.banks_per_vault});
+    json.kv("drams_per_bank", u64{dc.drams_per_bank});
     json.kv("capacity_bytes", dc.derived_capacity());
     json.kv("xbar_depth", u64{dc.xbar_depth});
     json.kv("vault_depth", u64{dc.vault_depth});
@@ -293,10 +294,22 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     json.kv("map_mode", map_mode_name(dc.map_mode));
     json.kv("bank_busy_cycles", u64{dc.bank_busy_cycles});
     json.kv("xbar_flits_per_cycle", u64{dc.xbar_flits_per_cycle});
+    json.kv("vault_drain_limit", u64{dc.vault_drain_limit});
+    json.kv("nonlocal_penalty_cycles", u64{dc.nonlocal_penalty_cycles});
+    json.kv("conflict_window", u64{dc.conflict_window});
+    json.kv("refresh_interval_cycles", u64{dc.refresh_interval_cycles});
+    json.kv("refresh_busy_cycles", u64{dc.refresh_busy_cycles});
+    json.kv("row_policy", dc.row_policy == RowPolicy::OpenPage
+                              ? "open_page"
+                              : "closed_page");
+    json.kv("row_hit_cycles", u64{dc.row_hit_cycles});
+    json.kv("row_miss_cycles", u64{dc.row_miss_cycles});
     json.kv("vault_schedule",
             dc.vault_schedule == VaultSchedule::BankReady ? "bank_ready"
                                                           : "strict_fifo");
     json.kv("link_error_rate_ppm", u64{dc.link_error_rate_ppm});
+    json.kv("fault_seed", dc.fault_seed);
+    json.kv("link_retry_limit", u64{dc.link_retry_limit});
     json.kv("model_data", dc.model_data);
     json.kv("dram_sbe_rate_ppm", u64{dc.dram_sbe_rate_ppm});
     json.kv("dram_dbe_rate_ppm", u64{dc.dram_dbe_rate_ppm});
@@ -318,6 +331,8 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     json.kv("self_profile", dc.self_profile);
     json.kv("telemetry_interval_cycles", u64{dc.telemetry_interval_cycles});
     json.kv("flight_recorder_depth", u64{dc.flight_recorder_depth});
+    json.kv("checkpoint_interval_cycles",
+            u64{dc.checkpoint_interval_cycles});
     json.kv("chaos_invariants", u64{dc.chaos_invariants});
     json.kv("timing_backend", to_string(dc.timing_backend));
     json.key("vault_backends").begin_array();
@@ -384,8 +399,8 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     if (extras.lifecycle != nullptr) {
       write_latency_breakdown(json, *extras.lifecycle);
     }
-    if (extras.sampler != nullptr) {
-      write_samples(json, *extras.sampler);
+    if (sim.telemetry() != nullptr) {
+      write_samples(json, dc.telemetry_interval_cycles, *sim.telemetry());
     }
     if (sim.profiler() != nullptr) write_profile(json, *sim.profiler());
     if (sim.telemetry() != nullptr) write_telemetry(json, *sim.telemetry());

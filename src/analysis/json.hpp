@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analysis/power.hpp"
-#include "analysis/sampler.hpp"
 #include "core/simulator.hpp"
 #include "trace/lifecycle.hpp"
 
@@ -66,12 +65,12 @@ class JsonWriter {
 /// simply omit their section.
 struct ReportExtras {
   const LifecycleSink* lifecycle{nullptr};  ///< "latency_breakdown" section
-  const MetricsSampler* sampler{nullptr};   ///< "samples" section
 };
 
 /// Full simulator report: configuration, per-device statistics, per-link
 /// utilization, and the activity-based energy estimate — plus the
-/// per-segment latency breakdown and periodic metric samples when attached.
+/// per-segment latency breakdown when attached, and the telemetry rows
+/// ("samples") and histograms ("telemetry") when telemetry is on.
 void write_stats_json(std::ostream& os, const Simulator& sim,
                       const PowerConfig& power = {},
                       const ReportExtras& extras = {});

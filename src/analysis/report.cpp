@@ -164,9 +164,9 @@ std::string format_profile_table(const Simulator& sim) {
 
 std::string format_telemetry_table(const Simulator& sim) {
   const Telemetry* tel = sim.telemetry();
-  if (tel == nullptr || tel->sample_passes() == 0) return {};
+  if (tel == nullptr || tel->rows().empty()) return {};
   std::ostringstream os;
-  os << "Occupancy Telemetry (" << tel->sample_passes()
+  os << "Occupancy Telemetry (" << tel->rows().size()
      << " sample passes)\n";
   os << std::left << std::setw(20) << "Track" << std::right << std::setw(6)
      << "Dev" << std::setw(12) << "HighWater" << std::setw(12) << "Mean"

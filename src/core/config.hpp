@@ -255,10 +255,11 @@ struct DeviceConfig {
   /// simulation results are bit-identical with the knob on or off.  Not
   /// serialized into checkpoints.
   bool self_profile{false};
-  /// Sample queue/token/retry-buffer occupancy into high-water marks and
-  /// histograms every this-many clocks (src/profile/telemetry.hpp); 0
-  /// disables.  Sampling rides the stage-6 dispatch point and bounds the
-  /// fast-forward skip window (like the cycle hook).  Not serialized.
+  /// Sample queue/token/retry-buffer occupancy every this-many clocks
+  /// (src/profile/telemetry.hpp): high-water marks and histograms, plus
+  /// one row of summed queues and stall counters per pass; 0 disables.
+  /// Sampling rides the stage-6 dispatch point and bounds the fast-forward
+  /// skip window.  Not serialized.
   u32 telemetry_interval_cycles{0};
   /// Retain the last N structured events per device in a post-mortem ring
   /// buffer (src/profile/flight_recorder.hpp); 0 disables.  The retained

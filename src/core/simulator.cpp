@@ -511,12 +511,16 @@ bool Simulator::dump_flight_recorder_chrome(std::ostream& os) {
 void Simulator::sample_telemetry() {
   const DeviceConfig& cfg = config_.device;
   const i64 pool = cfg.link_protocol ? resolved_link_tokens(cfg) : 0;
+  TelemetryRow row;
+  row.cycle = cycle_;
   for (u32 d = 0; d < num_devices(); ++d) {
     const Device& dev = *devices_[d];
     for (u32 l = 0; l < cfg.num_links; ++l) {
       const LinkState& link = dev.links[l];
       telemetry_->sample(TelemetryTrack::XbarRqst, d, link.rqst.size());
       telemetry_->sample(TelemetryTrack::XbarRsp, d, link.rsp.size());
+      row.link_rqst += link.rqst.size();
+      row.link_rsp += link.rsp.size();
       if (cfg.link_protocol) {
         // Deficit view: 0 = full credit pool, pool-size = fully drawn.
         const i64 deficit = pool - link.proto.tokens;
@@ -529,9 +533,17 @@ void Simulator::sample_telemetry() {
     for (const VaultState& vault : dev.vaults) {
       telemetry_->sample(TelemetryTrack::VaultRqst, d, vault.rqst.size());
       telemetry_->sample(TelemetryTrack::VaultRsp, d, vault.rsp.size());
+      row.vault_rqst += vault.rqst.size();
+      row.vault_rsp += vault.rsp.size();
     }
+    row.mode_rsp += dev.mode_rsp.size();
+    row.bank_conflicts += dev.stats.bank_conflicts;
+    row.xbar_rqst_stalls += dev.stats.xbar_rqst_stalls;
+    row.xbar_rsp_stalls += dev.stats.xbar_rsp_stalls;
+    row.vault_rsp_stalls += dev.stats.vault_rsp_stalls;
+    row.send_stalls += dev.stats.send_stalls;
   }
-  telemetry_->note_sample_pass();
+  telemetry_->add_row(row);
 }
 
 bool Simulator::ff_queues_idle() const {
@@ -574,6 +586,16 @@ Cycle Simulator::cycles_to_refresh(Cycle phase, u32 vault) const {
   return rem == 0 ? 0 : interval - rem;
 }
 
+namespace {
+
+/// The first clock call at or after `now` whose post-increment count is a
+/// multiple of `h`: the call a stage-6 cadence of period h dispatches in.
+constexpr Cycle next_post_increment_multiple(Cycle now, Cycle h) {
+  return (now + h) / h * h - 1;
+}
+
+}  // namespace
+
 bool Simulator::ff_arm() {
   if (!ff_queues_idle()) return false;
   const DeviceConfig& cfg = config_.device;
@@ -609,8 +631,9 @@ bool Simulator::ff_arm() {
   // Stop cycle: the first clock whose staged pass has an effect the fast
   // path does not emulate.  The call at cycle c runs a scrub step when
   // c % scrub_interval == 0, fires vault v's refresh when
-  // (c + offset_v) % refresh_interval == 0, and fires the cycle hook when
-  // (c + 1) % hook_interval == 0 (the hook sees the post-increment count).
+  // (c + offset_v) % refresh_interval == 0, and takes a telemetry pass when
+  // (c + 1) % telemetry_interval == 0 (stage 6 samples after the
+  // increment).
   constexpr Cycle kNoStopCycle = ~Cycle{0};
   Cycle stop = kNoStopCycle;
   if (cfg.scrub_interval_cycles != 0) {
@@ -618,17 +641,13 @@ bool Simulator::ff_arm() {
     const Cycle rem = cycle_ % interval;
     stop = std::min(stop, rem == 0 ? cycle_ : cycle_ + (interval - rem));
   }
-  if (hook_interval_ != 0 && cycle_hook_) {
-    const Cycle h = hook_interval_;
-    stop = std::min(stop, ((cycle_ + 1 + h - 1) / h) * h - 1);
-  }
-  // Telemetry sampling rides the same stage-6 dispatch point as the hook
-  // and must keep its cadence through a skip.  This shortens skip spans
-  // when telemetry is on, but sampling reads state the skip leaves frozen,
-  // so simulated bytes stay identical.
+  // Telemetry must keep its cadence through a skip.  This shortens skip
+  // spans when telemetry is on, but sampling reads state the skip leaves
+  // frozen, so simulated bytes stay identical.
   if (telemetry_ && cfg.telemetry_interval_cycles != 0) {
-    const Cycle h = cfg.telemetry_interval_cycles;
-    stop = std::min(stop, ((cycle_ + 1 + h - 1) / h) * h - 1);
+    stop = std::min(stop,
+                    next_post_increment_multiple(
+                        cycle_, cfg.telemetry_interval_cycles));
   }
   if (cfg.refresh_interval_cycles != 0) {
     const Cycle phase = cycle_ % cfg.refresh_interval_cycles;
@@ -642,12 +661,12 @@ bool Simulator::ff_arm() {
     // re-proves eligibility against the mutated state.
     stop = std::min(stop, chaos_->next_event_cycle());
     // Invariant-check cadence rides the stage-6 post-increment dispatch
-    // like the cycle hook, so cadence cycles must execute staged — both to
-    // keep the check count deterministic across execution modes and to
-    // detect a violation at the same first cycle the staged path would.
+    // like telemetry, so cadence cycles must execute staged — both to keep
+    // the check count deterministic across execution modes and to detect a
+    // violation at the same first cycle the staged path would.
     if (cfg.chaos_invariants != 0) {
-      const Cycle h = cfg.chaos_invariants;
-      stop = std::min(stop, ((cycle_ + 1 + h - 1) / h) * h - 1);
+      stop = std::min(stop, next_post_increment_multiple(
+                                cycle_, cfg.chaos_invariants));
     }
   }
   if (stop <= cycle_) return false;  // this very call has a bounded event
@@ -1641,9 +1660,6 @@ void Simulator::stage6_clock_update() {
   if (telemetry_ && config_.device.telemetry_interval_cycles != 0 &&
       cycle_ % config_.device.telemetry_interval_cycles == 0) {
     sample_telemetry();
-  }
-  if (hook_interval_ != 0 && cycle_ % hook_interval_ == 0 && cycle_hook_) {
-    cycle_hook_(*this);
   }
   if (chaos_) chaos_->check_cadence(*this);
 }

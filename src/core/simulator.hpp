@@ -37,7 +37,6 @@
 // See docs/INTERNALS.md.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -99,7 +98,7 @@ class Simulator {
   /// only arms once the per-cycle idle mutations (link budget refills, RWS
   /// register self-clears) have reached their fixed point, and it disarms
   /// before any cycle with a non-idempotent event (scrub step, staggered
-  /// vault refresh, user cycle hook).  See docs/INTERNALS.md.
+  /// vault refresh, telemetry pass).  See docs/INTERNALS.md.
   void clock();
 
   [[nodiscard]] Cycle now() const { return cycle_; }
@@ -140,16 +139,6 @@ class Simulator {
     lifecycle_observers_.push_back(std::move(observer));
   }
   void clear_lifecycle_observers() { lifecycle_observers_.clear(); }
-
-  /// Install `hook` to run at the end of every clock() whose resulting
-  /// cycle count is a multiple of `interval` (0 uninstalls).  Used by the
-  /// periodic metrics sampler; costs one branch per clock when idle.
-  void set_cycle_hook(Cycle interval,
-                      std::function<void(const Simulator&)> hook) {
-    hook_interval_ = interval;
-    cycle_hook_ = std::move(hook);
-    ff_invalidate();  // the hook schedule bounds the fast-forward stop cycle
-  }
 
   // ---- observability -----------------------------------------------------------
 
@@ -433,10 +422,10 @@ class Simulator {
   /// Arm the fast path: prove that a full six-stage pass over the current
   /// state would only perform idempotent idle mutations, and compute the
   /// stop cycle — the next clock whose pass has an effect the fast path
-  /// does not emulate (scrub step, staggered vault refresh, cycle hook).
-  /// Returns false when idle cycles cannot be proven side-effect-free yet
-  /// (non-empty queues, link budgets below their refill fixed point, RWS
-  /// registers awaiting their self-clearing edge).
+  /// does not emulate (scrub step, staggered vault refresh, telemetry
+  /// pass).  Returns false when idle cycles cannot be proven
+  /// side-effect-free yet (non-empty queues, link budgets below their
+  /// refill fixed point, RWS registers awaiting their self-clearing edge).
   bool ff_arm();
   /// One fast cycle: check that no queue took a push since arming (which
   /// guards against direct Device mutation between calls), advance the
@@ -453,9 +442,9 @@ class Simulator {
   /// Sum of every device's queue_pushes.
   [[nodiscard]] u64 queue_pushes() const;
   /// Drop the armed state.  Called by every mutation outside the clock
-  /// domain (send/recv/JTAG writes/hook changes/custom-command
-  /// registration); state is always materialized, so invalidation is just
-  /// a flag clear and the next clock() re-proves eligibility.
+  /// domain (send/recv/JTAG writes/custom-command registration); state
+  /// is always materialized, so invalidation is just a flag clear and the
+  /// next clock() re-proves eligibility.
   void ff_invalidate() { ff_armed_ = false; }
 
   SimConfig config_{};
@@ -465,8 +454,6 @@ class Simulator {
   Cycle cycle_{0};
   Tracer tracer_{};
   std::vector<std::shared_ptr<LifecycleObserver>> lifecycle_observers_;
-  Cycle hook_interval_{0};
-  std::function<void(const Simulator&)> cycle_hook_;
   /// Device processing order caches for stages 1/2/5.
   std::vector<u32> root_devices_;
   std::vector<u32> child_devices_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+
+#include "trace/chrome.hpp"
 
 namespace hmcsim {
 
@@ -41,27 +44,20 @@ void FlightRecorder::dump_text(std::ostream& os) const {
 }
 
 void FlightRecorder::dump_chrome(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
+  ChromeWriter out(os);
   for (u32 dev = 0; dev < num_devices(); ++dev) {
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << dev
-       << ",\"args\":{\"name\":\"cube " << dev << " flight recorder\"}}";
+    out.process_name(dev, "cube " + std::to_string(dev) + " flight recorder");
     for (const TraceRecord& rec : snapshot(dev)) {
-      comma();
+      std::ostream& ev = out.event();
       if (rec.event == TraceEvent::FfSkipSpan) {
         // The span ends at rec.cycle and covers the previous `arg` cycles.
         const Cycle start = rec.cycle >= rec.arg ? rec.cycle - rec.arg : 0;
-        os << "{\"name\":\"" << to_string(rec.event)
+        ev << "{\"name\":\"" << to_string(rec.event)
            << "\",\"ph\":\"X\",\"ts\":" << start << ",\"dur\":" << rec.arg
            << ",\"pid\":" << dev << ",\"tid\":" << unit_of(rec)
            << ",\"args\":{\"cycles\":" << rec.arg << "}}";
       } else {
-        os << "{\"name\":\"" << to_string(rec.event)
+        ev << "{\"name\":\"" << to_string(rec.event)
            << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << rec.cycle
            << ",\"pid\":" << dev << ",\"tid\":" << unit_of(rec)
            << ",\"args\":{\"stage\":" << u32{rec.stage}
@@ -69,7 +65,7 @@ void FlightRecorder::dump_chrome(std::ostream& os) const {
       }
     }
   }
-  os << "],\"displayTimeUnit\":\"ns\"}\n";
+  out.close();
 }
 
 }  // namespace hmcsim

@@ -1,7 +1,8 @@
 // Post-mortem flight recorder: a trace sink that keeps a fixed-capacity
-// ring of TraceRecords per device for link retries, IRTRY recoveries, RAS
-// faults, vault degradation, watchdog transitions, crossbar and vault
-// backpressure stalls, and fast-forward skip spans.
+// ring of TraceRecords per device for link error-aborts (IRTRY), link
+// retraining and death, RAS faults, vault degradation, watchdog
+// transitions, crossbar and vault backpressure stalls, and fast-forward
+// skip spans: the nine kinds of no trace level plus the two stalls.
 //
 // The simulator attaches it to its Tracer with the fixed kind set kKinds,
 // so it records those kinds whatever the trace level.  It is pure
@@ -36,8 +37,8 @@ class FlightRecorder final : public TraceSink {
   static constexpr TraceMask kKinds =
       trace_bit(TraceEvent::XbarRqstStall) |
       trace_bit(TraceEvent::VaultRspStall) |
-      trace_bit(TraceEvent::LinkRetry) | trace_bit(TraceEvent::LinkIrtry) |
-      trace_bit(TraceEvent::LinkRetrain) | trace_bit(TraceEvent::LinkFailed) |
+      trace_bit(TraceEvent::LinkIrtry) | trace_bit(TraceEvent::LinkRetrain) |
+      trace_bit(TraceEvent::LinkFailed) |
       trace_bit(TraceEvent::RasSbe) | trace_bit(TraceEvent::RasDbe) |
       trace_bit(TraceEvent::VaultFailed) |
       trace_bit(TraceEvent::WatchdogArm) |
@@ -79,8 +80,9 @@ class FlightRecorder final : public TraceSink {
 
   /// Chrome-trace (Trace Event Format) render: instant events per device
   /// (pid = device) on per-unit tracks; FF_SKIP_SPAN renders as a duration
-  /// covering the skipped window.  Same framing as trace/chrome.hpp, so
-  /// the two exports can be merged in Perfetto.
+  /// covering the skipped window.  Written through trace/chrome.hpp's
+  /// ChromeWriter, so the framing is the lifecycle export's and the two
+  /// can be merged in Perfetto.
   void dump_chrome(std::ostream& os) const;
 
  private:

@@ -1,5 +1,7 @@
 #include "profile/telemetry.hpp"
 
+#include <ostream>
+
 namespace hmcsim {
 
 const char* telemetry_track_name(TelemetryTrack track) {
@@ -28,7 +30,20 @@ void Telemetry::reset() {
   const u32 devices = num_devices();
   for (auto& family : tracks_) family.assign(devices, OccupancyTrack{});
   host_tags_ = OccupancyTrack{};
-  sample_passes_ = 0;
+  rows_.clear();
+}
+
+void Telemetry::write_csv(std::ostream& os) const {
+  os << "cycle,link_rqst,link_rsp,vault_rqst,vault_rsp,mode_rsp,"
+        "bank_conflicts,xbar_rqst_stalls,xbar_rsp_stalls,vault_rsp_stalls,"
+        "send_stalls\n";
+  for (const TelemetryRow& r : rows_) {
+    os << r.cycle << ',' << r.link_rqst << ',' << r.link_rsp << ','
+       << r.vault_rqst << ',' << r.vault_rsp << ',' << r.mode_rsp << ','
+       << r.bank_conflicts << ',' << r.xbar_rqst_stalls << ','
+       << r.xbar_rsp_stalls << ',' << r.vault_rsp_stalls << ','
+       << r.send_stalls << '\n';
+  }
 }
 
 }  // namespace hmcsim

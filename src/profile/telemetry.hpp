@@ -1,17 +1,20 @@
-// Occupancy telemetry: high-water marks and log2 occupancy histograms for
-// the structures whose fill levels explain throughput — vault queues,
-// crossbar slots, the host tag table, link token pools, and link retry
-// buffers.
+// Occupancy telemetry: the one queue sampler.  Every DeviceConfig::
+// telemetry_interval_cycles clocks, at the stage-6 dispatch point, the
+// simulator reads each link and vault queue once and feeds two views:
 //
-// The simulator samples its queues every DeviceConfig::
-// telemetry_interval_cycles clocks at the stage-6 dispatch point (the same
-// place the user cycle hook fires); the host driver feeds the tag-table
-// track once per drive-loop iteration.  Sampling is pure observation —
-// reads of queue sizes folded into counters — so runs with telemetry on
-// are bit-identical to runs with it off.  (The fast-forward engine bounds
-// its skip at the next sample cycle, exactly as it does for the cycle
-// hook, so sampling cadence survives skipping; this shortens skip *spans*
-// but never changes simulated state.)
+//   * high-water marks and log2 occupancy histograms for the structures
+//     whose fill levels explain throughput — vault queues, crossbar slots,
+//     link token pools and link retry buffers — plus the host tag table,
+//     which the host driver feeds on the same cadence;
+//   * one row per pass: those queues summed across every device, plus the
+//     cumulative stall/conflict counters, so deltas between adjacent rows
+//     localize *when* contention happened, which end-of-run totals cannot.
+//
+// Sampling is pure observation — reads of queue sizes folded into counters
+// — so runs with telemetry on are bit-identical to runs with it off.  (The
+// fast-forward engine bounds its skip at the next sample cycle, so the
+// cadence survives skipping; this shortens skip *spans* but never changes
+// simulated state.)
 //
 // Histograms use power-of-two buckets of the sampled value: bucket 0 holds
 // zero samples, bucket i>=1 holds values in [2^(i-1), 2^i).  That spans
@@ -20,6 +23,7 @@
 // at a glance.
 #pragma once
 
+#include <iosfwd>
 #include <vector>
 
 #include "common/types.hpp"
@@ -70,6 +74,25 @@ inline constexpr usize kTelemetryTrackCount = 6;
 
 [[nodiscard]] const char* telemetry_track_name(TelemetryTrack track);
 
+/// One sampling pass, machine-wide: queued entries summed across every
+/// device, and the cumulative counters at the sample cycle (monotone; diff
+/// adjacent rows for per-interval rates).
+struct TelemetryRow {
+  Cycle cycle{0};
+  u64 link_rqst{0};   ///< link (crossbar) request queues
+  u64 link_rsp{0};    ///< link (crossbar) response queues
+  u64 vault_rqst{0};  ///< vault controller request queues
+  u64 vault_rsp{0};   ///< vault controller response queues
+  u64 mode_rsp{0};    ///< register-access response staging queues
+  u64 bank_conflicts{0};
+  u64 xbar_rqst_stalls{0};
+  u64 xbar_rsp_stalls{0};
+  u64 vault_rsp_stalls{0};
+  u64 send_stalls{0};
+
+  bool operator==(const TelemetryRow&) const = default;
+};
+
 class Telemetry {
  public:
   explicit Telemetry(u32 num_devices);
@@ -91,16 +114,25 @@ class Telemetry {
   }
   [[nodiscard]] const OccupancyTrack& host_tags() const { return host_tags_; }
 
-  /// Occupancy-sampling passes taken (one per telemetry interval).
-  [[nodiscard]] u64 sample_passes() const { return sample_passes_; }
-  void note_sample_pass() { ++sample_passes_; }
+  /// Close a sampling pass with its machine-wide row.
+  void add_row(const TelemetryRow& row) { rows_.push_back(row); }
+  /// One row per sampling pass taken, oldest first.
+  [[nodiscard]] const std::vector<TelemetryRow>& rows() const {
+    return rows_;
+  }
+
+  /// CSV with a header row:
+  /// cycle,link_rqst,link_rsp,vault_rqst,vault_rsp,mode_rsp,
+  /// bank_conflicts,xbar_rqst_stalls,xbar_rsp_stalls,vault_rsp_stalls,
+  /// send_stalls
+  void write_csv(std::ostream& os) const;
 
   void reset();
 
  private:
   std::vector<OccupancyTrack> tracks_[kTelemetryTrackCount];
   OccupancyTrack host_tags_;
-  u64 sample_passes_{0};
+  std::vector<TelemetryRow> rows_;
 };
 
 }  // namespace hmcsim

@@ -2,18 +2,36 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 
 namespace hmcsim {
 
-ChromeTraceSink::ChromeTraceSink(std::ostream& os) : os_(&os) {
+ChromeWriter::ChromeWriter(std::ostream& os) : os_(&os) {
   *os_ << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
 }
 
-ChromeTraceSink::~ChromeTraceSink() { finish(); }
+ChromeWriter::~ChromeWriter() { close(); }
 
-void ChromeTraceSink::finish() {
-  if (finished_) return;
-  finished_ = true;
+std::ostream& ChromeWriter::event() {
+  *os_ << (first_event_ ? "\n" : ",\n");
+  first_event_ = false;
+  return *os_;
+}
+
+void ChromeWriter::process_name(u32 pid, std::string_view name) {
+  event() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+          << ",\"args\":{\"name\":\"" << name << "\"}}";
+}
+
+void ChromeWriter::thread_name(u32 pid, u32 tid, std::string_view name) {
+  event() << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
+          << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << name
+          << "\"}}";
+}
+
+void ChromeWriter::close() {
+  if (closed_) return;
+  closed_ = true;
   *os_ << "\n]}\n";
   os_->flush();
 }
@@ -26,18 +44,13 @@ void ChromeTraceSink::ensure_track_metadata(u32 dev, u32 tid,
     return;
   }
   named_tracks_.push_back(key);
-  *os_ << (first_event_ ? "\n" : ",\n");
-  first_event_ = false;
-  *os_ << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << dev
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << kind << ' '
-       << index << "\"}}";
+  out_.thread_name(dev, tid, std::string(kind) + ' ' + std::to_string(index));
   // Name the process once, keyed as tid ~0 (never used by a real track).
   const u64 dev_key = (u64{dev} << 32) | 0xffffffffull;
   if (std::find(named_tracks_.begin(), named_tracks_.end(), dev_key) ==
       named_tracks_.end()) {
     named_tracks_.push_back(dev_key);
-    *os_ << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << dev
-         << ",\"args\":{\"name\":\"cube " << dev << "\"}}";
+    out_.process_name(dev, "cube " + std::to_string(dev));
   }
 }
 
@@ -45,23 +58,22 @@ void ChromeTraceSink::emit_event(const char* name, char phase, Cycle ts,
                                  Cycle dur, u32 pid, u32 tid,
                                  const PacketLifecycle& lc, u64 flow_id,
                                  bool flow_end) {
-  *os_ << (first_event_ ? "\n" : ",\n");
-  first_event_ = false;
-  *os_ << "{\"name\":\"" << name << "\",\"cat\":\"packet\",\"ph\":\"" << phase
-       << "\",\"ts\":" << ts << ",\"pid\":" << pid << ",\"tid\":" << tid;
+  std::ostream& os = out_.event();
+  os << "{\"name\":\"" << name << "\",\"cat\":\"packet\",\"ph\":\"" << phase
+     << "\",\"ts\":" << ts << ",\"pid\":" << pid << ",\"tid\":" << tid;
   if (phase == 'X') {
-    *os_ << ",\"dur\":" << dur << ",\"args\":{\"tag\":" << lc.tag
-         << ",\"cmd\":\"" << to_string(lc.cmd) << "\",\"vault\":" << lc.vault
-         << "}";
+    os << ",\"dur\":" << dur << ",\"args\":{\"tag\":" << lc.tag
+       << ",\"cmd\":\"" << to_string(lc.cmd) << "\",\"vault\":" << lc.vault
+       << "}";
   } else {
-    *os_ << ",\"id\":" << flow_id;
-    if (flow_end) *os_ << ",\"bp\":\"e\"";
+    os << ",\"id\":" << flow_id;
+    if (flow_end) os << ",\"bp\":\"e\"";
   }
-  *os_ << "}";
+  os << "}";
 }
 
 void ChromeTraceSink::complete(const PacketLifecycle& lc) {
-  if (finished_) return;
+  if (out_.closed()) return;
   const u32 link_tid = lc.link;
   const u32 vault_tid = kVaultTidBase + lc.vault;
   ensure_track_metadata(lc.dev, link_tid, "link", lc.link);

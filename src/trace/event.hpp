@@ -66,8 +66,6 @@ enum class TraceEvent : u8 {
   VaultArrival,
 
   // ---- kinds of no level (arg carries the payload) -------------------------
-  /// A packet was replayed from a retry buffer (arg = retry count).
-  LinkRetry,
   /// A receiver entered IRTRY error-abort (arg = the packet's tag).
   LinkIrtry,
   /// A stuck-link retraining window opened (arg = cycles left in it).
@@ -120,7 +118,7 @@ struct TraceRecord {
   PhysAddr addr{0};
   Tag tag{0};
   Command cmd{Command::Null};
-  /// Event-specific payload (retry count, refusal kind, skipped cycles...).
+  /// Event-specific payload (tag, refusal kind, skipped cycles...).
   u64 arg{0};
 };
 

@@ -24,7 +24,6 @@ std::string_view to_string(TraceEvent e) {
     case TraceEvent::PacketSend: return "SEND";
     case TraceEvent::PacketRecv: return "RECV";
     case TraceEvent::VaultArrival: return "VAULT_ARRIVAL";
-    case TraceEvent::LinkRetry: return "LINK_RETRY";
     case TraceEvent::LinkIrtry: return "LINK_IRTRY";
     case TraceEvent::LinkRetrain: return "LINK_RETRAIN";
     case TraceEvent::LinkFailed: return "LINK_FAILED";

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "tests/core/helpers.hpp"
+#include "trace/lifecycle.hpp"
 
 namespace hmcsim {
 namespace {
@@ -130,6 +132,80 @@ TEST(StatsJson, UninitializedSimulatorProducesMinimalDocument) {
   EXPECT_TRUE(looks_like_valid_json(os.str()));
   EXPECT_NE(os.str().find("\"cycle\":0"), std::string::npos);
   EXPECT_EQ(os.str().find("\"config\""), std::string::npos);
+}
+
+TEST(StatsJson, ConfigEchoesEveryResultChangingKnob) {
+  // Each knob set off its default, so a missing key cannot pass by
+  // matching the default value.
+  DeviceConfig dc = test::small_device();
+  dc.drams_per_bank = 16;
+  dc.vault_drain_limit = 3;
+  dc.nonlocal_penalty_cycles = 5;
+  dc.conflict_window = 7;
+  dc.refresh_interval_cycles = 9750;
+  dc.refresh_busy_cycles = 333;
+  dc.row_policy = RowPolicy::OpenPage;
+  dc.row_hit_cycles = 4;
+  dc.row_miss_cycles = 29;
+  dc.fault_seed = 4242;
+  dc.link_protocol = true;
+  dc.link_retry_limit = 11;
+  dc.checkpoint_interval_cycles = 1234;
+  Simulator sim = test::make_simple_sim(dc);
+
+  std::ostringstream os;
+  write_stats_json(os, sim);
+  const std::string text = os.str();
+  for (const char* expected :
+       {"\"drams_per_bank\":16", "\"vault_drain_limit\":3",
+        "\"nonlocal_penalty_cycles\":5", "\"conflict_window\":7",
+        "\"refresh_interval_cycles\":9750", "\"refresh_busy_cycles\":333",
+        "\"row_policy\":\"open_page\"", "\"row_hit_cycles\":4",
+        "\"row_miss_cycles\":29", "\"fault_seed\":4242",
+        "\"link_retry_limit\":11", "\"checkpoint_interval_cycles\":1234"}) {
+    EXPECT_NE(text.find(expected), std::string::npos) << expected;
+  }
+}
+
+TEST(StatsJsonExtras, LifecycleAndSamplesSectionsAppear) {
+  DeviceConfig dc = test::small_device();
+  dc.telemetry_interval_cycles = 8;
+  Simulator sim = test::make_simple_sim(dc);
+  auto lifecycle = std::make_shared<LifecycleSink>();
+  sim.add_lifecycle_observer(lifecycle);
+
+  ASSERT_EQ(test::send_request(sim, 0, 0, Command::Rd64, 0x40, 1),
+            Status::Ok);
+  ASSERT_TRUE(test::await_response(sim, 0, 0).has_value());
+  ASSERT_EQ(lifecycle->completed(), 1u);
+  // The response may drain before the first sampling interval elapses;
+  // idle-clock past it so the samples section has content.
+  for (int i = 0; i < 10; ++i) sim.clock();
+  ASSERT_FALSE(sim.telemetry()->rows().empty());
+
+  std::ostringstream os;
+  ReportExtras extras;
+  extras.lifecycle = lifecycle.get();
+  write_stats_json(os, sim, {}, extras);
+  const std::string text = os.str();
+  for (const char* expected :
+       {"\"latency_breakdown\":", "\"completed\":1", "\"classes\":",
+        "\"read\":", "\"total\":", "\"merged\":", "\"samples\":",
+        "\"interval\":8", "\"link_rqst\":"}) {
+    EXPECT_NE(text.find(expected), std::string::npos) << expected;
+  }
+  // Without the lifecycle extra its section stays out; the samples ride
+  // telemetry, so they stay in.
+  std::ostringstream plain;
+  write_stats_json(plain, sim);
+  EXPECT_EQ(plain.str().find("\"latency_breakdown\""), std::string::npos);
+  EXPECT_NE(plain.str().find("\"samples\""), std::string::npos);
+  // With telemetry off there are no rows to write.
+  Simulator off = test::make_simple_sim();
+  for (int i = 0; i < 10; ++i) off.clock();
+  std::ostringstream none;
+  write_stats_json(none, off, {}, extras);
+  EXPECT_EQ(none.str().find("\"samples\""), std::string::npos);
 }
 
 TEST(StatsJson, MultiDeviceArraysSized) {

@@ -793,9 +793,20 @@ TEST_F(HmcFixture, ObservabilitySettersFeedTheirDumps) {
   ASSERT_NE(out, nullptr);
   ASSERT_EQ(hmcsim_dump_flight_recorder_chrome(&hmc, out), 0);
   const std::string chrome = slurp(out);
-  EXPECT_EQ(chrome.rfind("{\"traceEvents\":[", 0), 0u) << chrome;
+  EXPECT_EQ(chrome.rfind("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", 0),
+            0u)
+      << chrome;
   EXPECT_NE(chrome.find("FF_SKIP_SPAN"), std::string::npos) << chrome;
   EXPECT_EQ(hmcsim_dump_flight_recorder_chrome(&hmc, nullptr), -1);
+  std::fclose(out);
+  // The stats report carries the telemetry rows as its samples section.
+  out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(hmcsim_dump_stats_json(&hmc, out), 0);
+  const std::string json = slurp(out);
+  EXPECT_NE(json.find("\"samples\":{\"interval\":16,\"data\":[{\"cycle\":16,"),
+            std::string::npos)
+      << json;
   std::fclose(out);
 }
 

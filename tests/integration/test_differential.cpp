@@ -204,6 +204,8 @@ struct Outcome {
   u64 life_completed{0};
   u64 life_conflicted{0};
   LatencyStats life[kOpClassCount][kLifecycleSegmentCount];
+  /// The telemetry pass's rows; empty with observability off.
+  std::vector<TelemetryRow> telemetry_rows;
 };
 
 /// One run's execution strategy (never simulation-visible).
@@ -288,7 +290,8 @@ Outcome run_scenario(const Scenario& s, const RunCfg& cfg) {
     sim.flush_observability();
     EXPECT_NE(sim.profiler(), nullptr);
     EXPECT_GT(sim.profiler()->staged_cycles(), 0u);
-    EXPECT_GT(sim.telemetry()->sample_passes(), 0u);
+    EXPECT_FALSE(sim.telemetry()->rows().empty());
+    out.telemetry_rows = sim.telemetry()->rows();
     EXPECT_GT(counts->count(TraceEvent::PacketSend), 0u);
     EXPECT_GT(sim.flight_recorder()->recorded(0), 0u);
   }
@@ -519,6 +522,15 @@ TEST_P(Differential, ObservabilityOnMatchesOffExactly) {
   expect_equivalent(s, kSkipping, ff_got, ff_off, ff_on);
   EXPECT_GT(ff_on.cycles_skipped, 0u)
       << "telemetry sampling must shorten skip spans, not disable skipping";
+
+  // The sampler itself sees the same machine whether or not cycles are
+  // skipped: the same row on every sample cycle.
+  RunCfg staged_on = kStagedIdle;
+  staged_on.observability = true;
+  const Outcome staged = run_scenario(s, staged_on);
+  EXPECT_EQ(staged.telemetry_rows.size(), ff_on.telemetry_rows.size());
+  EXPECT_TRUE(staged.telemetry_rows == ff_on.telemetry_rows)
+      << "telemetry rows differ between the staged and skipping runs";
 }
 
 TEST_P(Differential, SerialRerunIsBitIdentical) {

@@ -73,7 +73,7 @@ TEST(FlightRecorder, PartialRingSnapshotsInRecordOrder) {
 TEST(FlightRecorder, DepthClampsToAtLeastOne) {
   FlightRecorder rec(1, 0);
   EXPECT_EQ(rec.depth(), 1u);
-  rec.record(make_event(1, TraceEvent::LinkRetry));
+  rec.record(make_event(1, TraceEvent::LinkIrtry));
   rec.record(make_event(2, TraceEvent::LinkFailed));
   EXPECT_EQ(rec.size(0), 1u);
   EXPECT_EQ(rec.snapshot(0).front().cycle, 2u);
@@ -81,7 +81,7 @@ TEST(FlightRecorder, DepthClampsToAtLeastOne) {
 
 TEST(FlightRecorder, ClearDropsEverything) {
   FlightRecorder rec(2, 4);
-  rec.record(make_event(1, TraceEvent::LinkRetry));
+  rec.record(make_event(1, TraceEvent::LinkIrtry));
   rec.record(make_event(2, TraceEvent::LinkIrtry, 0, 1));
   rec.clear();
   EXPECT_EQ(rec.recorded(0), 0u);
@@ -92,7 +92,7 @@ TEST(FlightRecorder, ClearDropsEverything) {
 
 TEST(FlightRecorder, TextDumpListsHeaderAndEvents) {
   FlightRecorder rec(1, 4);
-  rec.record(make_event(17, TraceEvent::LinkRetry, 3, 0, 2, 1));
+  rec.record(make_event(17, TraceEvent::LinkIrtry, 3, 0, 2, 1));
   rec.record(make_event(19, TraceEvent::WatchdogFire, 500));
   std::ostringstream os;
   rec.dump_text(os);
@@ -100,7 +100,7 @@ TEST(FlightRecorder, TextDumpListsHeaderAndEvents) {
   EXPECT_NE(text.find("flight recorder dev 0: 2 retained of 2 recorded"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("cycle 17  LINK_RETRY  stage=1  unit=2  arg=3"),
+  EXPECT_NE(text.find("cycle 17  LINK_IRTRY  stage=1  unit=2  arg=3"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("cycle 19  WATCHDOG_FIRE  unit=0  arg=500"),
@@ -133,7 +133,7 @@ std::string render_chrome_fixture() {
   // A fixed two-device event mix covering instants on both rings and a
   // fast-forward span (rendered as a duration).
   FlightRecorder rec(2, 8);
-  rec.record(make_event(10, TraceEvent::LinkRetry, 2, 0, 1, 2));
+  rec.record(make_event(10, TraceEvent::LinkIrtry, 2, 0, 1, 2));
   rec.record(make_event(12, TraceEvent::WatchdogArm, 500, 0, 0, 6));
   rec.record(make_event(40, TraceEvent::FfSkipSpan, 25));
   rec.record(make_event(11, TraceEvent::RasDbe, 1, 1, 7, 4));

@@ -87,7 +87,7 @@ TEST(ObservabilitySim, TelemetrySamplesAtConfiguredInterval) {
   ASSERT_NE(sim.telemetry(), nullptr);
 
   for (u32 i = 0; i < 20; ++i) sim.clock();
-  EXPECT_EQ(sim.telemetry()->sample_passes(), 5u);  // cycles 4,8,12,16,20
+  EXPECT_EQ(sim.telemetry()->rows().size(), 5u);  // cycles 4,8,12,16,20
   // Idle queues: every sampled occupancy is zero.
   const OccupancyTrack& t = sim.telemetry()->track(TelemetryTrack::VaultRqst, 0);
   EXPECT_GT(t.samples, 0u);
@@ -102,7 +102,7 @@ TEST(ObservabilitySim, TelemetrySamplingSurvivesFastForward) {
 
   for (u32 i = 0; i < 64; ++i) sim.clock();
   // Fast-forward must stop at every sample cycle: 8,16,...,64 -> 8 passes.
-  EXPECT_EQ(sim.telemetry()->sample_passes(), 8u);
+  EXPECT_EQ(sim.telemetry()->rows().size(), 8u);
 }
 
 TEST(ObservabilitySim, TelemetryObservesBusyQueues) {
@@ -121,6 +121,78 @@ TEST(ObservabilitySim, TelemetryObservesBusyQueues) {
   const u64 vault_hw = tel.track(TelemetryTrack::VaultRqst, 0).high_water;
   const u64 xbar_hw = tel.track(TelemetryTrack::XbarRqst, 0).high_water;
   EXPECT_GT(vault_hw + xbar_hw, 0u);
+}
+
+TEST(TelemetryRows, OneRowPerPassOnTheInterval) {
+  DeviceConfig dc = small_device();
+  dc.telemetry_interval_cycles = 10;
+  ASSERT_TRUE(dc.fast_forward);
+  Simulator sim = make_simple_sim(dc);
+
+  for (int i = 0; i < 35; ++i) sim.clock();
+  const std::vector<TelemetryRow>& rows = sim.telemetry()->rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].cycle, 10u);
+  EXPECT_EQ(rows[1].cycle, 20u);
+  EXPECT_EQ(rows[2].cycle, 30u);
+}
+
+TEST(TelemetryRows, RowSumsQueuedWorkAndReadsTheCounters) {
+  // A tiny vault queue and a long bank busy time: eight same-bank reads
+  // back up into the crossbar, conflict and stall it.
+  DeviceConfig dc = small_device();
+  dc.vault_depth = 2;
+  dc.bank_busy_cycles = 50;
+  dc.telemetry_interval_cycles = 1;
+  Simulator sim = make_simple_sim(dc);
+  for (Tag t = 0; t < 8; ++t) {
+    ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 0, t), Status::Ok);
+  }
+  for (int i = 0; i < 6; ++i) sim.clock();
+
+  const TelemetryRow& row = sim.telemetry()->rows().back();
+  EXPECT_EQ(row.cycle, 6u);
+  // Nothing has reached the host yet: every packet sits in some queue.
+  EXPECT_EQ(row.link_rqst + row.link_rsp + row.vault_rqst + row.vault_rsp,
+            8u);
+  EXPECT_GT(row.link_rqst, 0u);
+  EXPECT_GT(row.vault_rqst, 0u);
+  EXPECT_EQ(row.mode_rsp, 0u);
+  const DeviceStats& st = sim.stats(0);
+  EXPECT_GT(row.xbar_rqst_stalls, 0u);
+  EXPECT_GT(row.bank_conflicts, 0u);
+  EXPECT_EQ(row.bank_conflicts, st.bank_conflicts);
+  EXPECT_EQ(row.xbar_rqst_stalls, st.xbar_rqst_stalls);
+  EXPECT_EQ(row.xbar_rsp_stalls, st.xbar_rsp_stalls);
+  EXPECT_EQ(row.vault_rsp_stalls, st.vault_rsp_stalls);
+  EXPECT_EQ(row.send_stalls, st.send_stalls);
+
+  EXPECT_EQ(test::drain_all(sim, 2000).size(), 8u);
+  const TelemetryRow& idle = sim.telemetry()->rows().back();
+  EXPECT_EQ(idle.link_rqst + idle.vault_rqst + idle.vault_rsp, 0u);
+}
+
+TEST(TelemetryRows, CsvHasHeaderAndOneLinePerRow) {
+  DeviceConfig dc = small_device();
+  dc.telemetry_interval_cycles = 5;
+  Simulator sim = make_simple_sim(dc);
+  for (int i = 0; i < 12; ++i) sim.clock();
+  ASSERT_EQ(sim.telemetry()->rows().size(), 2u);
+
+  std::ostringstream os;
+  sim.telemetry()->write_csv(os);
+  const std::string text = os.str();
+  EXPECT_EQ(text.find("cycle,link_rqst,link_rsp,vault_rqst,vault_rsp,"
+                      "mode_rsp,bank_conflicts,xbar_rqst_stalls,"
+                      "xbar_rsp_stalls,vault_rsp_stalls,send_stalls\n"),
+            0u);
+  EXPECT_NE(text.find("\n5,0,0,0,0,0,0,0,0,0,0\n10,"), std::string::npos)
+      << text;
+  usize lines = 0;
+  for (const char c : text) {
+    if (c == '\n') ++lines;
+  }
+  EXPECT_EQ(lines, 1u + sim.telemetry()->rows().size());
 }
 
 TEST(ObservabilitySim, FlightRecorderCapturesSkipSpans) {
@@ -275,7 +347,7 @@ TEST(ObservabilitySim, ResetClearsObservability) {
   sim.reset();
   ASSERT_NE(sim.profiler(), nullptr);
   EXPECT_EQ(sim.profiler()->staged_cycles(), 0u);
-  EXPECT_EQ(sim.telemetry()->sample_passes(), 0u);
+  EXPECT_TRUE(sim.telemetry()->rows().empty());
   EXPECT_EQ(sim.flight_recorder()->recorded(0), 0u);
 }
 

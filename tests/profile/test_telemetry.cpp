@@ -57,21 +57,24 @@ TEST(Telemetry, HostTagsAndSamplePasses) {
   Telemetry tel(1);
   tel.sample_host_tags(100);
   tel.sample_host_tags(50);
-  tel.note_sample_pass();
+  TelemetryRow row;
+  row.cycle = 64;
+  tel.add_row(row);
   EXPECT_EQ(tel.host_tags().high_water, 100u);
   EXPECT_EQ(tel.host_tags().samples, 2u);
-  EXPECT_EQ(tel.sample_passes(), 1u);
+  ASSERT_EQ(tel.rows().size(), 1u);
+  EXPECT_EQ(tel.rows()[0].cycle, 64u);
 }
 
 TEST(Telemetry, ResetZeroesAllTracks) {
   Telemetry tel(1);
   tel.sample(TelemetryTrack::XbarRsp, 0, 7);
   tel.sample_host_tags(3);
-  tel.note_sample_pass();
+  tel.add_row(TelemetryRow{});
   tel.reset();
   EXPECT_EQ(tel.track(TelemetryTrack::XbarRsp, 0).samples, 0u);
   EXPECT_EQ(tel.host_tags().samples, 0u);
-  EXPECT_EQ(tel.sample_passes(), 0u);
+  EXPECT_TRUE(tel.rows().empty());
 }
 
 TEST(Telemetry, TrackNamesAreDistinctAndStable) {

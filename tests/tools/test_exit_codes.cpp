@@ -101,6 +101,39 @@ TEST_F(ExitCodes, TwoOnUsageErrors) {
             2);
 }
 
+TEST_F(ExitCodes, TwoOnMetricsCsvWithoutTelemetry) {
+  // The CSV rows come from the telemetry pass; without its cadence the file
+  // would hold a header and nothing else, so the run is refused.
+  std::string out;
+  EXPECT_EQ(run(tool() + " --preset a --requests 64 --metrics-csv " +
+                    path("m.csv"),
+                &out),
+            2);
+  EXPECT_NE(out.find("--telemetry-interval"), std::string::npos) << out;
+  EXPECT_FALSE(fs::exists(path("m.csv")));
+  EXPECT_EQ(run(tool() + " --preset a --requests 4096 --telemetry-interval 64"
+                         " --metrics-csv " + path("m.csv")),
+            0);
+  std::ifstream csv(path("m.csv"));
+  std::string header, first;
+  ASSERT_TRUE(std::getline(csv, header));
+  EXPECT_EQ(header.rfind("cycle,link_rqst,", 0), 0u) << header;
+  ASSERT_TRUE(std::getline(csv, first));
+  EXPECT_EQ(first.rfind("64,", 0), 0u) << first;
+}
+
+TEST_F(ExitCodes, TwoOnTheRemovedMetricsInterval) {
+  // One sampler: --telemetry-interval sets the cadence of every queue
+  // sample, so the old second cadence flag is an unknown option.
+  std::string out;
+  EXPECT_EQ(run(tool() + " --preset a --requests 64 --metrics-interval 64",
+                &out),
+            2);
+  EXPECT_NE(out.find("unknown option '--metrics-interval'"),
+            std::string::npos)
+      << out;
+}
+
 TEST_F(ExitCodes, OneOnLinkErrorsWithoutTheProtocol) {
   // Link errors are modelled by the link retry protocol alone; a rate
   // without it is refused by validation, naming the config key.

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "trace/chrome.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracer.hpp"
+
+#ifndef HMCSIM_GOLDEN_DIR
+#define HMCSIM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace hmcsim {
 namespace {
@@ -205,6 +211,58 @@ TEST(ChromeTraceSink, FinishIsIdempotentAndStopsAccepting) {
   sink.complete(sample_life());
   EXPECT_EQ(os.str(), closed);
   EXPECT_EQ(sink.packets_emitted(), 1u);
+}
+
+/// A fixed mix of lifecycles: a conflicted read, a clean write on another
+/// vault of the same link, and a read on a second cube, so the export has
+/// every duration kind, both flow directions and metadata for three tracks
+/// on one cube and two on the other.
+std::string render_lifecycle_chrome() {
+  std::ostringstream os;
+  ChromeTraceSink sink(os);
+  sink.complete(sample_life());
+  PacketLifecycle write = sample_life();
+  write.first_conflict = 0;
+  write.vault = 5;
+  write.tag = 8;
+  write.cmd = Command::Wr64;
+  sink.complete(write);
+  PacketLifecycle remote = sample_life();
+  remote.inject = 40;
+  remote.vault_arrive = 47;
+  remote.first_conflict = 0;
+  remote.retire = 60;
+  remote.rsp_register = 61;
+  remote.drain = 70;
+  remote.dev = 1;
+  remote.link = 2;
+  remote.tag = 9;
+  sink.complete(remote);
+  sink.finish();
+  return os.str();
+}
+
+TEST(ChromeTraceSink, LifecycleExportMatchesGoldenFile) {
+  const std::string path =
+      std::string(HMCSIM_GOLDEN_DIR) + "/lifecycle_chrome.json";
+  const std::string got = render_lifecycle_chrome();
+
+  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated: " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R ChromeTraceSink";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << "Chrome lifecycle export diverged; if intentional, regenerate with "
+         "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
 }
 
 // ---- level gating and text round-trip of the new event ---------------------

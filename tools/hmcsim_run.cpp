@@ -22,8 +22,9 @@
 //     --fig5-csv <file>     write the per-vault Figure-5 series CSV
 //     --trace-out <file>    write the full text trace (level 2)
 //     --chrome-trace <file> write a Chrome trace-event JSON (about:tracing)
-//     --metrics-interval <n> sample queue occupancies/stalls every n cycles
-//     --metrics-csv <file>  write the metric samples as CSV
+//     --metrics-csv <file>  write one CSV row per telemetry pass: queue
+//                           occupancies and stall counters (needs
+//                           --telemetry-interval)
 //     --seed <n>            generator seed (default 1)
 //
 //   RAS / fault injection (see docs/RAS.md):
@@ -83,8 +84,10 @@
 //   Observability (see docs/OBSERVABILITY.md):
 //     --profile             self-profile the clock engine; print the
 //                           per-stage wall-time table after the summary
-//     --telemetry-interval <n>    sample queue/token/tag occupancy
-//                           high-water marks and histograms every n cycles
+//     --telemetry-interval <n>    sample queue/token/tag occupancy every
+//                           n cycles: high-water marks and histograms, plus
+//                           the rows behind --metrics-csv and the JSON
+//                           samples section
 //     --flight-recorder <file>    dump the flight-recorder event ring as
 //                           text at exit (enables a 256-deep ring if
 //                           --flight-recorder-depth is not given)
@@ -136,7 +139,6 @@
 
 #include "analysis/json.hpp"
 #include "analysis/report.hpp"
-#include "analysis/sampler.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/shrink.hpp"
 #include "core/config_file.hpp"
@@ -176,7 +178,6 @@ struct Args {
   std::string trace_out;
   std::string chrome_trace;
   std::string metrics_csv;
-  u64 metrics_interval = 0;
   u32 seed = 1;
   bool no_fast_forward = false;  ///< disable the idle-cycle fast path
   // RAS / fault injection; -1 sentinels mean "leave the config file value".
@@ -236,7 +237,7 @@ void usage(const char* argv0) {
                "[--read-fraction F] [--request-bytes N]\n"
                "       [--policy rr|local] [--json FILE|-] "
                "[--fig5-csv FILE] [--trace-out FILE]\n"
-               "       [--chrome-trace FILE] [--metrics-interval N] "
+               "       [--chrome-trace FILE] "
                "[--metrics-csv FILE] [--seed N] "
                "[--no-fast-forward]\n"
                "       [--profile] [--telemetry-interval N] "
@@ -343,7 +344,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   };
   static constexpr U64Opt kU64Opts[] = {
       {"--requests", &Args::requests},
-      {"--metrics-interval", &Args::metrics_interval},
       {"--timeout", &Args::timeout},
       {"--backoff", &Args::backoff},
       {"--wedge-vaults", &Args::wedge_vaults},
@@ -796,6 +796,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The metrics CSV is the telemetry pass's rows; without a cadence it
+  // would be a header and nothing else.
+  if (!args.metrics_csv.empty() &&
+      config.device.telemetry_interval_cycles == 0) {
+    std::fprintf(stderr,
+                 "error: --metrics-csv needs --telemetry-interval N (its "
+                 "rows come from the telemetry sampling pass)\n");
+    return 2;
+  }
+
   // A wedge mask naming vaults beyond the configured count is a typo'd
   // experiment, not a quieter one — reject it before anything runs.
   if (args.wedge_vaults != 0) {
@@ -906,11 +916,6 @@ int main(int argc, char** argv) {
     }
     chrome = std::make_shared<ChromeTraceSink>(chrome_file);
     sim.add_lifecycle_observer(chrome);
-  }
-
-  MetricsSampler sampler;
-  if (args.metrics_interval != 0) {
-    sampler.attach(sim, args.metrics_interval);
   }
 
   // ---- workload -------------------------------------------------------------
@@ -1061,7 +1066,6 @@ int main(int argc, char** argv) {
 
   ReportExtras extras;
   extras.lifecycle = lifecycle.get();
-  if (args.metrics_interval != 0) extras.sampler = &sampler;
   if (!args.json_out.empty()) {
     if (args.json_out == "-") {
       write_stats_json(std::cout, sim, {}, extras);
@@ -1087,9 +1091,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", args.metrics_csv.c_str());
       return 1;
     }
-    sampler.write_csv(out);
+    sim.telemetry()->write_csv(out);
     std::printf("metrics   : %s (%llu samples)\n", args.metrics_csv.c_str(),
-                static_cast<unsigned long long>(sampler.samples().size()));
+                static_cast<unsigned long long>(
+                    sim.telemetry()->rows().size()));
   }
   if (series) {
     std::ofstream out(args.fig5_csv);
