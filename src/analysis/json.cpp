@@ -260,15 +260,6 @@ void write_flight_recorder(JsonWriter& json, const FlightRecorder& rec) {
   json.end_object();
 }
 
-std::string_view map_mode_name(AddrMapMode mode) {
-  switch (mode) {
-    case AddrMapMode::LowInterleave: return "low_interleave";
-    case AddrMapMode::BankFirst: return "bank_first";
-    case AddrMapMode::Linear: return "linear";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 void write_stats_json(std::ostream& os, const Simulator& sim,
@@ -283,58 +274,18 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
     const DeviceConfig& dc = sim.config().device;
     json.key("config").begin_object();
     json.kv("num_devices", u64{sim.num_devices()});
-    json.kv("num_links", u64{dc.num_links});
     json.kv("num_vaults", u64{dc.num_vaults()});
-    json.kv("banks_per_vault", u64{dc.banks_per_vault});
-    json.kv("drams_per_bank", u64{dc.drams_per_bank});
     json.kv("capacity_bytes", dc.derived_capacity());
-    json.kv("xbar_depth", u64{dc.xbar_depth});
-    json.kv("vault_depth", u64{dc.vault_depth});
-    json.kv("max_block_bytes", dc.max_block_bytes);
-    json.kv("map_mode", map_mode_name(dc.map_mode));
-    json.kv("bank_busy_cycles", u64{dc.bank_busy_cycles});
-    json.kv("xbar_flits_per_cycle", u64{dc.xbar_flits_per_cycle});
-    json.kv("vault_drain_limit", u64{dc.vault_drain_limit});
-    json.kv("nonlocal_penalty_cycles", u64{dc.nonlocal_penalty_cycles});
-    json.kv("conflict_window", u64{dc.conflict_window});
-    json.kv("refresh_interval_cycles", u64{dc.refresh_interval_cycles});
-    json.kv("refresh_busy_cycles", u64{dc.refresh_busy_cycles});
-    json.kv("row_policy", dc.row_policy == RowPolicy::OpenPage
-                              ? "open_page"
-                              : "closed_page");
-    json.kv("row_hit_cycles", u64{dc.row_hit_cycles});
-    json.kv("row_miss_cycles", u64{dc.row_miss_cycles});
-    json.kv("vault_schedule",
-            dc.vault_schedule == VaultSchedule::BankReady ? "bank_ready"
-                                                          : "strict_fifo");
-    json.kv("link_error_rate_ppm", u64{dc.link_error_rate_ppm});
-    json.kv("fault_seed", dc.fault_seed);
-    json.kv("link_retry_limit", u64{dc.link_retry_limit});
-    json.kv("model_data", dc.model_data);
-    json.kv("dram_sbe_rate_ppm", u64{dc.dram_sbe_rate_ppm});
-    json.kv("dram_dbe_rate_ppm", u64{dc.dram_dbe_rate_ppm});
-    json.kv("scrub_interval_cycles", u64{dc.scrub_interval_cycles});
-    json.kv("scrub_window_bytes", dc.scrub_window_bytes);
-    json.kv("vault_fail_threshold", u64{dc.vault_fail_threshold});
-    json.kv("failed_vault_mask", dc.failed_vault_mask);
-    json.kv("vault_remap", dc.vault_remap);
-    json.kv("watchdog_cycles", u64{dc.watchdog_cycles});
-    json.kv("link_protocol", dc.link_protocol);
-    json.kv("link_tokens", u64{dc.link_tokens});
-    json.kv("link_retry_buffer_flits", u64{dc.link_retry_buffer_flits});
-    json.kv("link_retry_latency", u64{dc.link_retry_latency});
-    json.kv("link_error_burst_len", u64{dc.link_error_burst_len});
-    json.kv("link_stuck_interval_cycles", u64{dc.link_stuck_interval_cycles});
-    json.kv("link_stuck_window_cycles", u64{dc.link_stuck_window_cycles});
-    json.kv("link_fail_threshold", u64{dc.link_fail_threshold});
-    json.kv("fast_forward", dc.fast_forward);
-    json.kv("self_profile", dc.self_profile);
-    json.kv("telemetry_interval_cycles", u64{dc.telemetry_interval_cycles});
-    json.kv("flight_recorder_depth", u64{dc.flight_recorder_depth});
-    json.kv("checkpoint_interval_cycles",
-            u64{dc.checkpoint_interval_cycles});
-    json.kv("chaos_invariants", u64{dc.chaos_invariants});
-    json.kv("timing_backend", to_string(dc.timing_backend));
+    for (const ConfigField& f : kConfigFields) {
+      if (!f.keyed()) continue;
+      const u64 word = f.get(dc);
+      json.key(f.key);
+      switch (f.kind) {
+        case FieldKind::Number: json.value(word); break;
+        case FieldKind::Flag: json.value(word != 0); break;
+        case FieldKind::Enum: json.value(f.name(word)); break;
+      }
+    }
     json.key("vault_backends").begin_array();
     for (const auto& [vault, backend] : dc.vault_backends) {
       json.begin_object();
@@ -343,13 +294,6 @@ void write_stats_json(std::ostream& os, const Simulator& sim,
       json.end_object();
     }
     json.end_array();
-    json.kv("ddr_tcl", u64{dc.ddr_tcl});
-    json.kv("ddr_trcd", u64{dc.ddr_trcd});
-    json.kv("ddr_trp", u64{dc.ddr_trp});
-    json.kv("ddr_tras", u64{dc.ddr_tras});
-    json.kv("pcm_read_cycles", u64{dc.pcm_read_cycles});
-    json.kv("pcm_write_cycles", u64{dc.pcm_write_cycles});
-    json.kv("pcm_write_gap_cycles", u64{dc.pcm_write_gap_cycles});
     json.end_object();
 
     json.key("totals");

@@ -369,55 +369,12 @@ bool get_stats(std::istream& is, DeviceStats& s, u32 version) {
   return true;
 }
 
+// The CFG block: every checkpointed kConfigFields word in table order, then
+// (v7) the per-vault backend override list.
 void put_device_config(std::ostream& os, const DeviceConfig& c) {
-  put_u32(os, c.num_links);
-  put_u32(os, c.banks_per_vault);
-  put_u32(os, c.drams_per_bank);
-  put_u64(os, c.xbar_depth);
-  put_u64(os, c.vault_depth);
-  put_u64(os, c.capacity_bytes);
-  put_u8(os, static_cast<u8>(c.map_mode));
-  put_u64(os, c.max_block_bytes);
-  put_u32(os, c.bank_busy_cycles);
-  put_u32(os, c.xbar_flits_per_cycle);
-  put_u32(os, c.vault_drain_limit);
-  put_u32(os, c.nonlocal_penalty_cycles);
-  put_u32(os, c.conflict_window);
-  put_u8(os, static_cast<u8>(c.vault_schedule));
-  put_u32(os, c.link_error_rate_ppm);
-  put_u64(os, c.fault_seed);
-  put_u32(os, c.link_retry_limit);
-  put_u32(os, c.refresh_interval_cycles);
-  put_u32(os, c.refresh_busy_cycles);
-  put_u8(os, static_cast<u8>(c.row_policy));
-  put_u32(os, c.row_hit_cycles);
-  put_u32(os, c.row_miss_cycles);
-  put_flag(os, c.model_data);
-  put_u32(os, c.dram_sbe_rate_ppm);
-  put_u32(os, c.dram_dbe_rate_ppm);
-  put_u32(os, c.scrub_interval_cycles);
-  put_u64(os, c.scrub_window_bytes);
-  put_u32(os, c.vault_fail_threshold);
-  put_u64(os, c.failed_vault_mask);
-  put_flag(os, c.vault_remap);
-  put_u32(os, c.watchdog_cycles);
-  put_flag(os, c.link_protocol);
-  put_u32(os, c.link_tokens);
-  put_u32(os, c.link_retry_buffer_flits);
-  put_u32(os, c.link_retry_latency);
-  put_u32(os, c.link_error_burst_len);
-  put_u32(os, c.link_stuck_interval_cycles);
-  put_u32(os, c.link_stuck_window_cycles);
-  put_u32(os, c.link_fail_threshold);
-  // v7: timing-backend selection and parameters.
-  put_u8(os, static_cast<u8>(c.timing_backend));
-  put_u32(os, c.ddr_tcl);
-  put_u32(os, c.ddr_trcd);
-  put_u32(os, c.ddr_trp);
-  put_u32(os, c.ddr_tras);
-  put_u32(os, c.pcm_read_cycles);
-  put_u32(os, c.pcm_write_cycles);
-  put_u32(os, c.pcm_write_gap_cycles);
+  for (const ConfigField& f : kConfigFields) {
+    if (f.checkpointed()) put_u64(os, f.get(c));
+  }
   put_u64(os, c.vault_backends.size());
   for (const auto& [vault, backend] : c.vault_backends) {
     put_u32(os, vault);
@@ -426,53 +383,17 @@ void put_device_config(std::ostream& os, const DeviceConfig& c) {
 }
 
 bool get_device_config(std::istream& is, DeviceConfig& c, u32 version) {
-  u64 xbar = 0, vault = 0;
-  if (!get_u32(is, c.num_links) || !get_u32(is, c.banks_per_vault) ||
-      !get_u32(is, c.drams_per_bank) || !get_u64(is, xbar) ||
-      !get_u64(is, vault) || !get_u64(is, c.capacity_bytes) ||
-      !get_enum(is, c.map_mode, AddrMapMode::Linear) ||
-      !get_u64(is, c.max_block_bytes) ||
-      !get_u32(is, c.bank_busy_cycles) ||
-      !get_u32(is, c.xbar_flits_per_cycle) ||
-      !get_u32(is, c.vault_drain_limit) ||
-      !get_u32(is, c.nonlocal_penalty_cycles) ||
-      !get_u32(is, c.conflict_window) ||
-      !get_enum(is, c.vault_schedule, VaultSchedule::StrictFifo) ||
-      !get_u32(is, c.link_error_rate_ppm) || !get_u64(is, c.fault_seed) ||
-      !get_u32(is, c.link_retry_limit) ||
-      !get_u32(is, c.refresh_interval_cycles) ||
-      !get_u32(is, c.refresh_busy_cycles) ||
-      !get_enum(is, c.row_policy, RowPolicy::OpenPage) ||
-      !get_u32(is, c.row_hit_cycles) || !get_u32(is, c.row_miss_cycles) ||
-      !get_flag(is, c.model_data) || !get_u32(is, c.dram_sbe_rate_ppm) ||
-      !get_u32(is, c.dram_dbe_rate_ppm) ||
-      !get_u32(is, c.scrub_interval_cycles) ||
-      !get_u64(is, c.scrub_window_bytes) ||
-      !get_u32(is, c.vault_fail_threshold) ||
-      !get_u64(is, c.failed_vault_mask) || !get_flag(is, c.vault_remap) ||
-      !get_u32(is, c.watchdog_cycles) || !get_flag(is, c.link_protocol) ||
-      !get_u32(is, c.link_tokens) || !get_u32(is, c.link_retry_buffer_flits) ||
-      !get_u32(is, c.link_retry_latency) ||
-      !get_u32(is, c.link_error_burst_len) ||
-      !get_u32(is, c.link_stuck_interval_cycles) ||
-      !get_u32(is, c.link_stuck_window_cycles) ||
-      !get_u32(is, c.link_fail_threshold)) {
-    return false;
+  // Fields newer than `version` keep their defaults: v6 restores keep the
+  // hmc_dram backend and its parameter defaults.
+  for (const ConfigField& f : kConfigFields) {
+    if (!f.checkpointed() || f.since > version) continue;
+    u64 word = 0;
+    if (!get_u64(is, word) || word > f.max) return false;
+    f.set(c, word);
   }
-  c.xbar_depth = static_cast<usize>(xbar);
-  c.vault_depth = static_cast<usize>(vault);
-  // v6 predates pluggable backends: restores keep the default hmc_dram
-  // selection and parameter defaults.
   if (version < 7) return true;
   u64 overrides = 0;
-  if (!get_enum(is, c.timing_backend, TimingBackend::PcmLike) ||
-      !get_u32(is, c.ddr_tcl) || !get_u32(is, c.ddr_trcd) ||
-      !get_u32(is, c.ddr_trp) || !get_u32(is, c.ddr_tras) ||
-      !get_u32(is, c.pcm_read_cycles) || !get_u32(is, c.pcm_write_cycles) ||
-      !get_u32(is, c.pcm_write_gap_cycles) || !get_u64(is, overrides) ||
-      overrides > kMaxVaultOverrides) {
-    return false;
-  }
+  if (!get_u64(is, overrides) || overrides > kMaxVaultOverrides) return false;
   c.vault_backends.clear();
   c.vault_backends.reserve(static_cast<usize>(overrides));
   for (u64 i = 0; i < overrides; ++i) {
@@ -695,21 +616,13 @@ bool get_device_block(std::istream& is, Device& dev, u32 version,
          get_u8(is, dev.ras.last_error_stat);
 }
 
-/// The knobs a checkpoint never carries.  fast_forward is not serialized
-/// (checkpoints are agnostic to the execution strategy).  The
-/// observability knobs (self_profile / telemetry_interval_cycles /
-/// flight_recorder_depth) are pure observation: checkpoint bytes are
-/// identical with them on or off.  The checkpoint_interval_cycles knob
-/// follows the same rule: how often a run snapshots itself must not leak
-/// into the snapshot, and neither does the chaos_invariants check cadence
-/// (the campaign itself travels in CHAO).
+/// The knobs a checkpoint never carries (FieldScope::Knob): the execution
+/// strategy, observation, and the snapshot and invariant-check cadences must
+/// not leak into the bytes (a chaos campaign itself travels in CHAO).
 void copy_execution_knobs(DeviceConfig& to, const DeviceConfig& from) {
-  to.fast_forward = from.fast_forward;
-  to.self_profile = from.self_profile;
-  to.telemetry_interval_cycles = from.telemetry_interval_cycles;
-  to.flight_recorder_depth = from.flight_recorder_depth;
-  to.checkpoint_interval_cycles = from.checkpoint_interval_cycles;
-  to.chaos_invariants = from.chaos_invariants;
+  for (const ConfigField& f : kConfigFields) {
+    if (!f.checkpointed()) f.set(to, f.get(from));
+  }
 }
 
 }  // namespace

@@ -7,20 +7,19 @@
 namespace hmcsim {
 
 const char* to_string(TimingBackend backend) {
-  switch (backend) {
-    case TimingBackend::HmcDram: return "hmc_dram";
-    case TimingBackend::GenericDdr: return "generic_ddr";
-    case TimingBackend::PcmLike: return "pcm_like";
-  }
-  return "hmc_dram";
+  const auto index = static_cast<usize>(backend);
+  if (index >= std::size(kTimingBackendNames)) return "hmc_dram";
+  return kTimingBackendNames[index].data();
 }
 
 bool timing_backend_from_string(std::string_view name, TimingBackend* out) {
-  if (name == "hmc_dram") *out = TimingBackend::HmcDram;
-  else if (name == "generic_ddr") *out = TimingBackend::GenericDdr;
-  else if (name == "pcm_like") *out = TimingBackend::PcmLike;
-  else return false;
-  return true;
+  for (usize i = 0; i < std::size(kTimingBackendNames); ++i) {
+    if (kTimingBackendNames[i] == name) {
+      *out = static_cast<TimingBackend>(i);
+      return true;
+    }
+  }
+  return false;
 }
 
 bool DeviceConfig::uses_backend(TimingBackend backend) const {

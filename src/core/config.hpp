@@ -10,8 +10,11 @@
 // §V.A) — hence one DeviceConfig shared by every cube.
 #pragma once
 
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,10 @@ enum class AddrMapMode : u8 {
   BankFirst,      ///< bank bits lowest (ablation A2)
   Linear,         ///< vault/bank bits highest (ablation A2, worst case)
 };
+/// An enum's spellings in the config file, the JSON report and on the
+/// command line, indexed by enumerator value (likewise for the enums below).
+inline constexpr std::string_view kAddrMapModeNames[] = {
+    "low_interleave", "bank_first", "linear"};
 
 /// Bank row-buffer management policy.
 /// ClosedPage (the paper's implicit model): every access costs the full
@@ -38,6 +45,8 @@ enum class RowPolicy : u8 {
   ClosedPage,
   OpenPage,
 };
+inline constexpr std::string_view kRowPolicyNames[] = {"closed_page",
+                                                       "open_page"};
 
 /// How the vault controller picks requests to retire each cycle.
 /// The spec's weak ordering model allows vaults to "reorder queued packets
@@ -48,6 +57,8 @@ enum class VaultSchedule : u8 {
   BankReady,   ///< retire any queued request whose bank is free (default)
   StrictFifo,  ///< retire in strict arrival order only
 };
+inline constexpr std::string_view kVaultScheduleNames[] = {"bank_ready",
+                                                           "strict_fifo"};
 
 /// Vault bank-timing backend (see docs/BACKENDS.md).  The backend decides
 /// when a bank can accept a command and how long it stays busy; everything
@@ -57,14 +68,18 @@ enum class TimingBackend : u8 {
   GenericDdr,  ///< parameterized tCL/tRCD/tRP/tRAS timing
   PcmLike,     ///< asymmetric read/write latency + write throttling
 };
+inline constexpr std::string_view kTimingBackendNames[] = {
+    "hmc_dram", "generic_ddr", "pcm_like"};
 
-/// Canonical config-file / CLI spelling of a backend ("hmc_dram",
-/// "generic_ddr", "pcm_like").
+/// Canonical config-file / CLI spelling of a backend (kTimingBackendNames).
 const char* to_string(TimingBackend backend);
 /// Parse a backend name; returns false (and leaves `out` alone) on an
 /// unknown spelling.
 bool timing_backend_from_string(std::string_view name, TimingBackend* out);
 
+/// Every scalar field is listed once in kConfigFields (below), which the
+/// config file, the checkpoint CFG section, the JSON report and hmcsim_run's
+/// override flags loop over: a new scalar field takes one entry there.
 struct DeviceConfig {
   // ---- structural (the paper's init parameters) ------------------------
   u32 num_links{4};        ///< 4 or 8
@@ -317,6 +332,161 @@ struct SimConfig {
   /// number of devices.
   [[nodiscard]] u32 host_cub() const { return num_devices; }
 };
+
+// ---- the config field table ---------------------------------------------
+
+/// How a field's value is spelled.  Every value is one u64 word.
+enum class FieldKind : u8 {
+  Number,  ///< u32, u64 or usize member: decimal text
+  Flag,    ///< bool member: true/false (or 1/0), word 0 or 1
+  Enum,    ///< enum member: one of `names`, word = enumerator value
+};
+
+/// Which surfaces carry a field.
+enum class FieldScope : u8 {
+  State,           ///< device state: CFG section, config file, JSON report
+  Knob,            ///< execution knob: file and report, never checkpointed
+                   ///< (a restore keeps the live value)
+  CheckpointOnly,  ///< capacity_bytes: the file spells it capacity_gb and
+                   ///< the report gives the derived capacity
+};
+
+/// One scalar DeviceConfig field: its key, its value's kind and bound, and
+/// the member read and written as a word.
+struct ConfigField {
+  std::string_view key;
+  FieldKind kind;
+  u64 max;                                  ///< largest word the member holds
+  std::span<const std::string_view> names;  ///< Enum spellings, by value
+  FieldScope scope;
+  u32 since;  ///< first checkpoint version whose CFG section has the field
+  u64 (*get)(const DeviceConfig&);
+  void (*set)(DeviceConfig&, u64 word);  ///< `word` must be <= max
+
+  [[nodiscard]] constexpr bool checkpointed() const {
+    return scope != FieldScope::Knob;
+  }
+  /// True when the config file, the report and hmcsim_run name the field.
+  [[nodiscard]] constexpr bool keyed() const {
+    return scope != FieldScope::CheckpointOnly;
+  }
+  /// The spelling of an Enum word ("?" past the last enumerator).
+  [[nodiscard]] constexpr std::string_view name(u64 word) const {
+    return word < names.size() ? names[word] : "?";
+  }
+};
+
+namespace detail {
+constexpr std::span<const std::string_view> enum_names(AddrMapMode) {
+  return kAddrMapModeNames;
+}
+constexpr std::span<const std::string_view> enum_names(RowPolicy) {
+  return kRowPolicyNames;
+}
+constexpr std::span<const std::string_view> enum_names(VaultSchedule) {
+  return kVaultScheduleNames;
+}
+constexpr std::span<const std::string_view> enum_names(TimingBackend) {
+  return kTimingBackendNames;
+}
+}  // namespace detail
+
+/// The entry for `Member`; its kind and bound follow the member's type.
+template <auto Member>
+constexpr ConfigField config_field(std::string_view key,
+                                   FieldScope scope = FieldScope::State,
+                                   u32 since = 6) {
+  using T = std::remove_cvref_t<decltype(DeviceConfig{}.*Member)>;
+  ConfigField f{
+      key, FieldKind::Number, 0, {}, scope, since,
+      [](const DeviceConfig& c) { return static_cast<u64>(c.*Member); },
+      [](DeviceConfig& c, u64 word) { c.*Member = static_cast<T>(word); }};
+  if constexpr (std::is_same_v<T, bool>) {
+    f.kind = FieldKind::Flag;
+    f.max = 1;
+  } else if constexpr (std::is_enum_v<T>) {
+    f.kind = FieldKind::Enum;
+    f.names = detail::enum_names(T{});
+    f.max = f.names.size() - 1;
+  } else {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) >= sizeof(u32));
+    f.max = std::numeric_limits<T>::max();
+  }
+  return f;
+}
+
+/// Every scalar DeviceConfig field, once, in checkpoint CFG wire order: the
+/// CFG section holds each checkpointed field's word in this order (version
+/// 7 added the timing-backend block), then the vault_backends list.  The
+/// config file, the JSON report's `config` echo and hmcsim_run's override
+/// flags use the same keys, in the same order.  Left out: vault_backends
+/// and the no-op sim_threads.  Each key is its member's name.
+#define HMCSIM_CONFIG_FIELD(member, ...) \
+  config_field<&DeviceConfig::member>(#member __VA_OPT__(, ) __VA_ARGS__)
+inline constexpr ConfigField kConfigFields[] = {
+    HMCSIM_CONFIG_FIELD(num_links),
+    HMCSIM_CONFIG_FIELD(banks_per_vault),
+    HMCSIM_CONFIG_FIELD(drams_per_bank),
+    HMCSIM_CONFIG_FIELD(xbar_depth),
+    HMCSIM_CONFIG_FIELD(vault_depth),
+    HMCSIM_CONFIG_FIELD(capacity_bytes, FieldScope::CheckpointOnly),
+    HMCSIM_CONFIG_FIELD(map_mode),
+    HMCSIM_CONFIG_FIELD(max_block_bytes),
+    HMCSIM_CONFIG_FIELD(bank_busy_cycles),
+    HMCSIM_CONFIG_FIELD(xbar_flits_per_cycle),
+    HMCSIM_CONFIG_FIELD(vault_drain_limit),
+    HMCSIM_CONFIG_FIELD(nonlocal_penalty_cycles),
+    HMCSIM_CONFIG_FIELD(conflict_window),
+    HMCSIM_CONFIG_FIELD(vault_schedule),
+    HMCSIM_CONFIG_FIELD(link_error_rate_ppm),
+    HMCSIM_CONFIG_FIELD(fault_seed),
+    HMCSIM_CONFIG_FIELD(link_retry_limit),
+    HMCSIM_CONFIG_FIELD(refresh_interval_cycles),
+    HMCSIM_CONFIG_FIELD(refresh_busy_cycles),
+    HMCSIM_CONFIG_FIELD(row_policy),
+    HMCSIM_CONFIG_FIELD(row_hit_cycles),
+    HMCSIM_CONFIG_FIELD(row_miss_cycles),
+    HMCSIM_CONFIG_FIELD(model_data),
+    HMCSIM_CONFIG_FIELD(dram_sbe_rate_ppm),
+    HMCSIM_CONFIG_FIELD(dram_dbe_rate_ppm),
+    HMCSIM_CONFIG_FIELD(scrub_interval_cycles),
+    HMCSIM_CONFIG_FIELD(scrub_window_bytes),
+    HMCSIM_CONFIG_FIELD(vault_fail_threshold),
+    HMCSIM_CONFIG_FIELD(failed_vault_mask),
+    HMCSIM_CONFIG_FIELD(vault_remap),
+    HMCSIM_CONFIG_FIELD(watchdog_cycles),
+    HMCSIM_CONFIG_FIELD(link_protocol),
+    HMCSIM_CONFIG_FIELD(link_tokens),
+    HMCSIM_CONFIG_FIELD(link_retry_buffer_flits),
+    HMCSIM_CONFIG_FIELD(link_retry_latency),
+    HMCSIM_CONFIG_FIELD(link_error_burst_len),
+    HMCSIM_CONFIG_FIELD(link_stuck_interval_cycles),
+    HMCSIM_CONFIG_FIELD(link_stuck_window_cycles),
+    HMCSIM_CONFIG_FIELD(link_fail_threshold),
+    HMCSIM_CONFIG_FIELD(timing_backend, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(ddr_tcl, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(ddr_trcd, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(ddr_trp, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(ddr_tras, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(pcm_read_cycles, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(pcm_write_cycles, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(pcm_write_gap_cycles, FieldScope::State, 7),
+    HMCSIM_CONFIG_FIELD(fast_forward, FieldScope::Knob),
+    HMCSIM_CONFIG_FIELD(self_profile, FieldScope::Knob),
+    HMCSIM_CONFIG_FIELD(telemetry_interval_cycles, FieldScope::Knob),
+    HMCSIM_CONFIG_FIELD(flight_recorder_depth, FieldScope::Knob),
+    HMCSIM_CONFIG_FIELD(checkpoint_interval_cycles, FieldScope::Knob),
+    HMCSIM_CONFIG_FIELD(chaos_invariants, FieldScope::Knob),
+};
+#undef HMCSIM_CONFIG_FIELD
+
+/// The entry named `key`, or null.
+constexpr const ConfigField* find_config_field(std::string_view key) {
+  for (const ConfigField& f : kConfigFields) {
+    if (f.key == key) return &f;
+  }
+  return nullptr;
+}
 
 /// Convenience constructors for the paper's four Table I configurations.
 [[nodiscard]] DeviceConfig table1_config_4link_8bank();   // 2 GB

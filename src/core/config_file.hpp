@@ -14,13 +14,18 @@
 //   vault_schedule = bank_ready         # strict_fifo
 //   link_error_rate_ppm = 0
 //
-// Unknown keys are errors (they are invariably typos); every key is
-// optional and defaults to the in-code DeviceConfig defaults.  The parser
-// reports the first problem with its line number.
+// The keys are those of kConfigFields (core/config.hpp), in its order,
+// plus four written out here: num_devices, capacity_gb, the repeatable
+// vault_backend and the ignored sim_threads.  Unknown keys are errors (they
+// are invariably typos); every key is optional and defaults to the in-code
+// DeviceConfig defaults.  The parser reports the first problem with its
+// line number.
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/config.hpp"
 
@@ -42,5 +47,20 @@ struct ConfigParseResult {
 
 /// Serialize a config in the same format (inverse of the parser).
 void write_config(std::ostream& os, const SimConfig& config);
+
+/// Parse all of `text` as an unsigned number in `base`; base 0 reads C
+/// prefixes (0x hex, a leading 0 octal).  `too_large` tells a number past
+/// 64 bits from junk.
+[[nodiscard]] bool parse_unsigned(std::string_view text, int base, u64& out,
+                                  bool* too_large = nullptr);
+
+/// Parse `text` as a value of `field`: one of its names for an Enum,
+/// true/false or 1/0 for a Flag, else a number no larger than the field's
+/// bound, in `base` (10 in files; 0 accepts C prefixes, so 0x2 is 2).
+/// Returns the word, or nullopt with `error` set to "<key> <reason>".
+[[nodiscard]] std::optional<u64> parse_config_value(const ConfigField& field,
+                                                    std::string_view text,
+                                                    int base,
+                                                    std::string* error);
 
 }  // namespace hmcsim

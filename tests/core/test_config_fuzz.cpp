@@ -7,6 +7,8 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/config_file.hpp"
@@ -53,28 +55,26 @@ TEST(ConfigFuzz, RandomKeyValueShapedLinesNeverCrash) {
   // Bias the soup toward things that look like real assignments so the
   // value-parsing and range-checking paths get hit, not just key lookup.
   SplitMix64 rng(0xFACE);
-  static constexpr const char* kKeys[] = {
-      "num_devices",   "num_links",       "banks_per_vault",
-      "xbar_depth",    "vault_depth",     "capacity_gb",
-      "map_mode",      "vault_schedule",  "link_error_rate_ppm",
-      "row_hit_cycles", "dram_sbe_rate_ppm", "watchdog_cycles",
-      "link_protocol", "link_tokens",     "link_retry_buffer_flits",
-      "link_retry_latency", "link_error_burst_len",
-      "link_stuck_interval_cycles", "link_stuck_window_cycles",
-      "link_fail_threshold",
-      "timing_backend", "vault_backend", "ddr_tcl", "ddr_tras",
-      "pcm_read_cycles", "pcm_write_cycles", "pcm_write_gap_cycles",
-      "not_a_real_key"};
+  // Every key the file accepts, plus one it must refuse.
+  std::vector<std::string_view> keys = {"num_devices", "capacity_gb",
+                                        "vault_backend", "sim_threads",
+                                        "not_a_real_key"};
+  std::vector<std::string_view> names;
+  for (const ConfigField& f : kConfigFields) {
+    if (f.keyed()) keys.push_back(f.key);
+    names.insert(names.end(), f.names.begin(), f.names.end());
+  }
   for (int i = 0; i < 20000; ++i) {
     std::string text;
     const usize lines = 1 + rng.next_below(6);
     for (usize l = 0; l < lines; ++l) {
-      text += kKeys[rng.next_below(std::size(kKeys))];
+      text += keys[rng.next_below(keys.size())];
       text += " = ";
-      // Values: plain numbers, huge numbers, negatives, junk words, plus
-      // vault_backend's "<index>:<name>" / "<lo>-<hi>:<name>" shapes (well
-      // formed, out of range, and malformed).
-      switch (rng.next_below(9)) {
+      // Values: plain numbers, huge numbers, negatives, junk words, flag
+      // and enum spellings, plus vault_backend's "<index>:<name>" /
+      // "<lo>-<hi>:<name>" shapes (well formed, out of range, and
+      // malformed).
+      switch (rng.next_below(11)) {
         case 0: text += std::to_string(rng.next_below(1u << 20)); break;
         case 1: text += "99999999999999999999999"; break;
         case 2: text += "-5"; break;
@@ -85,6 +85,8 @@ TEST(ConfigFuzz, RandomKeyValueShapedLinesNeverCrash) {
           break;
         case 6: text += "0-63:pcm_like"; break;
         case 7: text += ":" + random_text(rng, 8); break;
+        case 8: text += rng.next_below(2) == 0 ? "true" : "false"; break;
+        case 9: text += names[rng.next_below(names.size())]; break;
         default: text += "bank_ready"; break;
       }
       text += '\n';

@@ -263,10 +263,19 @@ TEST_F(ExitCodes, FiveOnCheckpointWriteFailure) {
   const std::string ckpt = (dir_ / "ckpt").string();
   EXPECT_EQ(run("HMCSIM_FAILPOINT=enospc:1000 " + tool() +
                 " --requests 8192 --checkpoint-dir " + ckpt +
-                " --checkpoint-interval 200"),
+                " --checkpoint-interval 200 --chrome-trace " +
+                path("c.json")),
             5);
   // The atomic writer must have left no renamed generation behind.
   EXPECT_TRUE(list_bins(ckpt).empty());
+  // The early exit still closes the Chrome trace document.
+  std::ifstream chrome(path("c.json"));
+  std::stringstream trace;
+  trace << chrome.rdbuf();
+  std::string text = trace.str();
+  while (!text.empty() && text.back() == '\n') text.pop_back();
+  ASSERT_GE(text.size(), 2u);
+  EXPECT_EQ(text.substr(text.size() - 2), "]}");
 }
 
 TEST_F(ExitCodes, CrashDuringCheckpointThenResumeCompletes) {

@@ -113,7 +113,9 @@
 //
 //   Every option also accepts the --flag=value spelling; numeric values are
 //   parsed strictly (trailing junk, or a value too large for the setting it
-//   feeds, is a usage error).
+//   feeds, is a usage error) and may carry a C prefix (0x2, 010).  A flag
+//   that sets one config field (kFieldFlags) parses its value like that
+//   field's config-file key and wins over the --config file.
 //
 //   Exit status: 0 success, 1 incomplete run, 2 usage error, 3 watchdog
 //   fired (diagnostic dump on stderr, including link-protocol state and
@@ -125,7 +127,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -133,8 +134,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "analysis/json.hpp"
@@ -180,53 +184,24 @@ struct Args {
   std::string metrics_csv;
   u32 seed = 1;
   bool no_fast_forward = false;  ///< disable the idle-cycle fast path
-  // RAS / fault injection; -1 sentinels mean "leave the config file value".
-  i64 dram_sbe_ppm = -1;
-  i64 dram_dbe_ppm = -1;
-  i64 scrub_interval = -1;
-  i64 scrub_window = -1;
-  i64 vault_fail_threshold = -1;
-  i64 failed_vaults = -1;
-  i64 vault_remap = -1;
-  i64 watchdog = -1;
-  i64 link_error_ppm = -1;
-  i64 link_retry_limit = -1;
-  i64 link_protocol = -1;
-  i64 link_tokens = -1;
-  i64 link_retry_latency = -1;
-  i64 link_burst = -1;
-  i64 link_stuck_interval = -1;
-  i64 link_stuck_window = -1;
-  i64 link_fail_threshold = -1;
-  // Timing backend selection (docs/BACKENDS.md); empty = config value.
-  std::string backend;
+  /// kFieldFlags values, in command-line order; applied over the config.
+  std::vector<std::pair<const ConfigField*, u64>> field_overrides;
   std::vector<std::string> vault_backends;  ///< repeatable "idx:name"
-  i64 ddr_tcl = -1;
-  i64 ddr_trcd = -1;
-  i64 ddr_trp = -1;
-  i64 ddr_tras = -1;
-  i64 pcm_read = -1;
-  i64 pcm_write = -1;
-  i64 pcm_write_gap = -1;
   u64 timeout = 0;
   u32 retries = 0;
   u64 backoff = 0;
   // Crash-consistent checkpointing.
   std::string checkpoint_dir;
-  u64 checkpoint_interval = 0;  ///< 0: config value, else 10000 when dir set
   u64 checkpoint_keep = 3;      ///< generations retained (0 = keep all)
   bool resume = false;
   // Observability.
   bool profile = false;
   std::string flight_recorder_out;
   std::string flight_recorder_chrome;
-  u32 flight_recorder_depth = 0;
-  u32 telemetry_interval = 0;
   u64 wedge_vaults = 0;
   // Chaos orchestration (docs/CHAOS.md).
   std::string chaos_plan;
   std::string chaos_shrink;
-  u64 chaos_invariants = 0;  ///< 0: default (1024 when a plan is armed)
 };
 
 void usage(const char* argv0) {
@@ -265,15 +240,8 @@ bool value_error(const std::string& flag, const char* v, const char* what) {
 }
 
 bool parse_u64_strict(const std::string& flag, const char* v, u64& out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 0);
-  if (v[0] == '\0' || v[0] == '-' || end == v || *end != '\0' ||
-      errno == ERANGE) {
-    return value_error(flag, v, "an unsigned number");
-  }
-  out = parsed;
-  return true;
+  return parse_unsigned(v, 0, out) ||
+         value_error(flag, v, "an unsigned number");
 }
 
 bool parse_u32_strict(const std::string& flag, const char* v, u32& out) {
@@ -312,22 +280,59 @@ bool parse_topology(const std::string& spec, TopologySpec& out) {
          parse_u32_strict("--topology", dims.substr(x + 1).c_str(), out.cols);
 }
 
+/// Options that set one config field.  The field table parses the value (an
+/// enum's name, a flag's 0/1, a number in any C base) and bounds it by the
+/// member's type; main() applies it after the config file loads, so the
+/// flag wins over the file.
+struct FieldFlag {
+  const char* flag;
+  std::string_view key;
+};
+constexpr FieldFlag kFieldFlags[] = {
+    {"--dram-sbe-ppm", "dram_sbe_rate_ppm"},
+    {"--dram-dbe-ppm", "dram_dbe_rate_ppm"},
+    {"--scrub-interval", "scrub_interval_cycles"},
+    {"--scrub-window", "scrub_window_bytes"},
+    {"--vault-fail-threshold", "vault_fail_threshold"},
+    {"--failed-vaults", "failed_vault_mask"},
+    {"--vault-remap", "vault_remap"},
+    {"--watchdog", "watchdog_cycles"},
+    {"--link-error-ppm", "link_error_rate_ppm"},
+    {"--link-retry-limit", "link_retry_limit"},
+    {"--link-protocol", "link_protocol"},
+    {"--link-tokens", "link_tokens"},
+    {"--link-retry-latency", "link_retry_latency"},
+    {"--link-burst", "link_error_burst_len"},
+    {"--link-stuck-interval", "link_stuck_interval_cycles"},
+    {"--link-stuck-window", "link_stuck_window_cycles"},
+    {"--link-fail-threshold", "link_fail_threshold"},
+    {"--backend", "timing_backend"},
+    {"--ddr-tcl", "ddr_tcl"},
+    {"--ddr-trcd", "ddr_trcd"},
+    {"--ddr-trp", "ddr_trp"},
+    {"--ddr-tras", "ddr_tras"},
+    {"--pcm-read", "pcm_read_cycles"},
+    {"--pcm-write", "pcm_write_cycles"},
+    {"--pcm-write-gap", "pcm_write_gap_cycles"},
+    {"--telemetry-interval", "telemetry_interval_cycles"},
+    {"--flight-recorder-depth", "flight_recorder_depth"},
+    {"--checkpoint-interval", "checkpoint_interval_cycles"},
+    {"--chaos-invariants", "chaos_invariants"},
+};
+static_assert(std::ranges::all_of(kFieldFlags, [](const FieldFlag& flag) {
+  return std::ranges::any_of(kConfigFields, [&](const ConfigField& f) {
+    return f.key == flag.key && f.keyed();
+  });
+}));
+
 bool parse_args(int argc, char** argv, Args& args) {
   // Value-taking options, grouped by target type.  Both `--flag value` and
   // `--flag=value` are accepted; boolean switches reject an `=value` suffix.
   struct StrOpt { const char* flag; std::string Args::* field; };
   struct U64Opt { const char* flag; u64 Args::* field; };
   struct U32Opt { const char* flag; u32 Args::* field; };
-  // Most -1-sentinel options feed a 32-bit config field; `max` widens the
-  // two that feed 64-bit ones.
-  struct I64Opt {
-    const char* flag;
-    i64 Args::* field;
-    u64 max = 0xffffffffULL;
-  };
   static constexpr StrOpt kStrOpts[] = {
       {"--config", &Args::config_file},
-      {"--backend", &Args::backend},
       {"--topology", &Args::topology},
       {"--workload", &Args::workload},
       {"--trace-in", &Args::trace_in},
@@ -347,43 +352,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       {"--timeout", &Args::timeout},
       {"--backoff", &Args::backoff},
       {"--wedge-vaults", &Args::wedge_vaults},
-      {"--checkpoint-interval", &Args::checkpoint_interval},
       {"--checkpoint-keep", &Args::checkpoint_keep},
-      {"--chaos-invariants", &Args::chaos_invariants},
   };
   static constexpr U32Opt kU32Opts[] = {
       {"--request-bytes", &Args::request_bytes},
       {"--seed", &Args::seed},
       {"--retries", &Args::retries},
-      {"--telemetry-interval", &Args::telemetry_interval},
-      {"--flight-recorder-depth", &Args::flight_recorder_depth},
-  };
-  // RAS / link overrides share the -1 "leave the config value" sentinel.
-  static constexpr I64Opt kI64Opts[] = {
-      {"--dram-sbe-ppm", &Args::dram_sbe_ppm},
-      {"--dram-dbe-ppm", &Args::dram_dbe_ppm},
-      {"--scrub-interval", &Args::scrub_interval},
-      {"--scrub-window", &Args::scrub_window, INT64_MAX},
-      {"--vault-fail-threshold", &Args::vault_fail_threshold},
-      {"--failed-vaults", &Args::failed_vaults, INT64_MAX},
-      {"--vault-remap", &Args::vault_remap},
-      {"--watchdog", &Args::watchdog},
-      {"--link-error-ppm", &Args::link_error_ppm},
-      {"--link-retry-limit", &Args::link_retry_limit},
-      {"--link-protocol", &Args::link_protocol},
-      {"--link-tokens", &Args::link_tokens},
-      {"--link-retry-latency", &Args::link_retry_latency},
-      {"--link-burst", &Args::link_burst},
-      {"--link-stuck-interval", &Args::link_stuck_interval},
-      {"--link-stuck-window", &Args::link_stuck_window},
-      {"--link-fail-threshold", &Args::link_fail_threshold},
-      {"--ddr-tcl", &Args::ddr_tcl},
-      {"--ddr-trcd", &Args::ddr_trcd},
-      {"--ddr-trp", &Args::ddr_trp},
-      {"--ddr-tras", &Args::ddr_tras},
-      {"--pcm-read", &Args::pcm_read},
-      {"--pcm-write", &Args::pcm_write},
-      {"--pcm-write-gap", &Args::pcm_write_gap},
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -429,51 +403,46 @@ bool parse_args(int argc, char** argv, Args& args) {
       return argv[++i];
     };
 
-    bool handled = false;
-    for (const StrOpt& opt : kStrOpts) {
-      if (flag != opt.flag) continue;
+    // The entry of `table` for this flag, or null.
+    const auto lookup = [&](const auto& table) {
+      const auto it = std::ranges::find_if(
+          table, [&](const auto& opt) { return flag == opt.flag; });
+      return it == std::end(table) ? nullptr : &*it;
+    };
+    if (const StrOpt* opt = lookup(kStrOpts)) {
       const char* v = take_value();
       if (v == nullptr) return false;
-      args.*opt.field = v;
-      handled = true;
-      break;
+      args.*opt->field = v;
+      continue;
     }
-    if (handled) continue;
-    for (const U64Opt& opt : kU64Opts) {
-      if (flag != opt.flag) continue;
+    if (const U64Opt* opt = lookup(kU64Opts)) {
       const char* v = take_value();
-      if (v == nullptr || !parse_u64_strict(flag, v, args.*opt.field)) {
+      if (v == nullptr || !parse_u64_strict(flag, v, args.*opt->field)) {
         return false;
       }
-      handled = true;
-      break;
+      continue;
     }
-    if (handled) continue;
-    for (const U32Opt& opt : kU32Opts) {
-      if (flag != opt.flag) continue;
+    if (const U32Opt* opt = lookup(kU32Opts)) {
       const char* v = take_value();
-      if (v == nullptr || !parse_u32_strict(flag, v, args.*opt.field)) {
+      if (v == nullptr || !parse_u32_strict(flag, v, args.*opt->field)) {
         return false;
       }
-      handled = true;
-      break;
+      continue;
     }
-    if (handled) continue;
-    for (const I64Opt& opt : kI64Opts) {
-      if (flag != opt.flag) continue;
+    if (const FieldFlag* opt = lookup(kFieldFlags)) {
       const char* v = take_value();
-      u64 parsed = 0;
-      if (v == nullptr || !parse_u64_strict(flag, v, parsed)) return false;
-      if (parsed > opt.max) {
-        return value_error(flag, v,
-                           opt.max == 0xffffffffULL ? "a 32-bit number"
-                                                    : "a smaller number");
+      if (v == nullptr) return false;
+      const ConfigField& field = *find_config_field(opt->key);
+      std::string why;
+      const std::optional<u64> word = parse_config_value(field, v, 0, &why);
+      if (!word) {
+        std::fprintf(stderr, "error: option '%s': %s\n", flag.c_str(),
+                     why.c_str());
+        return false;
       }
-      args.*opt.field = static_cast<i64>(parsed);
-      handled = true;
-      break;
+      args.field_overrides.emplace_back(&field, *word);
+      continue;
     }
-    if (handled) continue;
 
     if (flag == "--vault-backend") {
       // Repeatable; each occurrence adds one "<vault>:<name>" override.
@@ -652,76 +621,17 @@ int main(int argc, char** argv) {
     chaos_plan = std::move(parsed.plan);
   }
 
-  // ---- RAS overrides --------------------------------------------------------
+  // ---- overrides ------------------------------------------------------------
   {
     DeviceConfig& dc = config.device;
-    if (args.dram_sbe_ppm >= 0) {
-      dc.dram_sbe_rate_ppm = static_cast<u32>(args.dram_sbe_ppm);
-    }
-    if (args.dram_dbe_ppm >= 0) {
-      dc.dram_dbe_rate_ppm = static_cast<u32>(args.dram_dbe_ppm);
-    }
-    if (args.scrub_interval >= 0) {
-      dc.scrub_interval_cycles = static_cast<u32>(args.scrub_interval);
-    }
-    if (args.scrub_window >= 0) {
-      dc.scrub_window_bytes = static_cast<u64>(args.scrub_window);
-    }
-    if (args.vault_fail_threshold >= 0) {
-      dc.vault_fail_threshold = static_cast<u32>(args.vault_fail_threshold);
-    }
-    if (args.failed_vaults >= 0) {
-      dc.failed_vault_mask = static_cast<u64>(args.failed_vaults);
-    }
-    if (args.vault_remap >= 0) dc.vault_remap = args.vault_remap != 0;
-    if (args.watchdog >= 0) {
-      dc.watchdog_cycles = static_cast<u32>(args.watchdog);
-    }
-    if (args.link_error_ppm >= 0) {
-      dc.link_error_rate_ppm = static_cast<u32>(args.link_error_ppm);
-    }
-    if (args.link_retry_limit >= 0) {
-      dc.link_retry_limit = static_cast<u32>(args.link_retry_limit);
-    }
-    if (args.link_protocol >= 0) dc.link_protocol = args.link_protocol != 0;
-    if (args.link_tokens >= 0) {
-      dc.link_tokens = static_cast<u32>(args.link_tokens);
-    }
-    if (args.link_retry_latency >= 0) {
-      dc.link_retry_latency = static_cast<u32>(args.link_retry_latency);
-    }
-    if (args.link_burst >= 0) {
-      dc.link_error_burst_len = static_cast<u32>(args.link_burst);
-    }
-    if (args.link_stuck_interval >= 0) {
-      dc.link_stuck_interval_cycles =
-          static_cast<u32>(args.link_stuck_interval);
-    }
-    if (args.link_stuck_window >= 0) {
-      dc.link_stuck_window_cycles = static_cast<u32>(args.link_stuck_window);
-    }
-    if (args.link_fail_threshold >= 0) {
-      dc.link_fail_threshold = static_cast<u32>(args.link_fail_threshold);
-    }
+    for (const auto& [field, word] : args.field_overrides) field->set(dc, word);
     if (args.no_fast_forward) dc.fast_forward = false;
-    // Checkpoint cadence: the flag wins over the config file value; a
-    // --checkpoint-dir with neither falls back to every 10000 cycles.  An
-    // execution knob like fast_forward — never serialized into checkpoints.
-    if (args.checkpoint_interval != 0) {
-      dc.checkpoint_interval_cycles = static_cast<u32>(
-          std::min<u64>(args.checkpoint_interval, 0xffffffffULL));
-    } else if (!args.checkpoint_dir.empty() &&
-               dc.checkpoint_interval_cycles == 0) {
+    // A --checkpoint-dir with no cadence from the flag or the file writes
+    // every 10000 cycles.
+    if (!args.checkpoint_dir.empty() && dc.checkpoint_interval_cycles == 0) {
       dc.checkpoint_interval_cycles = 10000;
     }
-    // Observability knobs (pure observation; see docs/OBSERVABILITY.md).
     if (args.profile) dc.self_profile = true;
-    if (args.telemetry_interval != 0) {
-      dc.telemetry_interval_cycles = args.telemetry_interval;
-    }
-    if (args.flight_recorder_depth != 0) {
-      dc.flight_recorder_depth = args.flight_recorder_depth;
-    }
     if ((!args.flight_recorder_out.empty() ||
          !args.flight_recorder_chrome.empty()) &&
         dc.flight_recorder_depth == 0) {
@@ -730,12 +640,7 @@ int main(int argc, char** argv) {
     // Chaos campaigns: the cadence defaults on when a plan is armed, and a
     // plan that retargets DRAM fault rates needs the data model present
     // (those injectors live in the data store).
-    if (args.chaos_invariants != 0) {
-      dc.chaos_invariants = static_cast<u32>(
-          std::min<u64>(args.chaos_invariants, 0xffffffffULL));
-    } else if (chaos_armed && dc.chaos_invariants == 0) {
-      dc.chaos_invariants = 1024;
-    }
+    if (chaos_armed && dc.chaos_invariants == 0) dc.chaos_invariants = 1024;
     for (const ChaosEvent& ev : chaos_plan.events) {
       if (ev.action == ChaosAction::DramSbePpm ||
           ev.action == ChaosAction::DramDbePpm) {
@@ -749,26 +654,14 @@ int main(int argc, char** argv) {
         dc.scrub_interval_cycles != 0) {
       dc.model_data = true;
     }
-    // Timing backend overrides (docs/BACKENDS.md).  The flags win over
-    // config-file values; a --vault-backend replaces any file-supplied
-    // override for the same vault.
-    if (!args.backend.empty() &&
-        !timing_backend_from_string(args.backend, &dc.timing_backend)) {
-      std::fprintf(stderr,
-                   "error: unknown --backend '%s' "
-                   "(hmc_dram/generic_ddr/pcm_like)\n",
-                   args.backend.c_str());
-      return 2;
-    }
+    // A --vault-backend replaces any file-supplied override for the same
+    // vault (docs/BACKENDS.md).
     for (const std::string& spec : args.vault_backends) {
       const auto colon = spec.find(':');
       u64 vault = 0;
       TimingBackend backend;
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 >= spec.size() ||
-          !parse_u64_strict("--vault-backend", spec.substr(0, colon).c_str(),
-                            vault) ||
-          vault >= 64 ||
+      if (colon == std::string::npos ||
+          !parse_unsigned(spec.substr(0, colon), 0, vault) || vault >= 64 ||
           !timing_backend_from_string(spec.substr(colon + 1), &backend)) {
         std::fprintf(stderr,
                      "error: --vault-backend expects "
@@ -780,19 +673,6 @@ int main(int argc, char** argv) {
         return e.first == static_cast<u32>(vault);
       });
       dc.vault_backends.emplace_back(static_cast<u32>(vault), backend);
-    }
-    if (args.ddr_tcl >= 0) dc.ddr_tcl = static_cast<u32>(args.ddr_tcl);
-    if (args.ddr_trcd >= 0) dc.ddr_trcd = static_cast<u32>(args.ddr_trcd);
-    if (args.ddr_trp >= 0) dc.ddr_trp = static_cast<u32>(args.ddr_trp);
-    if (args.ddr_tras >= 0) dc.ddr_tras = static_cast<u32>(args.ddr_tras);
-    if (args.pcm_read >= 0) {
-      dc.pcm_read_cycles = static_cast<u32>(args.pcm_read);
-    }
-    if (args.pcm_write >= 0) {
-      dc.pcm_write_cycles = static_cast<u32>(args.pcm_write);
-    }
-    if (args.pcm_write_gap >= 0) {
-      dc.pcm_write_gap_cycles = static_cast<u32>(args.pcm_write_gap);
     }
   }
 
@@ -820,6 +700,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- topology -------------------------------------------------------------
+  // The streams the simulator's sinks write into outlive the simulator, so
+  // on every exit a sink's destructor (ChromeWriter closes its document)
+  // writes into an open file.
+  std::ofstream trace_file;
+  std::ofstream chrome_file;
   Simulator sim;
   std::string diag;
   Topology topo = build_topology(args, config.device, &diag);
@@ -883,7 +768,6 @@ int main(int argc, char** argv) {
 
   // ---- sinks --------------------------------------------------------------
   std::shared_ptr<VaultSeriesSink> series;
-  std::ofstream trace_file;
   if (!args.fig5_csv.empty() || !args.trace_out.empty()) {
     sim.tracer().set_level(TraceLevel::Events);
     if (!args.fig5_csv.empty()) {
@@ -906,7 +790,6 @@ int main(int argc, char** argv) {
   auto lifecycle = std::make_shared<LifecycleSink>();
   sim.add_lifecycle_observer(lifecycle);
 
-  std::ofstream chrome_file;
   std::shared_ptr<ChromeTraceSink> chrome;
   if (!args.chrome_trace.empty()) {
     chrome_file.open(args.chrome_trace);
@@ -1058,7 +941,7 @@ int main(int argc, char** argv) {
   if (lifecycle->completed() != 0) {
     std::printf("%s", format_latency_breakdown(*lifecycle).c_str());
   }
-  if (args.profile) {
+  if (config.device.self_profile) {
     std::printf("%s", format_profile_table(sim).c_str());
     const std::string tel = format_telemetry_table(sim);
     if (!tel.empty()) std::printf("\n%s", tel.c_str());
