@@ -1,12 +1,11 @@
 // Shared plumbing for the experiment harnesses.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "common/number.hpp"
 #include "core/simulator.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
@@ -15,16 +14,13 @@ namespace hmcsim::bench {
 
 /// Environment override helper (e.g. HMCSIM_TABLE1_REQUESTS=33554432 for
 /// the paper's full 2^25-request runs).  As strict as hmcsim_run's flags:
-/// the whole token must convert (decimal, 0x hex or 0 octal), with no sign
+/// the whole token must convert (decimal, or hex after 0x), with no sign
 /// and no overflow; anything else names the variable and exits 2.
 inline u64 env_u64(const char* name, u64 fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 0);
-  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
-      errno == ERANGE) {
+  u64 parsed = 0;
+  if (!parse_unsigned(value, parsed)) {
     std::fprintf(stderr, "error: %s expects an unsigned number, got '%s'\n",
                  name, value);
     std::exit(2);

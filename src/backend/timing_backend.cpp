@@ -1,31 +1,14 @@
 #include "backend/timing_backend.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "core/device.hpp"
 #include "core/stats.hpp"
+#include "io/word_codec.hpp"
 
 namespace hmcsim {
 
 namespace {
-
-// Checkpoint word primitives, matching the container's convention
-// (core/checkpoint.cpp): every integer rides in an 8-byte LE word.
-void put_word(std::ostream& os, u64 v) {
-  u8 bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<u8>(v >> (8 * i));
-  os.write(reinterpret_cast<const char*>(bytes), 8);
-}
-
-bool get_word(std::istream& is, u64* v) {
-  u8 bytes[8];
-  if (!is.read(reinterpret_cast<char*>(bytes), 8)) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= u64{bytes[i]} << (8 * i);
-  return true;
-}
 
 /// The paper's DRAM model, verbatim: under ClosedPage every access
 /// occupies the bank for bank_busy_cycles; under OpenPage a row-buffer hit
@@ -133,14 +116,10 @@ class PcmLikeBackend final : public VaultTimingBackend {
     }
   }
 
-  void serialize(std::ostream& os) const override { put_word(os, write_ok_); }
+  void serialize(io::WordWriter& ar) const override { ar(write_ok_); }
 
-  bool restore(std::istream& is, u64 len) override {
-    if (len != 8) return false;
-    u64 v = 0;
-    if (!get_word(is, &v)) return false;
-    write_ok_ = v;
-    return true;
+  bool restore(io::WordReader& ar, u64 len) override {
+    return len == 8 && ar(write_ok_);
   }
 
  private:
@@ -164,9 +143,9 @@ void VaultTimingBackend::refresh(VaultState& vault, Cycle now,
   std::fill(vault.open_row.begin(), vault.open_row.end(), kNoOpenRow);
 }
 
-void VaultTimingBackend::serialize(std::ostream& /*os*/) const {}
+void VaultTimingBackend::serialize(io::WordWriter& /*ar*/) const {}
 
-bool VaultTimingBackend::restore(std::istream& /*is*/, u64 len) {
+bool VaultTimingBackend::restore(io::WordReader& /*ar*/, u64 len) {
   return len == 0;
 }
 

@@ -33,13 +33,17 @@
 //     for idle-cycle fast-forward).
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 
 #include "common/types.hpp"
 #include "core/config.hpp"
 
 namespace hmcsim {
+
+namespace io {
+class WordReader;
+class WordWriter;
+}  // namespace io
 
 struct VaultState;
 struct DeviceStats;
@@ -80,13 +84,13 @@ class VaultTimingBackend {
   /// implementation performs exactly that on the shared arrays.
   virtual void refresh(VaultState& vault, Cycle now, u32 busy_cycles);
 
-  /// Checkpoint the backend-private state as a sequence of 8-byte LE
-  /// words (the container frames it with kind + length + CRC).  The
-  /// default is stateless: writes nothing, restores only a zero-length
-  /// blob.
-  virtual void serialize(std::ostream& os) const;
+  /// Checkpoint the backend-private state through the word codec
+  /// (io/word_codec.hpp; the container frames it with kind + length +
+  /// CRC).  The default is stateless: writes nothing, restores only a
+  /// zero-length blob.
+  virtual void serialize(io::WordWriter& ar) const;
   /// Restore from a `len`-byte blob; false on malformed contents.
-  virtual bool restore(std::istream& is, u64 len);
+  virtual bool restore(io::WordReader& ar, u64 len);
 };
 
 /// Construct the backend configured for `vault` (honoring per-vault

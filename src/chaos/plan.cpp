@@ -1,11 +1,11 @@
 #include "chaos/plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "common/number.hpp"
 #include "io/bounded_line.hpp"
 #include "packet/crc32.hpp"
 
@@ -45,19 +45,6 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return "";
   const auto end = s.find_last_not_of(" \t\r");
   return s.substr(begin, end - begin + 1);
-}
-
-bool parse_number(const std::string& text, u64& out) {
-  std::string_view sv = text;
-  if (sv.empty()) return false;
-  int base = 10;
-  if (sv.size() > 2 && sv[0] == '0' && (sv[1] == 'x' || sv[1] == 'X')) {
-    sv.remove_prefix(2);
-    base = 16;
-  }
-  const auto [ptr, ec] =
-      std::from_chars(sv.data(), sv.data() + sv.size(), out, base);
-  return ec == std::errc{} && ptr == sv.data() + sv.size();
 }
 
 ChaosPlanParseResult fail(usize line, const std::string& message) {
@@ -177,7 +164,7 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
     }
     u64 args[2] = {0, 0};
     for (u32 k = 0; k < arity; ++k) {
-      if (!parse_number(words[i + 1 + k], args[k])) {
+      if (!parse_unsigned(words[i + 1 + k], args[k])) {
         return "bad number '" + words[i + 1 + k] + "'";
       }
     }
@@ -246,7 +233,7 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
         return fail(line_no, "at needs: at <cycle> <action> [args...]");
       }
       ChaosEvent ev;
-      if (!parse_number(words[1], ev.cycle)) {
+      if (!parse_unsigned(words[1], ev.cycle)) {
         return fail(line_no, "bad cycle '" + words[1] + "'");
       }
       ev.line = static_cast<u32>(line_no);
@@ -264,13 +251,13 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
                     "until <cycle> <action> [args...]");
       }
       u64 period = 0;
-      if (!parse_number(words[1], period) || period == 0) {
+      if (!parse_unsigned(words[1], period) || period == 0) {
         return fail(line_no, "every needs a nonzero period");
       }
       usize i = 2;
       u64 from = 0;
       if (words[i] == "from") {
-        if (i + 1 >= words.size() || !parse_number(words[i + 1], from)) {
+        if (i + 1 >= words.size() || !parse_unsigned(words[i + 1], from)) {
           return fail(line_no, "from needs a cycle");
         }
         i += 2;
@@ -280,7 +267,7 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
       }
       ++i;
       u64 until = 0;
-      if (i >= words.size() || !parse_number(words[i], until)) {
+      if (i >= words.size() || !parse_unsigned(words[i], until)) {
         return fail(line_no, "until needs a cycle");
       }
       ++i;
@@ -309,11 +296,11 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
                     "<from> <to>");
       }
       u64 start = 0, end = 0, steps = 0, lo = 0, hi = 0;
-      if (!parse_number(words[1], start) || !parse_number(words[2], end)) {
+      if (!parse_unsigned(words[1], start) || !parse_unsigned(words[2], end)) {
         return fail(line_no, "bad ramp cycle bounds");
       }
       if (end <= start) return fail(line_no, "ramp end must follow start");
-      if (!parse_number(words[3], steps) || steps == 0) {
+      if (!parse_unsigned(words[3], steps) || steps == 0) {
         return fail(line_no, "ramp needs a nonzero step count");
       }
       ChaosEvent proto;
@@ -325,7 +312,7 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
         return fail(line_no, "ramp needs a rate action (got '" + words[4] +
                                  "')");
       }
-      if (!parse_number(words[5], lo) || !parse_number(words[6], hi)) {
+      if (!parse_unsigned(words[5], lo) || !parse_unsigned(words[6], hi)) {
         return fail(line_no, "bad ramp value bounds");
       }
       for (u64 s = 0; s <= steps; ++s) {
@@ -343,8 +330,8 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
       if (words.size() != 3) {
         return fail(line_no, "storm needs: storm <start> <end>");
       }
-      if (!parse_number(words[1], storm_start) ||
-          !parse_number(words[2], storm_end)) {
+      if (!parse_unsigned(words[1], storm_start) ||
+          !parse_unsigned(words[2], storm_end)) {
         return fail(line_no, "bad storm cycle bounds");
       }
       if (storm_end <= storm_start) {
@@ -357,7 +344,7 @@ ChaosPlanParseResult parse_chaos_plan(std::istream& in) {
         return fail(line_no, "quiet needs: quiet <start> <end>");
       }
       u64 start = 0, end = 0;
-      if (!parse_number(words[1], start) || !parse_number(words[2], end)) {
+      if (!parse_unsigned(words[1], start) || !parse_unsigned(words[2], end)) {
         return fail(line_no, "bad quiet cycle bounds");
       }
       if (end <= start) return fail(line_no, "quiet end must follow start");

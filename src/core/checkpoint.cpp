@@ -1,40 +1,29 @@
 // Checkpoint serialization for Simulator (see simulator.hpp for the API
-// contract and checkpoint.hpp for the robustness layer).  Versioned
-// little-endian binary format; since v6 the body is section-framed:
+// contract, checkpoint.hpp for the robustness layer, and docs/FORMATS.md §5
+// for the format and its version history).  Since v6 the body is
+// section-framed:
 //
 //   magic "HMCSIMCK" | version u32
 //   section*:  type u32 | payload_len u64 | payload crc32k u32 | payload
 //   trailer magic "HMCSIMEN"
 //
 // Mandatory section order: CFG, TOPO, CLK, DEVC (once per device), WDOG,
-// CHAO (mandatory since v8), an optional HOST blob, then the trailer.
-// Section payloads:
-//
-//   CFG   SimConfig fields
-//   TOPO  devices u32, links u32, endpoints[devices*links]
-//   CLK   clock u64
-//   DEVC  stats, register snapshot, memory pages (count u64, then
-//         (index u64, 4096 raw bytes)*), link queues + protocol state,
-//         vault queues (+ bank timing + rng + backend state frame), mode
-//         staging queue, RAS block
-//   WDOG  forward-progress watchdog state
-//   CHAO  chaos campaign: plan CRC, cursor/progress counters, host-timeout
-//         override, the restore baselines, then the compiled event list
-//   HOST  opaque host-driver blob (workload/driver.hpp), passed through
-//
-// Queue entries serialize the raw packet plus routing metadata; decoded
-// request fields are re-derived on load so the packet remains the single
-// source of truth.
+// CHAO (mandatory since v8), an optional HOST blob (workload/driver.hpp,
+// passed through), then the trailer.  Every value is one 8-byte
+// little-endian word (io/word_codec.hpp), and each payload record's words
+// are listed once, by its layout::io() below: save and restore walk the
+// same function.
 //
 // Restore is hostile-input safe: every failure mode — bad magic, short
-// read, CRC mismatch, impossible field value, unknown version — becomes a
-// typed CheckpointError, and no input can make it allocate unboundedly
-// (section lengths are capped and payloads are read in bounded chunks, so
-// a forged length only ever costs the bytes actually present).
+// read, CRC mismatch, a word that does not fit its field, an impossible
+// state, unknown version — becomes a typed CheckpointError, and no input
+// can make it allocate unboundedly (section lengths are capped and
+// payloads are read in bounded chunks, so a forged length only ever costs
+// the bytes actually present).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <istream>
 #include <ostream>
@@ -43,62 +32,30 @@
 
 #include "core/simulator.hpp"
 #include "io/atomic_file.hpp"
+#include "io/word_codec.hpp"
 #include "packet/crc32.hpp"
 
 namespace hmcsim {
 namespace {
 
-constexpr char kMagic[8] = {'H', 'M', 'C', 'S', 'I', 'M', 'C', 'K'};
-constexpr char kTrailer[8] = {'H', 'M', 'C', 'S', 'I', 'M', 'E', 'N'};
-// Version 2 added per-entry PacketLifecycle stamps to both queue records.
-// Version 3 added the RAS subsystem: new config knobs and stats counters,
-// the fault-injection RNG state (previously lost across restore, so
-// fault-injected runs diverged), the DRAM fault sidecar, scrubber/
-// degradation state, and the forward-progress watchdog state.
-// Version 4 gave every vault its own DRAM fault RNG: each vault block now
-// carries its generator state.  Execution knobs such as fast_forward are
-// deliberately NOT serialized — checkpoints must be byte-identical whatever
-// the execution strategy (the differential harness asserts exactly that).
-//
-// Version 5 added the spec link-layer reliability protocol: the
-// link_protocol config knobs, 13 link-layer stats counters, two RAS
-// registers (RAS_LINK_RETRY / RAS_LINK_TOKEN), and per-link LinkProtoState
-// (token pool, retry pointers, SEQ, error-abort machine including a
-// possibly-held replay packet).
-//
-// Version 6 changed the container, not the payload encoding: the body is
-// now split into sections, each framed with a type, byte length, and
-// CRC-32K, and the file ends with a trailer magic.  Truncation and bit-rot
-// are therefore *detected* instead of being misparsed, which is what makes
-// crash-consistent auto-checkpointing (checkpoint.hpp) safe.  v6 also
-// introduced the optional HOST section carrying opaque host-driver state.
-//
-// Version 7 added pluggable vault timing backends: the backend selection
-// and parameter config knobs (device-wide kind, per-vault overrides, the
-// generic_ddr and pcm_like timing parameters), one stats counter
-// (pcm_write_throttle_stalls), and a per-vault backend-private state frame
-// (kind + length + opaque blob) after the vault RNG.
-//
-// Version 8 added the CHAO section: a mid-campaign chaos
-// checkpoint carries the compiled plan (so the resumed run needs nothing
-// but the same plan file, verified by CRC), the event cursor and progress
-// counters, any live host-timeout override, and the four fault-rate
-// baselines `restore` events re-arm (the live config in CFG already holds
-// the mid-campaign mutated rates, so the originals must travel
-// separately).  The section is written even with no campaign armed (a
-// fixed pristine payload): a v8 stream must never parse as v7 under a
-// relabeled version word.  The chaos_invariants cadence knob is
-// deliberately NOT serialized — it is an observability knob like
-// telemetry_interval_cycles.
-//
-// Restore reads versions 6 through 8, the framed container.  The unframed
-// v2-v5 streams could not tell bit-rot from data, so their reader is gone:
-// those versions now fail in the preamble with UnsupportedVersion, like any
-// version outside the range.  Fields a readable version lacks keep their
-// init() values: v6 restores keep the default hmc_dram backend with
-// power-on (reset) backend state.  Save always writes the current version.
-// Committed fixtures for every readable version live under
-// tests/golden/checkpoints/ and are replayed by test_checkpoint_compat.
+using io::Record;
+using io::WordReader;
+using io::WordWriter;
+
+// The container's magic and trailer, one word each.
+constexpr u64 kMagicWord = 0x4b434d4953434d48ull;    // "HMCSIMCK" LE
+constexpr u64 kTrailerWord = 0x4e454d4953434d48ull;  // "HMCSIMEN" LE
+
+// Restore reads versions 6 through 8, the framed container; the unframed
+// v2-v5 streams could not tell bit-rot from data and fail in the preamble
+// with UnsupportedVersion, like any version outside the range.  Fields a
+// readable version lacks keep their init() values: v6 restores keep the
+// default hmc_dram backend with power-on backend state.  Save always writes
+// the current version.  Execution knobs (fast_forward, the observation and
+// snapshot cadences, chaos_invariants) are never serialized, so the bytes
+// are identical whatever the execution strategy.  Committed fixtures for
+// every readable version live under tests/golden/checkpoints/ and are
+// replayed by test_checkpoint_compat.
 constexpr u32 kVersion = 8;
 constexpr u32 kMinVersion = 6;
 // Per-vault backend override list cap (config_file caps indices below 64,
@@ -107,514 +64,391 @@ constexpr u32 kMinVersion = 6;
 constexpr u64 kMaxVaultOverrides = 64;
 constexpr u64 kMaxBackendBlobBytes = 4096;
 
-constexpr u64 le_word(const char (&bytes)[8]) {
-  u64 w = 0;
-  for (int i = 0; i < 8; ++i) {
-    w |= static_cast<u64>(static_cast<u8>(bytes[i])) << (8 * i);
-  }
-  return w;
-}
-constexpr u64 kTrailerWord = le_word(kTrailer);
-
-// ---- primitive writers/readers --------------------------------------------
-
-void put_bytes(std::ostream& os, const void* data, usize size) {
-  os.write(static_cast<const char*>(data),
-           static_cast<std::streamsize>(size));
-}
-
-bool get_bytes(std::istream& is, void* data, usize size) {
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  return static_cast<bool>(is);
-}
-
-void put_u64(std::ostream& os, u64 v) {
-  u8 bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<u8>(v >> (8 * i));
-  put_bytes(os, bytes, 8);
-}
-
-bool get_u64(std::istream& is, u64& v) {
-  u8 bytes[8];
-  if (!get_bytes(is, bytes, 8)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(bytes[i]) << (8 * i);
-  return true;
-}
-
-void put_u32(std::ostream& os, u32 v) { put_u64(os, v); }
-
-bool get_u32(std::istream& is, u32& v) {
-  u64 wide = 0;
-  if (!get_u64(is, wide) || wide > 0xffffffffull) return false;
-  v = static_cast<u32>(wide);
-  return true;
-}
-
-void put_u8(std::ostream& os, u8 v) { put_u64(os, v); }
-
-bool get_u8(std::istream& is, u8& v) {
-  u64 wide = 0;
-  if (!get_u64(is, wide) || wide > 0xffull) return false;
-  v = static_cast<u8>(wide);
-  return true;
-}
-
-// A flag travels as a word holding 0 or 1; any other value is damage.
-void put_flag(std::ostream& os, bool v) { put_u64(os, v ? 1 : 0); }
-
-bool get_flag(std::istream& is, bool& v) {
-  u64 wide = 0;
-  if (!get_u64(is, wide) || wide > 1) return false;
-  v = wide != 0;
-  return true;
-}
-
-// An enum byte must name one of its enumerators; `last` is the highest.
-template <typename E>
-bool get_enum(std::istream& is, E& out, E last) {
-  u8 raw = 0;
-  if (!get_u8(is, raw) || raw > static_cast<u8>(last)) return false;
-  out = static_cast<E>(raw);
-  return true;
-}
-
 u32 payload_crc(const std::string& payload) {
   return crc::crc32k(std::span<const u8>(
       reinterpret_cast<const u8*>(payload.data()), payload.size()));
 }
 
-// ---- aggregate writers/readers --------------------------------------------
-
-void put_packet(std::ostream& os, const PacketBuffer& pkt) {
-  put_u32(os, pkt.flits);
-  for (usize i = 0; i < pkt.word_count(); ++i) put_u64(os, pkt.words[i]);
-}
-
-bool get_packet(std::istream& is, PacketBuffer& pkt) {
-  u32 flits = 0;
-  if (!get_u32(is, flits) || flits < spec::kMinPacketFlits ||
-      flits > spec::kMaxPacketFlits) {
-    return false;
-  }
-  pkt = PacketBuffer{};
-  pkt.flits = flits;
-  for (usize i = 0; i < pkt.word_count(); ++i) {
-    if (!get_u64(is, pkt.words[i])) return false;
-  }
-  return true;
-}
-
-void put_queue_stats(std::ostream& os, const QueueStats& s) {
-  put_u64(os, s.total_pushes);
-  put_u64(os, s.total_pops);
-  put_u64(os, s.rejected_full);
-  put_u64(os, s.high_water);
-}
-
-bool get_queue_stats(std::istream& is, QueueStats& s) {
-  u64 high_water = 0;
-  if (!get_u64(is, s.total_pushes) || !get_u64(is, s.total_pops) ||
-      !get_u64(is, s.rejected_full) || !get_u64(is, high_water)) {
-    return false;
-  }
-  s.high_water = static_cast<usize>(high_water);
-  return true;
-}
-
-void put_lifecycle(std::ostream& os, const PacketLifecycle& lc) {
-  put_u64(os, lc.inject);
-  put_u64(os, lc.vault_arrive);
-  put_u64(os, lc.first_conflict);
-  put_u64(os, lc.retire);
-  put_u64(os, lc.rsp_register);
-  put_u64(os, lc.drain);
-  put_u32(os, lc.dev);
-  put_u32(os, lc.vault);
-  put_u32(os, lc.link);
-  put_u32(os, lc.tag);
-  put_u8(os, static_cast<u8>(lc.cmd));
-}
-
-bool get_lifecycle(std::istream& is, PacketLifecycle& lc) {
-  u32 tag = 0;
-  u8 cmd = 0;
-  if (!get_u64(is, lc.inject) || !get_u64(is, lc.vault_arrive) ||
-      !get_u64(is, lc.first_conflict) || !get_u64(is, lc.retire) ||
-      !get_u64(is, lc.rsp_register) || !get_u64(is, lc.drain) ||
-      !get_u32(is, lc.dev) || !get_u32(is, lc.vault) ||
-      !get_u32(is, lc.link) || !get_u32(is, tag) || !get_u8(is, cmd)) {
-    return false;
-  }
-  lc.tag = static_cast<Tag>(tag);
-  lc.cmd = static_cast<Command>(cmd);
-  return true;
-}
-
-// What a queue-entry decoder checks a record against.  The routing fields
-// index arrays on the next clock (a response drains into
-// dev.links[home_link]), so a value past the topology is rejected here.
-struct EntryContext {
+/// What a DEVC walk needs besides the archive: the format version (save
+/// writes the current one); what a restored queue entry is checked
+/// against, since its routing fields index arrays on the next clock (a
+/// response drains into dev.links[home_link]) and a value past the
+/// topology must be rejected; and, for restore's error message, the
+/// sub-record reached.
+struct DevcContext {
+  u32 version;
   const CustomCommandSet& custom;
   u32 devices;
   u32 links;
+  const char* what{"device block"};
 };
 
-void put_request_entry(std::ostream& os, const RequestEntry& e) {
-  put_packet(os, e.pkt);
-  put_u64(os, e.ready_cycle);
-  put_u32(os, e.home_dev);
-  put_u32(os, e.home_link);
-  put_u32(os, e.ingress_link);
-  put_flag(os, e.penalty_applied);
-  put_u8(os, e.retries);
-  put_lifecycle(os, e.life);
+/// One record of the DRAM fault sidecar (mem/storage.hpp).
+struct FaultRecord {
+  u64 word{0};
+  u64 data_flips{0};
+  u8 check_flips{0};
+};
+
+/// The CHAO payload.  The defaults are the pristine form written when no
+/// campaign is armed: the empty plan's CRC and every other word zero.
+struct ChaosRecord {
+  u64 plan_crc{chaos_plan_crc(ChaosPlan{})};
+  u64 cursor{0};
+  u64 events_applied{0};
+  u64 invariant_checks{0};
+  bool ht_active{false};
+  u64 ht_value{0};
+  u32 base_ppm{0};
+  u32 base_burst{0};
+  u32 base_sbe{0};
+  u32 base_dbe{0};
+  ChaosPlan plan;
+};
+
+// ---- record layouts --------------------------------------------------------
+//
+// Each io() states one record's words once, in wire order: save walks it
+// with a WordWriter, restore with a WordReader (io/word_codec.hpp), which
+// refuses a word that does not fit its field.  Where the two directions
+// differ, a part is a pair of overloads on the archive type or an
+// `Ar::kReading` branch.
+namespace layout {
+
+template <class Ar, Record<PacketBuffer> P>
+bool io(Ar& ar, P& pkt) {
+  u32 flits = pkt.flits;
+  if (!ar(flits)) return false;
+  if constexpr (Ar::kReading) {
+    if (flits < spec::kMinPacketFlits || flits > spec::kMaxPacketFlits) {
+      return false;
+    }
+    pkt = PacketBuffer{};
+    pkt.flits = flits;
+  }
+  return io::each(ar, std::span(pkt.words.data(), pkt.word_count()));
 }
 
-bool get_request_entry(std::istream& is, RequestEntry& e,
-                       const EntryContext& ctx) {
-  if (!get_packet(is, e.pkt) || !get_u64(is, e.ready_cycle) ||
-      !get_u32(is, e.home_dev) || !get_u32(is, e.home_link) ||
-      !get_u32(is, e.ingress_link) || !get_flag(is, e.penalty_applied) ||
-      !get_u8(is, e.retries) || !get_lifecycle(is, e.life) ||
-      e.home_dev >= ctx.devices || e.home_link >= ctx.links ||
-      e.ingress_link >= ctx.links) {
+template <class Ar, Record<QueueStats> S>
+bool io(Ar& ar, S& s) {
+  return ar(s.total_pushes) && ar(s.total_pops) && ar(s.rejected_full) &&
+         ar(s.high_water);
+}
+
+template <class Ar, Record<PacketLifecycle> L>
+bool io(Ar& ar, L& lc) {
+  return ar(lc.inject) && ar(lc.vault_arrive) && ar(lc.first_conflict) &&
+         ar(lc.retire) && ar(lc.rsp_register) && ar(lc.drain) &&
+         ar(lc.dev) && ar(lc.vault) && ar(lc.link) && ar(lc.tag) &&
+         ar(lc.cmd, kMaxRawCommand);
+}
+
+/// A queued request: the raw packet plus routing metadata.  Restore
+/// re-derives the decoded request fields from the packet, the single
+/// source of truth.
+template <class Ar, Record<RequestEntry> E>
+bool io(Ar& ar, E& e, const DevcContext& ctx) {
+  if (!io(ar, e.pkt) || !ar(e.ready_cycle) || !ar(e.home_dev) ||
+      !ar(e.home_link) || !ar(e.ingress_link) || !ar(e.penalty_applied) ||
+      !ar(e.retries) || !io(ar, e.life)) {
     return false;
   }
-  const u8 raw_cmd = static_cast<u8>(extract(e.pkt.header(), 0, 6));
-  if (const CustomCommandDef* def = ctx.custom.find(raw_cmd)) {
-    if (!ok(decode_custom_request(e.pkt, *def, e.req))) return false;
-    e.custom = def;
-  } else if (!ok(decode_request(e.pkt, e.req))) {
-    return false;
+  if constexpr (Ar::kReading) {
+    if (e.home_dev >= ctx.devices || e.home_link >= ctx.links ||
+        e.ingress_link >= ctx.links) {
+      return false;
+    }
+    const u8 raw_cmd = static_cast<u8>(extract(e.pkt.header(), 0, 6));
+    if (const CustomCommandDef* def = ctx.custom.find(raw_cmd)) {
+      e.custom = def;
+      return ok(decode_custom_request(e.pkt, *def, e.req));
+    }
+    return ok(decode_request(e.pkt, e.req));
   }
   return true;
 }
 
-void put_request_queue(std::ostream& os,
-                       const BoundedQueue<RequestEntry>& q) {
-  put_u64(os, q.size());
-  for (const RequestEntry& e : q) put_request_entry(os, e);
-  put_queue_stats(os, q.stats());
+template <class Ar, Record<ResponseEntry> E>
+bool io(Ar& ar, E& e, const DevcContext& ctx) {
+  if (!io(ar, e.pkt) || !ar(e.ready_cycle) || !ar(e.home_dev) ||
+      !ar(e.home_link) || !io(ar, e.life)) {
+    return false;
+  }
+  if constexpr (Ar::kReading) {
+    ResponseFields f;
+    if (e.home_dev >= ctx.devices || e.home_link >= ctx.links ||
+        !ok(decode_response(e.pkt, f))) {
+      return false;
+    }
+    e.tag = f.tag;
+    e.cmd = f.cmd;
+  }
+  return true;
 }
 
-/// `banks` is set for a vault queue, whose entries are keyed by their bank
-/// as stage 2 keys them; link queues pass null and key every entry 0.
-bool get_request_queue(std::istream& is, BoundedQueue<RequestEntry>& q,
-                       const EntryContext& ctx,
-                       const AddressMap* banks = nullptr) {
+/// A queue: its entry count, each entry oldest first, then its stats.
+template <class Entry>
+bool queue(WordWriter& ar, const BoundedQueue<Entry>& q,
+           const DevcContext& ctx, const AddressMap* /*banks*/ = nullptr) {
+  ar(q.size());
+  for (const Entry& e : q) io(ar, e, ctx);
+  return io(ar, q.stats());
+}
+
+/// Restore caps the count at the queue's capacity.  `banks` is set for a
+/// vault request queue, whose entries are keyed by their bank as stage 2
+/// keys them; every other queue keys its entries 0.
+template <class Entry>
+bool queue(WordReader& ar, BoundedQueue<Entry>& q, const DevcContext& ctx,
+           const AddressMap* banks = nullptr) {
   u64 count = 0;
-  if (!get_u64(is, count) || count > q.capacity()) return false;
+  if (!ar(count) || count > q.capacity()) return false;
   q.clear();
   for (u64 i = 0; i < count; ++i) {
-    RequestEntry e;
-    if (!get_request_entry(is, e, ctx)) return false;
-    const u32 key = banks != nullptr ? banks->bank_of(e.req.addr) : 0;
+    Entry e;
+    if (!io(ar, e, ctx)) return false;
+    u32 key = 0;
+    if constexpr (std::is_same_v<Entry, RequestEntry>) {
+      if (banks != nullptr) key = banks->bank_of(e.req.addr);
+    }
     if (!q.push(std::move(e), key)) return false;
   }
   QueueStats stats;
-  if (!get_queue_stats(is, stats)) return false;
+  if (!io(ar, stats)) return false;
   q.restore_stats(stats);
   return true;
 }
 
-void put_response_queue(std::ostream& os,
-                        const BoundedQueue<ResponseEntry>& q) {
-  put_u64(os, q.size());
-  for (const ResponseEntry& e : q) {
-    put_packet(os, e.pkt);
-    put_u64(os, e.ready_cycle);
-    put_u32(os, e.home_dev);
-    put_u32(os, e.home_link);
-    put_lifecycle(os, e.life);
-  }
-  put_queue_stats(os, q.stats());
+/// Per-link retry/token protocol state.  The held replay packet is only
+/// present while the error-abort machine is mid-recovery.
+template <class Ar, Record<LinkProtoState> S>
+bool io(Ar& ar, S& st, const DevcContext& ctx) {
+  return ar(st.tokens) && ar(st.tokens_debited) && ar(st.tokens_returned) &&
+         ar(st.retry_buf_flits) && ar(st.tx_frp) && ar(st.rx_rrp) &&
+         ar(st.tx_seq) && ar(st.rx_seq) && ar(st.retrain_until) &&
+         ar(st.burst_remaining) && ar(st.fail_count) && ar(st.dead) &&
+         ar(st.replay_pending) &&
+         (!st.replay_pending || io(ar, st.replay, ctx));
 }
 
-bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q,
-                        const EntryContext& ctx) {
+template <class Ar, Record<LinkState> L>
+bool io(Ar& ar, L& link, DevcContext& ctx) {
+  ctx.what = "link queue";
+  if (!queue(ar, link.rqst, ctx) || !queue(ar, link.rsp, ctx)) return false;
+  ctx.what = "link budgets";
+  if (!ar(link.rqst_flits_forwarded) || !ar(link.rsp_flits_forwarded) ||
+      !ar(link.rqst_budget) || !ar(link.rsp_budget)) {
+    return false;
+  }
+  ctx.what = "link protocol state";
+  return io(ar, link.proto, ctx);
+}
+
+/// A generator travels as its state word.
+template <class Ar, Record<SplitMix64> G>
+bool io(Ar& ar, G& rng) {
+  u64 state = rng.state();
+  if (!ar(state)) return false;
+  if constexpr (Ar::kReading) rng = SplitMix64(state);
+  return true;
+}
+
+/// v7 backend-private state frame: the backend kind, the blob's byte
+/// length, then the backend's own words.  The shared bank arrays travel in
+/// the vault record itself.
+bool backend_frame(WordWriter& ar, const VaultTimingBackend& timing) {
+  std::ostringstream blob;
+  WordWriter blob_ar(blob);
+  timing.serialize(blob_ar);
+  const std::string bytes = blob.str();
+  return ar(timing.kind()) && ar(bytes.size()) &&
+         ar.bytes(bytes.data(), bytes.size());
+}
+
+/// The backend was already built from the restored config, so the frame's
+/// kind must agree.
+bool backend_frame(WordReader& ar, VaultTimingBackend& timing) {
+  u64 len = 0;
+  return ar.expect(static_cast<u64>(timing.kind())) && ar(len) &&
+         len <= kMaxBackendBlobBytes && timing.restore(ar, len);
+}
+
+template <class Ar, Record<VaultState> V>
+bool io(Ar& ar, V& vault, DevcContext& ctx, const AddressMap& banks) {
+  ctx.what = "vault queue";
+  if (!queue(ar, vault.rqst, ctx, &banks) || !queue(ar, vault.rsp, ctx)) {
+    return false;
+  }
+  ctx.what = "bank timing";
+  if (!io::each(ar, vault.bank_busy_until) ||
+      !io::each(ar, vault.open_row)) {
+    return false;
+  }
+  ctx.what = "vault rng";
+  if (!io(ar, vault.dram_rng)) return false;
+  // v6 predates backend frames: the backend keeps its power-on state.
+  if (ctx.version < 7) return true;
+  ctx.what = "vault backend state";
+  return backend_frame(ar, *vault.timing);
+}
+
+template <class Ar, Record<RegisterFile> F>
+bool io(Ar& ar, F& regs) {
+  RegisterFile::Snapshot snap = regs.snapshot();
+  if (!io::each(ar, snap.values) ||
+      !io::each(ar, snap.pending_self_clear)) {
+    return false;
+  }
+  if constexpr (Ar::kReading) regs.restore(snap);
+  return true;
+}
+
+/// Memory pages: a count, then (index, raw page bytes) per page, in the
+/// store's ascending index order, so identical contents save identical
+/// bytes.
+bool pages(WordWriter& ar, const SparseStore& store) {
+  ar(store.resident_pages());
+  store.for_each_page([&ar](u64 index, std::span<const u8> bytes) {
+    ar(index);
+    ar.bytes(bytes.data(), bytes.size());
+  });
+  return true;
+}
+
+bool pages(WordReader& ar, SparseStore& store) {
   u64 count = 0;
-  if (!get_u64(is, count) || count > q.capacity()) return false;
-  q.clear();
-  for (u64 i = 0; i < count; ++i) {
-    ResponseEntry e;
-    if (!get_packet(is, e.pkt) || !get_u64(is, e.ready_cycle) ||
-        !get_u32(is, e.home_dev) || !get_u32(is, e.home_link) ||
-        !get_lifecycle(is, e.life) || e.home_dev >= ctx.devices ||
-        e.home_link >= ctx.links) {
+  if (!ar(count)) return false;
+  std::vector<u8> page(SparseStore::kPageBytes);
+  for (u64 p = 0; p < count; ++p) {
+    u64 index = 0;
+    if (!ar(index) || !ar.bytes(page.data(), page.size()) ||
+        !store.restore_page(index, page)) {
       return false;
     }
-    ResponseFields f;
-    if (!ok(decode_response(e.pkt, f))) return false;
-    e.tag = f.tag;
-    e.cmd = f.cmd;
-    if (!q.push(std::move(e))) return false;
   }
-  QueueStats stats;
-  if (!get_queue_stats(is, stats)) return false;
-  q.restore_stats(stats);
   return true;
 }
 
-void put_stats(std::ostream& os, const DeviceStats& s) {
-  for (const StatField& f : kStatFields) put_u64(os, s.*f.member);
+template <class Ar, Record<FaultRecord> F>
+bool io(Ar& ar, F& f) {
+  return ar(f.word) && ar(f.data_flips) && ar(f.check_flips);
 }
 
-bool get_stats(std::istream& is, DeviceStats& s, u32 version) {
+/// The DRAM fault sidecar: a count, then one record per fault in ascending
+/// word order.
+bool faults(WordWriter& ar, const SparseStore& store) {
+  ar(store.fault_count());
+  store.for_each_fault([&ar](u64 word, u64 data_flips, u8 check_flips) {
+    const FaultRecord f{word, data_flips, check_flips};
+    io(ar, f);
+  });
+  return true;
+}
+
+bool faults(WordReader& ar, SparseStore& store) {
+  u64 count = 0;
+  if (!ar(count)) return false;
+  for (u64 i = 0; i < count; ++i) {
+    FaultRecord f;
+    if (!io(ar, f) ||
+        !store.restore_fault(f.word, f.data_flips, f.check_flips)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// RAS state after the fault sidecar: degradation, error log, scrub cursor.
+template <class Ar, Record<RasState> R>
+bool io(Ar& ar, R& ras) {
+  return ar(ras.failed_vaults) && io::each(ar, ras.vault_uncorrectable) &&
+         ar(ras.scrub_cursor) && ar(ras.scrub_passes) &&
+         ar(ras.last_error_addr) && ar(ras.last_error_stat);
+}
+
+template <class Ar, Record<DeviceStats> S>
+bool io(Ar& ar, S& s, u32 version) {
   // v6 predates the last counter, pcm_write_throttle_stalls (v7).
   const usize count = std::size(kStatFields) - (version >= 7 ? 0 : 1);
   for (usize i = 0; i < count; ++i) {
-    if (!get_u64(is, s.*kStatFields[i].member)) return false;
+    if (!ar(s.*kStatFields[i].member)) return false;
   }
   return true;
 }
 
-// The CFG block: every checkpointed kConfigFields word in table order, then
-// (v7) the per-vault backend override list.
-void put_device_config(std::ostream& os, const DeviceConfig& c) {
-  for (const ConfigField& f : kConfigFields) {
-    if (f.checkpointed()) put_u64(os, f.get(c));
+/// One DEVC section.  On a restore failure `ctx.what` names the sub-record
+/// that could not be decoded.
+template <class Ar, Record<Device> D>
+bool io(Ar& ar, D& dev, DevcContext& ctx) {
+  ctx.what = "device stats";
+  if (!io(ar, dev.stats, ctx.version)) return false;
+  ctx.what = "register snapshot";
+  if (!io(ar, dev.regs)) return false;
+  ctx.what = "memory page";
+  if (!pages(ar, dev.store)) return false;
+  for (auto& link : dev.links) {
+    if (!io(ar, link, ctx)) return false;
   }
-  put_u64(os, c.vault_backends.size());
-  for (const auto& [vault, backend] : c.vault_backends) {
-    put_u32(os, vault);
-    put_u8(os, static_cast<u8>(backend));
+  for (auto& vault : dev.vaults) {
+    if (!io(ar, vault, ctx, dev.address_map())) return false;
   }
+  ctx.what = "mode response queue";
+  if (!queue(ar, dev.mode_rsp, ctx)) return false;
+  ctx.what = "fault sidecar";
+  if (!io(ar, dev.fault_rng) || !faults(ar, dev.store)) return false;
+  ctx.what = "ras counters";
+  return io(ar, dev.ras);
 }
 
-bool get_device_config(std::istream& is, DeviceConfig& c, u32 version) {
-  // Fields newer than `version` keep their defaults: v6 restores keep the
-  // hmc_dram backend and its parameter defaults.
+/// The CFG section: the device count, every checkpointed kConfigFields word
+/// in table order, then (v7) the per-vault backend override list.  Fields
+/// newer than `version` keep their defaults: v6 restores keep the hmc_dram
+/// backend and its parameter defaults.
+template <class Ar, Record<SimConfig> C>
+bool io(Ar& ar, C& c, u32 version) {
+  if (!ar(c.num_devices)) return false;
   for (const ConfigField& f : kConfigFields) {
     if (!f.checkpointed() || f.since > version) continue;
-    u64 word = 0;
-    if (!get_u64(is, word) || word > f.max) return false;
-    f.set(c, word);
+    u64 word = f.get(c.device);
+    if (!ar(word, f.max)) return false;
+    if constexpr (Ar::kReading) f.set(c.device, word);
   }
-  if (version < 7) return true;
-  u64 overrides = 0;
-  if (!get_u64(is, overrides) || overrides > kMaxVaultOverrides) return false;
-  c.vault_backends.clear();
-  c.vault_backends.reserve(static_cast<usize>(overrides));
-  for (u64 i = 0; i < overrides; ++i) {
-    u32 index = 0;
-    TimingBackend backend{};
-    if (!get_u32(is, index) ||
-        !get_enum(is, backend, TimingBackend::PcmLike)) {
-      return false;
-    }
-    c.vault_backends.emplace_back(index, backend);
-  }
-  return true;
+  return version < 7 ||
+         io::list(ar, c.device.vault_backends, kMaxVaultOverrides,
+                  [&ar](auto& vb) {
+                    return ar(vb.first) &&
+                           ar(vb.second, TimingBackend::PcmLike);
+                  });
 }
 
-// Per-link retry/token protocol state.  The held replay packet is only
-// present while the error-abort machine is mid-recovery.
-void put_link_proto(std::ostream& os, const LinkProtoState& st) {
-  put_u64(os, static_cast<u64>(st.tokens));
-  put_u64(os, st.tokens_debited);
-  put_u64(os, st.tokens_returned);
-  put_u32(os, st.retry_buf_flits);
-  put_u8(os, st.tx_frp);
-  put_u8(os, st.rx_rrp);
-  put_u8(os, st.tx_seq);
-  put_u8(os, st.rx_seq);
-  put_u64(os, st.retrain_until);
-  put_u32(os, st.burst_remaining);
-  put_u32(os, st.fail_count);
-  put_flag(os, st.dead);
-  put_flag(os, st.replay_pending);
-  if (st.replay_pending) put_request_entry(os, st.replay);
+/// One TOPO endpoint; restore rebuilds the topology from them with
+/// connect().
+template <class Ar, Record<LinkEndpoint> E>
+bool io(Ar& ar, E& e) {
+  return ar(e.kind, EndpointKind::Device) && ar(e.peer_dev) &&
+         ar(e.peer_link);
 }
 
-bool get_link_proto(std::istream& is, LinkProtoState& st,
-                    const EntryContext& ctx) {
-  u64 tokens = 0;
-  if (!get_u64(is, tokens) || !get_u64(is, st.tokens_debited) ||
-      !get_u64(is, st.tokens_returned) || !get_u32(is, st.retry_buf_flits) ||
-      !get_u8(is, st.tx_frp) || !get_u8(is, st.rx_rrp) ||
-      !get_u8(is, st.tx_seq) || !get_u8(is, st.rx_seq) ||
-      !get_u64(is, st.retrain_until) || !get_u32(is, st.burst_remaining) ||
-      !get_u32(is, st.fail_count) || !get_flag(is, st.dead) ||
-      !get_flag(is, st.replay_pending)) {
-    return false;
-  }
-  st.tokens = static_cast<i64>(tokens);
-  return !st.replay_pending || get_request_entry(is, st.replay, ctx);
+template <class Ar, Record<ChaosEvent> E>
+bool io(Ar& ar, E& ev) {
+  return ar(ev.cycle) && ar(ev.action, ChaosAction::BreakInvariant) &&
+         ar(ev.a) && ar(ev.b) && ar(ev.restore) && ar(ev.line);
 }
 
-// ---- whole-device block (one DEVC section) ---------------------------------
-
-void put_device_block(std::ostream& os, const Device& dev) {
-  put_stats(os, dev.stats);
-
-  const RegisterFile::Snapshot regs = dev.regs.snapshot();
-  for (const u64 v : regs.values) put_u64(os, v);
-  for (const bool b : regs.pending_self_clear) put_flag(os, b);
-
-  // Pages are emitted in ascending index order so that checkpoints are
-  // deterministic (byte-identical for identical state) regardless of the
-  // hash map's insertion history.
-  std::vector<u64> page_indices;
-  page_indices.reserve(dev.store.resident_pages());
-  dev.store.for_each_page([&](u64 index, std::span<const u8>) {
-    page_indices.push_back(index);
-  });
-  std::sort(page_indices.begin(), page_indices.end());
-  put_u64(os, page_indices.size());
-  std::vector<u8> page_bytes(SparseStore::kPageBytes);
-  for (const u64 index : page_indices) {
-    put_u64(os, index);
-    (void)dev.store.read(index * SparseStore::kPageBytes, page_bytes);
-    put_bytes(os, page_bytes.data(), page_bytes.size());
-  }
-
-  for (const LinkState& link : dev.links) {
-    put_request_queue(os, link.rqst);
-    put_response_queue(os, link.rsp);
-    put_u64(os, link.rqst_flits_forwarded);
-    put_u64(os, link.rsp_flits_forwarded);
-    put_u64(os, static_cast<u64>(link.rqst_budget));
-    put_u64(os, static_cast<u64>(link.rsp_budget));
-    put_link_proto(os, link.proto);
-  }
-  for (const VaultState& vault : dev.vaults) {
-    put_request_queue(os, vault.rqst);
-    put_response_queue(os, vault.rsp);
-    for (const Cycle busy : vault.bank_busy_until) put_u64(os, busy);
-    for (const u64 row : vault.open_row) put_u64(os, row);
-    put_u64(os, vault.dram_rng.state());
-    // v7: backend-private state frame (kind, length, opaque blob).  The
-    // shared bank arrays above stay in the container's own encoding.
-    put_u8(os, static_cast<u8>(vault.timing->kind()));
-    std::ostringstream blob;
-    vault.timing->serialize(blob);
-    const std::string bytes = blob.str();
-    put_u64(os, bytes.size());
-    put_bytes(os, bytes.data(), bytes.size());
-  }
-  put_response_queue(os, dev.mode_rsp);
-
-  // RAS state: RNG, fault sidecar (ascending order by construction),
-  // degradation, error log, scrub cursor.
-  put_u64(os, dev.fault_rng.state());
-  put_u64(os, dev.store.fault_count());
-  dev.store.for_each_fault([&](u64 word, u64 data_flips, u8 check_flips) {
-    put_u64(os, word);
-    put_u64(os, data_flips);
-    put_u8(os, check_flips);
-  });
-  put_u64(os, dev.ras.failed_vaults);
-  for (const u32 count : dev.ras.vault_uncorrectable) put_u32(os, count);
-  put_u64(os, dev.ras.scrub_cursor);
-  put_u64(os, dev.ras.scrub_passes);
-  put_u64(os, dev.ras.last_error_addr);
-  put_u8(os, dev.ras.last_error_stat);
+/// The CHAO section: plan CRC, cursor and progress counters, the
+/// host-timeout override, the four restore baselines, then the compiled
+/// event list.
+template <class Ar, Record<ChaosRecord> C>
+bool io(Ar& ar, C& c) {
+  return ar(c.plan_crc) && ar(c.cursor) && ar(c.events_applied) &&
+         ar(c.invariant_checks) && ar(c.ht_active) && ar(c.ht_value) &&
+         ar(c.base_ppm) && ar(c.base_burst) && ar(c.base_sbe) &&
+         ar(c.base_dbe) &&
+         io::list(ar, c.plan.events, kMaxChaosEvents,
+                  [&ar](auto& ev) { return io(ar, ev); });
 }
 
-/// Mirror of put_device_block.  On failure `*what` names the sub-record
-/// that could not be decoded.
-bool get_device_block(std::istream& is, Device& dev, u32 version,
-                      const EntryContext& ctx, const char** what) {
-  *what = "device stats";
-  if (!get_stats(is, dev.stats, version)) return false;
-
-  *what = "register snapshot";
-  RegisterFile::Snapshot regs;
-  for (u64& v : regs.values) {
-    if (!get_u64(is, v)) return false;
-  }
-  for (bool& pending : regs.pending_self_clear) {
-    if (!get_flag(is, pending)) return false;
-  }
-  dev.regs.restore(regs);
-
-  *what = "memory page";
-  u64 pages = 0;
-  if (!get_u64(is, pages)) return false;
-  std::vector<u8> page(SparseStore::kPageBytes);
-  for (u64 p = 0; p < pages; ++p) {
-    u64 index = 0;
-    if (!get_u64(is, index) || !get_bytes(is, page.data(), page.size()) ||
-        !dev.store.restore_page(index, page)) {
-      return false;
-    }
-  }
-
-  for (LinkState& link : dev.links) {
-    *what = "link queue";
-    if (!get_request_queue(is, link.rqst, ctx) ||
-        !get_response_queue(is, link.rsp, ctx)) {
-      return false;
-    }
-    *what = "link budgets";
-    u64 rqst_budget = 0, rsp_budget = 0;
-    if (!get_u64(is, link.rqst_flits_forwarded) ||
-        !get_u64(is, link.rsp_flits_forwarded) ||
-        !get_u64(is, rqst_budget) || !get_u64(is, rsp_budget)) {
-      return false;
-    }
-    link.rqst_budget = static_cast<i64>(rqst_budget);
-    link.rsp_budget = static_cast<i64>(rsp_budget);
-    *what = "link protocol state";
-    if (!get_link_proto(is, link.proto, ctx)) return false;
-  }
-  for (VaultState& vault : dev.vaults) {
-    *what = "vault queue";
-    if (!get_request_queue(is, vault.rqst, ctx, &dev.address_map()) ||
-        !get_response_queue(is, vault.rsp, ctx)) {
-      return false;
-    }
-    *what = "bank timing";
-    for (Cycle& busy : vault.bank_busy_until) {
-      if (!get_u64(is, busy)) return false;
-    }
-    for (u64& row : vault.open_row) {
-      if (!get_u64(is, row)) return false;
-    }
-    *what = "vault rng";
-    u64 dram_rng_state = 0;
-    if (!get_u64(is, dram_rng_state)) return false;
-    vault.dram_rng = SplitMix64(dram_rng_state);
-    // v6 predates backend frames: the backend keeps its power-on state.
-    if (version < 7) continue;
-    // The backend was already constructed from the restored config, so
-    // the frame's kind must agree; the blob is the backend's own state.
-    *what = "vault backend state";
-    u8 kind = 0;
-    u64 blob_len = 0;
-    if (!get_u8(is, kind) || kind != static_cast<u8>(vault.timing->kind()) ||
-        !get_u64(is, blob_len) || blob_len > kMaxBackendBlobBytes ||
-        !vault.timing->restore(is, blob_len)) {
-      return false;
-    }
-  }
-  *what = "mode response queue";
-  if (!get_response_queue(is, dev.mode_rsp, ctx)) return false;
-
-  *what = "fault sidecar";
-  u64 rng_state = 0, fault_count = 0;
-  if (!get_u64(is, rng_state) || !get_u64(is, fault_count)) return false;
-  dev.fault_rng = SplitMix64(rng_state);
-  for (u64 f = 0; f < fault_count; ++f) {
-    u64 word = 0, data_flips = 0;
-    u8 check_flips = 0;
-    if (!get_u64(is, word) || !get_u64(is, data_flips) ||
-        !get_u8(is, check_flips) ||
-        !dev.store.restore_fault(word, data_flips, check_flips)) {
-      return false;
-    }
-  }
-  *what = "ras counters";
-  if (!get_u64(is, dev.ras.failed_vaults)) return false;
-  for (u32& count : dev.ras.vault_uncorrectable) {
-    if (!get_u32(is, count)) return false;
-  }
-  return get_u64(is, dev.ras.scrub_cursor) &&
-         get_u64(is, dev.ras.scrub_passes) &&
-         get_u64(is, dev.ras.last_error_addr) &&
-         get_u8(is, dev.ras.last_error_stat);
-}
+}  // namespace layout
 
 /// The knobs a checkpoint never carries (FieldScope::Knob): the execution
 /// strategy, observation, and the snapshot and invariant-check cadences must
@@ -680,6 +514,12 @@ const char* section_name(u32 type) {
 
 // ---- save ------------------------------------------------------------------
 
+template <class Ar, class Self>
+bool Simulator::watchdog_io(Ar& ar, Self& sim) {
+  return ar(sim.watchdog_fired_) && ar(sim.watchdog_stall_cycles_) &&
+         ar(sim.watchdog_fingerprint_);
+}
+
 Status Simulator::save_checkpoint(std::ostream& os) const {
   return save_checkpoint(os, nullptr, {});
 }
@@ -695,100 +535,79 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
     return Status::InvalidArgument;
   }
 
-  put_bytes(os, kMagic, sizeof kMagic);
-  put_u32(os, kVersion);
+  WordWriter out(os);
+  out.word(kMagicWord);
+  out(kVersion);
 
   std::ostringstream sec;
+  WordWriter w(sec);
   const auto emit = [&](u32 type) {
     const std::string payload = sec.str();
-    put_u32(os, type);
-    put_u64(os, payload.size());
-    put_u32(os, payload_crc(payload));
-    put_bytes(os, payload.data(), payload.size());
+    out(type);
+    out(payload.size());
+    out(payload_crc(payload));
+    out.bytes(payload.data(), payload.size());
     sec.str(std::string{});
     sec.clear();
   };
 
-  put_u32(sec, config_.num_devices);
-  put_device_config(sec, config_.device);
+  layout::io(w, config_, kVersion);
   emit(ckpt::kSectionConfig);
 
-  put_u32(sec, topo_.num_devices());
-  put_u32(sec, topo_.links_per_device());
+  w(topo_.num_devices());
+  w(topo_.links_per_device());
   for (u32 d = 0; d < topo_.num_devices(); ++d) {
     for (u32 l = 0; l < topo_.links_per_device(); ++l) {
-      const LinkEndpoint& e = topo_.endpoint(CubeId{d}, LinkId{l});
-      put_u8(sec, static_cast<u8>(e.kind));
-      put_u32(sec, e.peer_dev);
-      put_u32(sec, e.peer_link);
+      layout::io(w, topo_.endpoint(CubeId{d}, LinkId{l}));
     }
   }
   emit(ckpt::kSectionTopology);
 
-  put_u64(sec, cycle_);
+  w(cycle_);
   emit(ckpt::kSectionClock);
 
+  DevcContext devc{kVersion, custom_, config_.num_devices,
+                   config_.device.num_links};
   for (const auto& dev_ptr : devices_) {
-    put_device_block(sec, *dev_ptr);
+    layout::io(w, *dev_ptr, devc);
     emit(ckpt::kSectionDevice);
   }
 
   // Forward-progress watchdog.  The report is rebuilt on restore.
-  put_flag(sec, watchdog_fired_);
-  put_u32(sec, watchdog_stall_cycles_);
-  put_u64(sec, watchdog_fingerprint_);
+  watchdog_io(w, *this);
   emit(ckpt::kSectionWatchdog);
 
   // Chaos campaign (v8).  The section is self-contained (plan bytes travel
   // with the cursor) so a resume needs no side files, and the CRC lets a
   // re-passed --chaos-plan be verified against the checkpointed campaign.
-  // With no campaign armed the payload is a fixed pristine form (empty-plan
-  // CRC, zero counters) rather than being omitted: every v8 stream then
-  // carries bytes a v7 parser cannot consume, so relabeling the version
-  // word can never turn one valid stream into another.
+  // With no campaign armed the payload is the pristine record rather than
+  // being omitted: every v8 stream then carries bytes a v7 parser cannot
+  // consume, so relabeling the version word can never turn one valid
+  // stream into another.
+  ChaosRecord chaos;
   if (chaos_ != nullptr && !chaos_->plan().empty()) {
-    const ChaosPlan& plan = chaos_->plan();
-    put_u64(sec, chaos_->plan_crc());
-    put_u64(sec, chaos_->cursor());
-    put_u64(sec, chaos_->events_applied());
-    put_u64(sec, chaos_->invariant_checks());
-    put_flag(sec, chaos_->host_timeout_active());
-    put_u64(sec, chaos_->host_timeout_value());
     const DeviceConfig& base = chaos_->baseline();
-    put_u32(sec, base.link_error_rate_ppm);
-    put_u32(sec, base.link_error_burst_len);
-    put_u32(sec, base.dram_sbe_rate_ppm);
-    put_u32(sec, base.dram_dbe_rate_ppm);
-    put_u64(sec, plan.events.size());
-    for (const ChaosEvent& ev : plan.events) {
-      put_u64(sec, ev.cycle);
-      put_u8(sec, static_cast<u8>(ev.action));
-      put_u64(sec, ev.a);
-      put_u64(sec, ev.b);
-      put_flag(sec, ev.restore);
-      put_u32(sec, ev.line);
-    }
-  } else {
-    put_u64(sec, chaos_plan_crc(ChaosPlan{}));
-    put_u64(sec, 0);  // cursor
-    put_u64(sec, 0);  // events applied
-    put_u64(sec, 0);  // invariant checks
-    put_u8(sec, 0);   // host-timeout inactive
-    put_u64(sec, 0);  // host-timeout value
-    put_u32(sec, 0);  // baseline rates (unused without a campaign)
-    put_u32(sec, 0);
-    put_u32(sec, 0);
-    put_u32(sec, 0);
-    put_u64(sec, 0);  // event count
+    chaos = ChaosRecord{.plan_crc = chaos_->plan_crc(),
+                        .cursor = chaos_->cursor(),
+                        .events_applied = chaos_->events_applied(),
+                        .invariant_checks = chaos_->invariant_checks(),
+                        .ht_active = chaos_->host_timeout_active(),
+                        .ht_value = chaos_->host_timeout_value(),
+                        .base_ppm = base.link_error_rate_ppm,
+                        .base_burst = base.link_error_burst_len,
+                        .base_sbe = base.dram_sbe_rate_ppm,
+                        .base_dbe = base.dram_dbe_rate_ppm,
+                        .plan = chaos_->plan()};
   }
+  layout::io(w, chaos);
   emit(ckpt::kSectionChaos);
 
   if (!host_blob.empty()) {
-    put_bytes(sec, host_blob.data(), host_blob.size());
+    w.bytes(host_blob.data(), host_blob.size());
     emit(ckpt::kSectionHost);
   }
 
-  put_bytes(os, kTrailer, sizeof kTrailer);
+  out.word(kTrailerWord);
 
   os.flush();
   if (!os) {
@@ -832,16 +651,17 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
                : Status::MalformedPacket;
   };
 
-  char magic[8];
-  if (!get_bytes(is, magic, sizeof magic)) {
+  WordReader in(is);
+  u64 magic = 0;
+  if (!in.word(magic)) {
     return fail(CheckpointErrorCode::ShortRead, 0,
                 "stream ended inside magic");
   }
-  if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
+  if (magic != kMagicWord) {
     return fail(CheckpointErrorCode::BadMagic, 0, "not a checkpoint stream");
   }
   u64 version_word = 0;
-  if (!get_u64(is, version_word)) {
+  if (!in.word(version_word)) {
     return fail(CheckpointErrorCode::ShortRead, 8,
                 "stream ended inside version");
   }
@@ -858,14 +678,17 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
   std::string payload;
   u64 payload_off = 0;
   Status frame_status = Status::Ok;
+  // The current section's payload, decoded through `r`.
+  std::istringstream ps;
+  WordReader r(ps);
 
   // Read length + CRC + payload for the section whose type word has
-  // already been consumed.  Payload bytes are pulled in bounded chunks so
-  // a forged length never drives a huge up-front allocation — memory grows
+  // already been consumed.  Payload bytes are pulled in bounded chunks so a
+  // forged length never drives a huge up-front allocation — memory grows
   // only with bytes actually present in the stream.
   const auto read_frame_body = [&]() -> bool {
     u64 len = 0;
-    if (!get_u64(is, len)) {
+    if (!in.word(len)) {
       frame_status = fail(CheckpointErrorCode::ShortRead, offset,
                           "stream ended inside section length");
       return false;
@@ -878,7 +701,7 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
     }
     offset += 8;
     u64 crc_word = 0;
-    if (!get_u64(is, crc_word)) {
+    if (!in.word(crc_word)) {
       frame_status = fail(CheckpointErrorCode::ShortRead, offset,
                           "stream ended inside section crc");
       return false;
@@ -916,11 +739,17 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
     }
     return true;
   };
+  // Hand a verified payload to `r`; the HOST blob is passed through as is.
+  const auto open_payload = [&]() {
+    ps.clear();
+    ps.str(payload);
+    return true;
+  };
 
   // Read one mandatory section: type word, then frame body.
   const auto read_section = [&](u32 expected) -> bool {
     u64 type_word = 0;
-    if (!get_u64(is, type_word)) {
+    if (!in.word(type_word)) {
       cur_section = expected;
       frame_status = fail(CheckpointErrorCode::ShortRead, offset,
                           "stream ended at section header");
@@ -940,14 +769,9 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
     }
     cur_section = expected;
     offset += 8;
-    return read_frame_body();
+    return read_frame_body() && open_payload();
   };
 
-  std::istringstream ps;
-  const auto open_payload = [&]() {
-    ps.clear();
-    ps.str(payload);
-  };
   // A failure while decoding a CRC-verified payload is never stream
   // truncation of the container; distinguish a payload that ran out of
   // bytes (ShortRead) from a decoded value that failed validation.
@@ -966,12 +790,8 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
 
   // CFG ----------------------------------------------------------------
   if (!read_section(ckpt::kSectionConfig)) return frame_status;
-  open_payload();
   SimConfig config;
-  if (!get_u32(ps, config.num_devices) ||
-      !get_device_config(ps, config.device, version)) {
-    return payload_fail("config block");
-  }
+  if (!layout::io(r, config, version)) return payload_fail("config block");
   if (!payload_drained()) return payload_fail("trailing bytes after config");
   // Validate before sizing anything from file-supplied values: a hostile
   // device count must not reach the Topology/Device allocators.
@@ -982,9 +802,8 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
 
   // TOPO ---------------------------------------------------------------
   if (!read_section(ckpt::kSectionTopology)) return frame_status;
-  open_payload();
   u32 topo_devices = 0, topo_links = 0;
-  if (!get_u32(ps, topo_devices) || !get_u32(ps, topo_links)) {
+  if (!r(topo_devices) || !r(topo_links)) {
     return payload_fail("topology header");
   }
   if (topo_devices != config.num_devices ||
@@ -995,13 +814,9 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
   Topology topo(topo_devices, topo_links);
   for (u32 d = 0; d < topo_devices; ++d) {
     for (u32 l = 0; l < topo_links; ++l) {
-      u8 kind = 0;
-      u32 peer_dev = 0, peer_link = 0;
-      if (!get_u8(ps, kind) || !get_u32(ps, peer_dev) ||
-          !get_u32(ps, peer_link)) {
-        return payload_fail("topology endpoint");
-      }
-      switch (static_cast<EndpointKind>(kind)) {
+      LinkEndpoint e;
+      if (!layout::io(r, e)) return payload_fail("topology endpoint");
+      switch (e.kind) {
         case EndpointKind::Unconnected:
           break;
         case EndpointKind::Host:
@@ -1012,17 +827,14 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
           break;
         case EndpointKind::Device:
           // connect() wires both directions; only apply the "forward" edge.
-          if (d < peer_dev || (d == peer_dev && l < peer_link)) {
-            if (!ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{peer_dev},
-                                 LinkId{peer_link}))) {
+          if (d < e.peer_dev || (d == e.peer_dev && l < e.peer_link)) {
+            if (!ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{e.peer_dev},
+                                 LinkId{e.peer_link}))) {
               return fail(CheckpointErrorCode::BadFieldValue, payload_off,
                           "device endpoint rejected");
             }
           }
           break;
-        default:
-          return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                      "unknown endpoint kind");
       }
     }
   }
@@ -1043,20 +855,15 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
 
   // CLK ----------------------------------------------------------------
   if (!read_section(ckpt::kSectionClock)) return frame_status;
-  open_payload();
-  if (!get_u64(ps, cycle_)) return payload_fail("clock");
+  if (!r(cycle_)) return payload_fail("clock");
   if (!payload_drained()) return payload_fail("trailing bytes after clock");
 
   // DEVC × num_devices -------------------------------------------------
-  const EntryContext entries{custom_, config_.num_devices,
-                             config_.device.num_links};
+  DevcContext devc{version, custom_, config_.num_devices,
+                   config_.device.num_links};
   for (auto& dev_ptr : devices_) {
     if (!read_section(ckpt::kSectionDevice)) return frame_status;
-    open_payload();
-    const char* what = "device block";
-    if (!get_device_block(ps, *dev_ptr, version, entries, &what)) {
-      return payload_fail(what);
-    }
+    if (!layout::io(r, *dev_ptr, devc)) return payload_fail(devc.what);
     if (!payload_drained()) {
       return payload_fail("trailing bytes after device block");
     }
@@ -1064,117 +871,89 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
 
   // WDOG ---------------------------------------------------------------
   if (!read_section(ckpt::kSectionWatchdog)) return frame_status;
-  open_payload();
-  bool fired = false;
-  if (!get_flag(ps, fired) || !get_u32(ps, watchdog_stall_cycles_) ||
-      !get_u64(ps, watchdog_fingerprint_)) {
-    return payload_fail("watchdog tail");
-  }
+  if (!watchdog_io(r, *this)) return payload_fail("watchdog tail");
   if (!payload_drained()) {
     return payload_fail("trailing bytes after watchdog");
   }
-  watchdog_fired_ = fired;
   watchdog_report_ = watchdog_fired_ ? build_watchdog_report() : std::string{};
 
   // CHAO (mandatory in v8), optional HOST, then trailer -----------------
-  cur_section = 0;
   u64 tail_word = 0;
-  if (!get_u64(is, tail_word)) {
-    return fail(CheckpointErrorCode::TrailerMissing, offset,
-                "stream ended before trailer");
-  }
-  if (version >= 8 && tail_word != ckpt::kSectionChaos) {
-    return fail(CheckpointErrorCode::BadSectionType, offset,
-                "v8 stream is missing its chaos section");
-  }
+  // The next section's type word, or the trailer magic.
+  const auto read_tail = [&]() {
+    cur_section = 0;
+    if (in.word(tail_word)) return true;
+    frame_status = fail(CheckpointErrorCode::TrailerMissing, offset,
+                        "stream ended before trailer");
+    return false;
+  };
+  if (!read_tail()) return frame_status;
   // Version-gated both ways: a pre-v8 stream carrying a CHAO section is a
-  // forgery (e.g. a relabeled version word), not a legal layout.
-  if (version >= 8 && tail_word == ckpt::kSectionChaos) {
+  // forgery (e.g. a relabeled version word), not a legal layout, and ends
+  // up at the trailer check.
+  if (version >= 8) {
+    if (tail_word != ckpt::kSectionChaos) {
+      return fail(CheckpointErrorCode::BadSectionType, offset,
+                  "v8 stream is missing its chaos section");
+    }
     cur_section = ckpt::kSectionChaos;
     offset += 8;
     if (!read_frame_body()) return frame_status;
     open_payload();
-    u64 stored_crc = 0, cursor = 0, events_applied = 0, invariant_checks = 0;
-    bool ht_active = false;
-    u64 ht_value = 0;
-    u32 base_ppm = 0, base_burst = 0, base_sbe = 0, base_dbe = 0;
-    u64 event_count = 0;
-    if (!get_u64(ps, stored_crc) || !get_u64(ps, cursor) ||
-        !get_u64(ps, events_applied) || !get_u64(ps, invariant_checks) ||
-        !get_flag(ps, ht_active) || !get_u64(ps, ht_value) ||
-        !get_u32(ps, base_ppm) || !get_u32(ps, base_burst) ||
-        !get_u32(ps, base_sbe) || !get_u32(ps, base_dbe) ||
-        !get_u64(ps, event_count)) {
-      return payload_fail("chaos campaign header");
-    }
-    if (event_count > kMaxChaosEvents) {
-      return payload_fail("chaos event count out of range");
-    }
-    if (cursor > event_count) {
+    ChaosRecord chaos;
+    if (!layout::io(r, chaos)) return payload_fail("chaos campaign record");
+    if (chaos.cursor > chaos.plan.events.size()) {
       return payload_fail("chaos cursor runs past the plan");
-    }
-    ChaosPlan plan;
-    plan.events.reserve(static_cast<usize>(event_count));
-    for (u64 i = 0; i < event_count; ++i) {
-      ChaosEvent ev;
-      if (!get_u64(ps, ev.cycle) ||
-          !get_enum(ps, ev.action, ChaosAction::BreakInvariant) ||
-          !get_u64(ps, ev.a) || !get_u64(ps, ev.b) ||
-          !get_flag(ps, ev.restore) || !get_u32(ps, ev.line)) {
-        return payload_fail("chaos event record");
-      }
-      plan.events.push_back(ev);
     }
     if (!payload_drained()) {
       return payload_fail("trailing bytes after chaos campaign");
     }
-    if (chaos_plan_crc(plan) != stored_crc) {
+    if (chaos_plan_crc(chaos.plan) != chaos.plan_crc) {
       return payload_fail("chaos plan fails its own crc");
     }
-    if (event_count == 0) {
-      // No campaign was armed at save time.  The payload is a fixed
-      // pristine form; anything else is bit damage, not a legal state.
-      if (events_applied != 0 || invariant_checks != 0 || ht_active ||
-          ht_value != 0 || base_ppm != 0 || base_burst != 0 ||
-          base_sbe != 0 || base_dbe != 0) {
+    if (chaos.plan.empty()) {
+      // No campaign was armed at save time.  The payload is the pristine
+      // record; anything else is bit damage, not a legal state.  No engine
+      // to rebuild: the checker (if chaos_invariants is set on the live
+      // config) was already instantiated by init.
+      static const std::string pristine = [] {
+        const ChaosRecord empty;
+        std::ostringstream os;
+        WordWriter pw(os);
+        layout::io(pw, empty);
+        return os.str();
+      }();
+      if (payload != pristine) {
         return payload_fail("empty chaos campaign is not pristine");
       }
-      // No engine to rebuild: the checker (if chaos_invariants is set on
-      // the live config) was already instantiated by init.
     } else {
       // Rebuild the engine self-contained.  arm() re-validates structural
       // indices against the restored configuration, and the baselines are
       // overwritten afterwards because the live config restored from CFG
       // already carries mid-campaign mutated rates.
       chaos_ = std::make_unique<ChaosEngine>(config_.device);
-      chaos_->restore_baseline(base_ppm, base_burst, base_sbe, base_dbe);
+      chaos_->restore_baseline(chaos.base_ppm, chaos.base_burst,
+                               chaos.base_sbe, chaos.base_dbe);
       std::string chaos_diag;
-      if (!ok(chaos_->arm(std::move(plan), config_.device, &chaos_diag))) {
+      if (!ok(chaos_->arm(std::move(chaos.plan), config_.device,
+                          &chaos_diag))) {
         return fail(CheckpointErrorCode::BadFieldValue, payload_off,
                     "chaos plan rejected: " + chaos_diag);
       }
-      if (!ok(chaos_->restore_progress(cursor, events_applied,
-                                       invariant_checks, ht_active,
-                                       ht_value))) {
+      if (!ok(chaos_->restore_progress(chaos.cursor, chaos.events_applied,
+                                       chaos.invariant_checks,
+                                       chaos.ht_active, chaos.ht_value))) {
         return payload_fail("chaos campaign progress rejected");
       }
     }
-    cur_section = 0;
-    if (!get_u64(is, tail_word)) {
-      return fail(CheckpointErrorCode::TrailerMissing, offset,
-                  "stream ended before trailer");
-    }
+    if (!read_tail()) return frame_status;
   }
   if (tail_word == ckpt::kSectionHost) {
     cur_section = ckpt::kSectionHost;
     offset += 8;
     if (!read_frame_body()) return frame_status;
     if (host_blob_out != nullptr) *host_blob_out = payload;
-    cur_section = 0;
-    if (!get_u64(is, tail_word)) {
-      return fail(CheckpointErrorCode::TrailerMissing, offset,
-                  "stream ended before trailer");
-    }
+    if (!read_tail()) return frame_status;
   }
   if (tail_word != kTrailerWord) {
     return fail(CheckpointErrorCode::TrailerMissing, offset,

@@ -75,7 +75,7 @@ constexpr u32 fourcc(char a, char b, char c, char d) {
 }
 
 /// Section types, in their mandatory order.  DEVC repeats once per device;
-/// CHAO (v8) is optional (present when a chaos campaign is armed) and
+/// CHAO is mandatory since v8 (a pristine record when no campaign is armed);
 /// HOST is optional (present when the saver attached host-side state).
 constexpr u32 kSectionConfig = fourcc('C', 'F', 'G', ' ');
 constexpr u32 kSectionTopology = fourcc('T', 'O', 'P', 'O');

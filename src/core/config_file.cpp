@@ -1,12 +1,11 @@
 #include "core/config_file.hpp"
 
-#include <charconv>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <system_error>
 
+#include "common/number.hpp"
 #include "io/bounded_line.hpp"
 
 namespace hmcsim {
@@ -61,14 +60,14 @@ ConfigParseResult parse_config(std::istream& in) {
         field != nullptr && field->keyed()) {
       std::string error;
       const std::optional<u64> word =
-          parse_config_value(*field, value, 10, &error);
+          parse_config_value(*field, value, &error);
       if (!word) return fail(line_no, error);
       field->set(dc, *word);
       continue;
     }
 
     u64 number = 0;
-    const bool is_number = parse_unsigned(value, 10, number);
+    const bool is_number = parse_unsigned(value, number);
     if (key == "num_devices") {
       if (!is_number) return fail(line_no, "num_devices needs a number");
       if (number > std::numeric_limits<u32>::max()) {
@@ -107,8 +106,8 @@ ConfigParseResult parse_config(std::istream& in) {
       u64 hi = 0;
       const std::string last =
           dash == std::string::npos ? range : trim(range.substr(dash + 1));
-      if (!parse_unsigned(trim(range.substr(0, dash)), 10, lo) ||
-          !parse_unsigned(last, 10, hi) || hi < lo) {
+      if (!parse_unsigned(trim(range.substr(0, dash)), lo) ||
+          !parse_unsigned(last, hi) || hi < lo) {
         return fail(line_no, "vault_backend needs a vault index or a "
                              "<lo>-<hi> range");
       }
@@ -145,24 +144,6 @@ ConfigParseResult parse_config_string(const std::string& text) {
   return parse_config(in);
 }
 
-bool parse_unsigned(std::string_view text, int base, u64& out,
-                    bool* too_large) {
-  if (base == 0) {
-    base = 10;
-    if (text.size() > 1 && text[0] == '0') {
-      const bool hex = text[1] == 'x' || text[1] == 'X';
-      text.remove_prefix(hex ? 2 : 1);
-      base = hex ? 16 : 8;
-    }
-  }
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
-  if (too_large != nullptr) {
-    *too_large = ec == std::errc::result_out_of_range && ptr == end;
-  }
-  return !text.empty() && ptr == end && ec == std::errc{};
-}
-
 void write_config(std::ostream& os, const SimConfig& config) {
   const DeviceConfig& dc = config.device;
   os << "# hmcsim device configuration\n";
@@ -185,7 +166,7 @@ void write_config(std::ostream& os, const SimConfig& config) {
 }
 
 std::optional<u64> parse_config_value(const ConfigField& field,
-                                      std::string_view text, int base,
+                                      std::string_view text,
                                       std::string* error) {
   const auto refuse = [&](const std::string& reason) -> std::optional<u64> {
     if (error != nullptr) *error = std::string(field.key) + " " + reason;
@@ -210,7 +191,7 @@ std::optional<u64> parse_config_value(const ConfigField& field,
   }
   u64 word = 0;
   bool too_large = false;
-  if (!parse_unsigned(text, base, word, &too_large) && !too_large) {
+  if (!parse_unsigned(text, word, &too_large) && !too_large) {
     return refuse("needs a number, got " + quoted);
   }
   if (too_large || word > field.max) {

@@ -48,19 +48,13 @@ struct ConfigParseResult {
 /// Serialize a config in the same format (inverse of the parser).
 void write_config(std::ostream& os, const SimConfig& config);
 
-/// Parse all of `text` as an unsigned number in `base`; base 0 reads C
-/// prefixes (0x hex, a leading 0 octal).  `too_large` tells a number past
-/// 64 bits from junk.
-[[nodiscard]] bool parse_unsigned(std::string_view text, int base, u64& out,
-                                  bool* too_large = nullptr);
-
 /// Parse `text` as a value of `field`: one of its names for an Enum,
 /// true/false or 1/0 for a Flag, else a number no larger than the field's
-/// bound, in `base` (10 in files; 0 accepts C prefixes, so 0x2 is 2).
+/// bound, spelled as parse_unsigned reads it (common/number.hpp: decimal,
+/// or hex after 0x).  Config files and hmcsim_run's flags share this rule.
 /// Returns the word, or nullopt with `error` set to "<key> <reason>".
 [[nodiscard]] std::optional<u64> parse_config_value(const ConfigField& field,
                                                     std::string_view text,
-                                                    int base,
                                                     std::string* error);
 
 }  // namespace hmcsim

@@ -404,6 +404,10 @@ class Simulator {
   /// ignored when `idle`.  Returns true when the watchdog fires.
   bool check_watchdog(bool idle, u64 fingerprint);
   [[nodiscard]] std::string build_watchdog_report() const;
+  /// The WDOG checkpoint section's layout, one walk for save and restore
+  /// (`Self` is const Simulator or Simulator; core/checkpoint.cpp).
+  template <class Ar, class Self>
+  static bool watchdog_io(Ar& ar, Self& sim);
   /// Machine snapshot (queues, link protocol state, in-flight entries,
   /// flight-recorder tail) shared by the watchdog report and the chaos
   /// invariant-violation report.

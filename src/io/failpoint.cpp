@@ -7,6 +7,8 @@
 
 #include <unistd.h>
 
+#include "common/number.hpp"
+
 namespace hmcsim::io {
 namespace {
 
@@ -43,10 +45,8 @@ bool arm_failpoint_from_env() {
     return false;
   }
   const std::string mode(spec, colon);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long trigger = std::strtoull(colon + 1, &end, 0);
-  if (end == colon + 1 || *end != '\0' || errno == ERANGE) {
+  u64 trigger = 0;
+  if (!parse_unsigned(colon + 1, trigger)) {
     std::fprintf(stderr, "HMCSIM_FAILPOINT: bad byte offset in '%s'\n", spec);
     return false;
   }

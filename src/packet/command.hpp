@@ -73,6 +73,10 @@ enum class Command : u8 {
   Error = 0x3e,              ///< ERROR response; ERRSTAT describes the cause.
 };
 
+/// Bound of a Command-typed field that carries a raw CMD byte, a custom
+/// command's reserved encoding included: any byte.
+inline constexpr Command kMaxRawCommand{0xff};
+
 /// Error status codes carried in the ERRSTAT field of response tails.
 /// Zero means success; the remaining encodings are simulator-defined but
 /// stable, exposed so hosts can triage deliberate misconfigurations.

@@ -2,10 +2,12 @@
 
 #include <charconv>
 
-#include "common/limits.hpp"
 #include <istream>
 #include <string>
 #include <vector>
+
+#include "common/limits.hpp"
+#include "io/bounded_line.hpp"
 
 namespace hmcsim {
 namespace {
@@ -135,7 +137,13 @@ usize replay_trace(std::istream& in, TraceSink& sink,
   usize replayed = 0;
   usize malformed = 0;
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    const io::LineRead lr = io::getline_bounded(in, line);
+    if (lr == io::LineRead::Eof) break;
+    if (lr == io::LineRead::TooLong) {
+      ++malformed;
+      continue;
+    }
     if (line.empty()) continue;
     if (const auto rec = parse_trace_line(line)) {
       sink.record(*rec);

@@ -31,7 +31,8 @@ namespace hmcsim {
 
 /// Stream every parseable record from `in` into `sink`.  Returns the number
 /// of records replayed; `malformed_lines` (when non-null) receives the
-/// count of lines that did not parse.
+/// count of lines that did not parse.  A line longer than
+/// io::kMaxLineBytes is skipped unbuffered and counted as malformed.
 usize replay_trace(std::istream& in, TraceSink& sink,
                    usize* malformed_lines = nullptr);
 

@@ -1,35 +1,13 @@
 #include "workload/driver.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "io/word_codec.hpp"
+
 namespace hmcsim {
-namespace {
-
-// Little-endian u64 framing for HostDriver::save/restore, matching the
-// simulator checkpoint convention.
-constexpr u64 kDriverMagic = 0x3154534f48434d48ull;  // "HMCHOST1" LE
-
-void put_u64(std::ostream& os, u64 v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  os.write(bytes, 8);
-}
-
-bool get_u64(std::istream& is, u64& v) {
-  char bytes[8];
-  if (!is.read(bytes, 8)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(static_cast<u8>(bytes[i])) << (8 * i);
-  }
-  return true;
-}
-
-}  // namespace
 
 HostDriver::HostDriver(Simulator& sim, Generator& generator,
                        DriverConfig config)
@@ -313,178 +291,92 @@ bool HostDriver::invariants_ok(const DriverResult& result,
   return true;
 }
 
-Status HostDriver::save(std::ostream& os) const {
-  put_u64(os, kDriverMagic);
-  put_u64(os, ports_.size());
-  for (const PortState& port : ports_) {
-    put_u64(os, port.free_tags.size());
-    for (const u16 tag : port.free_tags) put_u64(os, tag);
-    put_u64(os, port.outstanding);
-    for (const InFlight& fl : port.inflight) {
-      put_u64(os, static_cast<u8>(fl.desc.cmd));
-      put_u64(os, fl.desc.addr);
-      put_u64(os, fl.sent_at);
-      put_u64(os, fl.deadline);
-      put_u64(os, fl.cub);
-      put_u64(os, fl.attempts);
-      put_u64(os, fl.zombie ? 1 : 0);
+// ---- driver state and host blob (checkpoint HOST section) ----------------
+//
+// Every value is one word of the checkpoint's codec (io/word_codec.hpp).
+
+namespace {
+
+// Distinct magics, so a driver-state stream can never be confused with a
+// full host blob (which embeds one).
+constexpr u64 kDriverMagic = 0x3154534f48434d48ull;    // "HMCHOST1" LE
+constexpr u64 kHostBlobMagic = 0x31424c42484d4348ull;  // "HCMHBLB1" LE
+
+namespace layout {
+
+template <class Ar, io::Record<RequestDesc> D>
+bool io(Ar& ar, D& desc) {
+  return ar(desc.cmd, kMaxRawCommand) && ar(desc.addr);
+}
+
+template <class Ar, io::Record<DriverResult> R>
+bool io(Ar& ar, R& r) {
+  return ar(r.cycles) && ar(r.sent) && ar(r.completed) && ar(r.errors) &&
+         ar(r.send_stalls) && ar(r.timeouts) && ar(r.retries) &&
+         ar(r.abandoned) && ar(r.hit_cycle_cap) && ar(r.watchdog_fired) &&
+         ar(r.latency.count) && ar(r.latency.sum) && ar(r.latency.min) &&
+         ar(r.latency.max) && io::each(ar, r.latency.log2_buckets);
+}
+
+}  // namespace layout
+}  // namespace
+
+template <class Ar, class Self>
+bool HostDriver::io(Ar& ar, Self& d) {
+  if (!ar.expect(kDriverMagic) || !ar.expect(d.ports_.size())) return false;
+  for (auto& port : d.ports_) {
+    // A free tag names a slot of the port's tag table.
+    const u64 tags = port.inflight.size();
+    if (!io::list(ar, port.free_tags, tags,
+                  [&ar, tags](auto& tag) { return ar(tag) && tag < tags; }) ||
+        !ar(port.outstanding)) {
+      return false;
+    }
+    for (auto& fl : port.inflight) {
+      if (!layout::io(ar, fl.desc) || !ar(fl.sent_at) || !ar(fl.deadline) ||
+          !ar(fl.cub) || !ar(fl.attempts) || !ar(fl.zombie)) {
+        return false;
+      }
     }
   }
-  put_u64(os, retry_queue_.size());
-  for (const RetryEntry& e : retry_queue_) {
-    put_u64(os, static_cast<u8>(e.desc.cmd));
-    put_u64(os, e.desc.addr);
-    put_u64(os, e.cub);
-    put_u64(os, e.attempts);
-    put_u64(os, e.not_before);
-  }
-  put_u64(os, rr_next_);
-  put_u64(os, next_cube_);
-  put_u64(os, have_pending_ ? 1 : 0);
-  put_u64(os, static_cast<u8>(pending_.cmd));
-  put_u64(os, pending_.addr);
-  put_u64(os, pending_cub_);
-  put_u64(os, pending_attempts_);
-  put_u64(os, pending_is_retry_ ? 1 : 0);
-  put_u64(os, gen_calls_);
+  return io::list(ar, d.retry_queue_, ~u64{0},
+                  [&](auto& e) {
+                    return layout::io(ar, e.desc) && ar(e.cub) &&
+                           ar(e.attempts) && ar(e.not_before);
+                  }) &&
+         ar(d.rr_next_) && ar(d.next_cube_) && ar(d.have_pending_) &&
+         layout::io(ar, d.pending_) && ar(d.pending_cub_) &&
+         ar(d.pending_attempts_) && ar(d.pending_is_retry_) &&
+         ar(d.gen_calls_);
+}
+
+Status HostDriver::save(std::ostream& os) const {
+  io::WordWriter ar(os);
+  io(ar, *this);
   os.flush();
   return os ? Status::Ok : Status::Internal;
 }
 
 Status HostDriver::restore(std::istream& is) {
-  u64 magic = 0, num_ports = 0;
-  if (!get_u64(is, magic) || magic != kDriverMagic) {
-    return Status::MalformedPacket;
-  }
-  if (!get_u64(is, num_ports) || num_ports != ports_.size()) {
-    return Status::MalformedPacket;
-  }
-  for (PortState& port : ports_) {
-    u64 num_free = 0;
-    if (!get_u64(is, num_free) || num_free > port.inflight.size()) {
-      return Status::MalformedPacket;
-    }
-    port.free_tags.clear();
-    for (u64 i = 0; i < num_free; ++i) {
-      u64 tag = 0;
-      if (!get_u64(is, tag) || tag >= port.inflight.size()) {
-        return Status::MalformedPacket;
-      }
-      port.free_tags.push_back(static_cast<u16>(tag));
-    }
-    u64 outstanding = 0;
-    if (!get_u64(is, outstanding)) return Status::MalformedPacket;
-    port.outstanding = static_cast<u32>(outstanding);
-    for (InFlight& fl : port.inflight) {
-      u64 cmd = 0, cub = 0, attempts = 0, zombie = 0;
-      if (!get_u64(is, cmd) || !get_u64(is, fl.desc.addr) ||
-          !get_u64(is, fl.sent_at) || !get_u64(is, fl.deadline) ||
-          !get_u64(is, cub) || !get_u64(is, attempts) ||
-          !get_u64(is, zombie)) {
-        return Status::MalformedPacket;
-      }
-      fl.desc.cmd = static_cast<Command>(cmd);
-      fl.cub = static_cast<u32>(cub);
-      fl.attempts = static_cast<u32>(attempts);
-      fl.zombie = zombie != 0;
-    }
-  }
-  u64 num_retries = 0;
-  if (!get_u64(is, num_retries)) return Status::MalformedPacket;
-  retry_queue_.clear();
-  for (u64 i = 0; i < num_retries; ++i) {
-    RetryEntry e;
-    u64 cmd = 0, cub = 0, attempts = 0;
-    if (!get_u64(is, cmd) || !get_u64(is, e.desc.addr) ||
-        !get_u64(is, cub) || !get_u64(is, attempts) ||
-        !get_u64(is, e.not_before)) {
-      return Status::MalformedPacket;
-    }
-    e.desc.cmd = static_cast<Command>(cmd);
-    e.cub = static_cast<u32>(cub);
-    e.attempts = static_cast<u32>(attempts);
-    retry_queue_.push_back(e);
-  }
-  u64 rr = 0, cube = 0, have_pending = 0, pcmd = 0, pcub = 0, pattempts = 0,
-      pretry = 0, gen_calls = 0;
-  if (!get_u64(is, rr) || !get_u64(is, cube) || !get_u64(is, have_pending) ||
-      !get_u64(is, pcmd) || !get_u64(is, pending_.addr) ||
-      !get_u64(is, pcub) || !get_u64(is, pattempts) ||
-      !get_u64(is, pretry) || !get_u64(is, gen_calls)) {
-    return Status::MalformedPacket;
-  }
-  rr_next_ = static_cast<usize>(rr);
-  next_cube_ = static_cast<u32>(cube);
-  have_pending_ = have_pending != 0;
-  pending_.cmd = static_cast<Command>(pcmd);
-  pending_cub_ = static_cast<u32>(pcub);
-  pending_attempts_ = static_cast<u32>(pattempts);
-  pending_is_retry_ = pretry != 0;
+  io::WordReader ar(is);
+  if (!io(ar, *this)) return Status::MalformedPacket;
   // The generator is drawn once per fresh request (retries reuse their
   // descriptor), so a legitimate count can never exceed the request budget
   // plus the held pending draw; a forged count must not drive the replay
   // loop below unbounded.
-  if (gen_calls > cfg_.total_requests + 1) return Status::MalformedPacket;
+  if (gen_calls_ > cfg_.total_requests + 1) return Status::MalformedPacket;
   // Re-synchronize the (freshly re-seeded) generator by replaying the
   // recorded number of draws.
-  gen_calls_ = 0;
-  for (u64 i = 0; i < gen_calls; ++i) gen_.next();
-  gen_calls_ = gen_calls;
+  for (u64 i = 0; i < gen_calls_; ++i) gen_.next();
   return Status::Ok;
 }
-
-// ---- host blob (checkpoint HOST section) -----------------------------------
-
-namespace {
-
-// Distinct magic so a driver-state stream can never be confused with a
-// full host blob (which embeds one).
-constexpr u64 kHostBlobMagic = 0x31424c42484d4348ull;  // "HCMHBLB1" LE
-
-void put_result(std::ostream& os, const DriverResult& r) {
-  put_u64(os, r.cycles);
-  put_u64(os, r.sent);
-  put_u64(os, r.completed);
-  put_u64(os, r.errors);
-  put_u64(os, r.send_stalls);
-  put_u64(os, r.timeouts);
-  put_u64(os, r.retries);
-  put_u64(os, r.abandoned);
-  put_u64(os, r.hit_cycle_cap ? 1 : 0);
-  put_u64(os, r.watchdog_fired ? 1 : 0);
-  put_u64(os, r.latency.count);
-  put_u64(os, r.latency.sum);
-  put_u64(os, r.latency.min);
-  put_u64(os, r.latency.max);
-  for (const u64 bucket : r.latency.log2_buckets) put_u64(os, bucket);
-}
-
-bool get_result(std::istream& is, DriverResult& r) {
-  u64 cap = 0, fired = 0;
-  if (!get_u64(is, r.cycles) || !get_u64(is, r.sent) ||
-      !get_u64(is, r.completed) || !get_u64(is, r.errors) ||
-      !get_u64(is, r.send_stalls) || !get_u64(is, r.timeouts) ||
-      !get_u64(is, r.retries) || !get_u64(is, r.abandoned) ||
-      !get_u64(is, cap) || !get_u64(is, fired) ||
-      !get_u64(is, r.latency.count) || !get_u64(is, r.latency.sum) ||
-      !get_u64(is, r.latency.min) || !get_u64(is, r.latency.max)) {
-    return false;
-  }
-  r.hit_cycle_cap = cap != 0;
-  r.watchdog_fired = fired != 0;
-  for (u64& bucket : r.latency.log2_buckets) {
-    if (!get_u64(is, bucket)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string save_host_state(const HostDriver& driver,
                             const DriverResult& result) {
   std::ostringstream os;
-  put_u64(os, kHostBlobMagic);
-  put_result(os, result);
+  io::WordWriter ar(os);
+  ar.expect(kHostBlobMagic);
+  layout::io(ar, result);
   if (!ok(driver.save(os))) return std::string{};
   return os.str();
 }
@@ -492,12 +384,11 @@ std::string save_host_state(const HostDriver& driver,
 Status restore_host_state(const std::string& blob, HostDriver& driver,
                           DriverResult& result) {
   std::istringstream is(blob);
-  u64 magic = 0;
-  if (!get_u64(is, magic) || magic != kHostBlobMagic) {
+  io::WordReader ar(is);
+  DriverResult r;
+  if (!ar.expect(kHostBlobMagic) || !layout::io(ar, r)) {
     return Status::MalformedPacket;
   }
-  DriverResult r;
-  if (!get_result(is, r)) return Status::MalformedPacket;
   const Status st = driver.restore(is);
   if (!ok(st)) return st;
   // Reject trailing garbage: the blob must be exactly one result + one

@@ -180,6 +180,11 @@ class HostDriver {
   PortState* pick_port(const RequestDesc& desc, u64 blocked_mask,
                        usize& port_index);
 
+  /// The saved state's layout, one walk for save() and restore() (`Self`
+  /// is const HostDriver or HostDriver; workload/driver.cpp).
+  template <class Ar, class Self>
+  static bool io(Ar& ar, Self& d);
+
   Simulator& sim_;
   Generator& gen_;
   DriverConfig cfg_;

@@ -1,11 +1,11 @@
 #include "workload/trace_file.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "common/limits.hpp"
+#include "common/number.hpp"
 #include "io/bounded_line.hpp"
 
 namespace hmcsim {
@@ -34,18 +34,8 @@ bool parse_trace_request(const std::string& line, RequestDesc& out,
   std::string addr_text;
   if (!(fields >> addr_text)) return fail("missing address");
   u64 addr = 0;
-  {
-    std::string_view sv = addr_text;
-    int base = 10;
-    if (sv.size() > 2 && sv[0] == '0' && (sv[1] == 'x' || sv[1] == 'X')) {
-      sv.remove_prefix(2);
-      base = 16;
-    }
-    const auto [ptr, ec] =
-        std::from_chars(sv.data(), sv.data() + sv.size(), addr, base);
-    if (ec != std::errc{} || ptr != sv.data() + sv.size()) {
-      return fail("bad address '" + addr_text + "'");
-    }
+  if (!parse_unsigned(addr_text, addr)) {
+    return fail("bad address '" + addr_text + "'");
   }
   if (addr > spec::kAddrMask) {
     return fail("address '" + addr_text + "' above the 34-bit device space");

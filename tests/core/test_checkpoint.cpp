@@ -288,15 +288,13 @@ DeviceConfig cfg_device() {
   return dc;
 }
 
-/// Index of the one CFG payload word that `change` alters: found by diffing
-/// two saves, so the tests never hard-code the CFG field order.
-usize cfg_word(const std::function<void(DeviceConfig&)>& change) {
-  DeviceConfig changed = cfg_device();
-  change(changed);
-  const std::string a = save(test::make_simple_sim(cfg_device()));
-  const std::string b = save(test::make_simple_sim(changed));
-  const test::CkptSection sa = test::find_section(a, ckpt::kSectionConfig);
-  const test::CkptSection sb = test::find_section(b, ckpt::kSectionConfig);
+/// Index of the one payload word of the first `section` in which two saves
+/// differ: found by diffing, so the tests never hard-code a record's field
+/// order.
+usize differing_word(const std::string& a, const std::string& b,
+                     u32 section) {
+  const test::CkptSection sa = test::find_section(a, section);
+  const test::CkptSection sb = test::find_section(b, section);
   EXPECT_EQ(sa.len, sb.len);
   usize found = 0, differing = 0;
   for (usize w = 0; w < sa.len / 8; ++w) {
@@ -308,6 +306,15 @@ usize cfg_word(const std::function<void(DeviceConfig&)>& change) {
   }
   EXPECT_EQ(differing, 1u);
   return found;
+}
+
+/// The CFG word that `change` alters.
+usize cfg_word(const std::function<void(DeviceConfig&)>& change) {
+  DeviceConfig changed = cfg_device();
+  change(changed);
+  return differing_word(save(test::make_simple_sim(cfg_device())),
+                        save(test::make_simple_sim(changed)),
+                        ckpt::kSectionConfig);
 }
 
 TEST(CheckpointForged, WrappingPageIndexIsRejected) {
@@ -431,6 +438,23 @@ TEST(CheckpointForged, EnumAndFlagWordsOutOfRangeAreRejected) {
   test::forge_word(bytes, test::find_section(bytes, ckpt::kSectionWatchdog), 0,
                    2);
   expect_rejected(bytes, ckpt::kSectionWatchdog, "watchdog fired = 2");
+}
+
+TEST(CheckpointForged, LifecycleTagPastItsTypeIsRejected) {
+  // A queued request's lifecycle tag is a 16-bit Tag: a word past it must
+  // not restore truncated (0x10000 as tag 0).
+  Simulator sim = test::make_simple_sim();
+  ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 0x40, 5), Status::Ok);
+  const std::string base = save(sim);
+  Simulator edited = restored_from(base);
+  edited.device(0).links[0].rqst.front().life.tag ^= 1;
+  const usize tag_word =
+      differing_word(base, save(edited), ckpt::kSectionDevice);
+
+  std::string bytes = base;
+  test::forge_word(bytes, test::find_section(bytes, ckpt::kSectionDevice),
+                   tag_word, 0x10000);
+  expect_rejected(bytes, ckpt::kSectionDevice, "lifecycle tag 0x10000");
 }
 
 }  // namespace

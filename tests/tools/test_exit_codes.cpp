@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/wait.h>
@@ -186,6 +187,28 @@ TEST_F(ExitCodes, SixOnChaosInvariantViolation) {
                 " --link-retry-limit 8 --chaos-invariants 64 --chaos-plan " +
                 path("broken.plan")),
             6);
+}
+
+TEST_F(ExitCodes, ExplicitZeroChaosCadenceDisablesTheChecker) {
+  // An armed plan defaults the invariant cadence to 1024; an explicit
+  // --chaos-invariants 0 wins over that default.
+  std::ofstream(path("quiet.plan")) << "at 10 dram_sbe_ppm 0\n";
+  const auto cadence = [&](const std::string& flags) {
+    const std::string json = path("out.json");
+    EXPECT_EQ(run(tool() + " --preset a --requests 64 --chaos-plan " +
+                  path("quiet.plan") + flags + " --json " + json),
+              0);
+    std::stringstream text;
+    text << std::ifstream(json).rdbuf();
+    const std::string doc = text.str();
+    constexpr std::string_view kKey = "\"chaos_invariants\":";
+    const auto at = doc.find(kKey);
+    if (at == std::string::npos) return std::string("missing");
+    const auto from = at + kKey.size();
+    return doc.substr(from, doc.find_first_of(",}", from) - from);
+  };
+  EXPECT_EQ(cadence(""), "1024");
+  EXPECT_EQ(cadence(" --chaos-invariants 0"), "0");
 }
 
 TEST_F(ExitCodes, TwoOnChaosPlanErrors) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/random.hpp"
+#include "io/bounded_line.hpp"
 #include "trace/series.hpp"
 
 namespace hmcsim {
@@ -119,6 +120,23 @@ TEST(TraceReader, ReplayIntoCountingSink) {
   EXPECT_EQ(malformed, 1u);
   EXPECT_EQ(counter.count(TraceEvent::BankConflict), 5u);
   EXPECT_EQ(counter.count(TraceEvent::ReadRequest), 1u);
+}
+
+TEST(TraceReader, OverlongLineIsMalformedAndSkipped) {
+  // One line a byte past the loaders' cap, then a valid record: the long
+  // line is counted malformed without being buffered, and the record after
+  // it still replays.
+  std::ostringstream text;
+  text << std::string(io::kMaxLineBytes + 1, 'x') << '\n';
+  TextSink writer(text);
+  writer.record(sample());
+
+  std::istringstream in(text.str());
+  CountingSink counter;
+  usize malformed = 0;
+  EXPECT_EQ(replay_trace(in, counter, &malformed), 1u);
+  EXPECT_EQ(malformed, 1u);
+  EXPECT_EQ(counter.count(TraceEvent::BankConflict), 1u);
 }
 
 TEST(TraceReader, ReplayRebuildsFigureFiveSeries) {

@@ -3,8 +3,10 @@
 // budget is exhausted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "tests/core/checkpoint_forge.hpp"
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
 
@@ -189,6 +191,72 @@ TEST(HostResilience, SaveRestoreRoundTripsDriverState) {
   EXPECT_EQ(r_b.abandoned, r_ref.abandoned);
   EXPECT_EQ(r_b.errors, r_ref.errors);
   EXPECT_EQ(r_b.cycles, r_ref.cycles);
+}
+
+/// The one word in which two equal-length HOST blobs differ, so no test
+/// hard-codes the blob's field order.
+usize differing_word(const std::string& a, const std::string& b) {
+  EXPECT_EQ(a.size(), b.size());
+  usize found = 0, differing = 0;
+  for (usize w = 0; w < std::min(a.size(), b.size()) / 8; ++w) {
+    if (test::load_word(a, 8 * w) != test::load_word(b, 8 * w)) {
+      found = w;
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 1u);
+  return found;
+}
+
+TEST(HostResilience, HostBlobWordsPastTheirFieldAreRefused) {
+  // Every blob word is checked against the field it fills: a flag holds 0
+  // or 1 and a command one byte; neither may be coerced on restore.
+  const DeviceConfig dc = small_device();
+  // Reads of one address, the first with `first`: blobs taken after one
+  // step differ only in that request's in-flight command.
+  class OneCommandGen final : public Generator {
+   public:
+    explicit OneCommandGen(Command first) : next_(first) {}
+    RequestDesc next() override {
+      const RequestDesc d{next_, 0x40};
+      next_ = Command::Rd16;
+      return d;
+    }
+    const char* name() const override { return "one-command"; }
+
+   private:
+    Command next_;
+  };
+  const auto blob = [&](Command first, bool hit_cycle_cap) {
+    Simulator sim = test::make_simple_sim(dc);
+    OneCommandGen gen(first);
+    HostDriver driver(sim, gen, resilient_cfg(400));
+    DriverResult result;
+    EXPECT_TRUE(driver.step(result));
+    result.hit_cycle_cap = hit_cycle_cap;
+    return save_host_state(driver, result);
+  };
+  const auto restores = [&](const std::string& bytes) {
+    Simulator sim = test::make_simple_sim(dc);
+    OneCommandGen gen(Command::Rd16);
+    HostDriver driver(sim, gen, resilient_cfg(400));
+    DriverResult r;
+    return ok(restore_host_state(bytes, driver, r));
+  };
+  const std::string base = blob(Command::Rd16, false);
+  ASSERT_TRUE(restores(base));
+
+  std::string flag = base;
+  test::store_word(
+      flag, 8 * differing_word(base, blob(Command::Rd16, true)), 2);
+  EXPECT_FALSE(restores(flag)) << "hit_cycle_cap = 2";
+
+  const usize cmd_word = differing_word(base, blob(Command::Rd32, false));
+  ASSERT_EQ(test::load_word(base, 8 * cmd_word),
+            static_cast<u64>(Command::Rd16));
+  std::string cmd = base;
+  test::store_word(cmd, 8 * cmd_word, 0x100);
+  EXPECT_FALSE(restores(cmd)) << "command word = 0x100";
 }
 
 }  // namespace

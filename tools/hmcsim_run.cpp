@@ -106,16 +106,18 @@
 //                           with and without fast-forward
 //     --chaos-invariants <n>      run the live invariant suite every n
 //                           cycles (defaults to 1024 when a plan is armed;
-//                           0 disables)
+//                           0 disables; a config file's 0 means "use the
+//                           default")
 //     --chaos-shrink <file> after an invariant violation, ddmin the plan to
 //                           a minimal reproducer tripping the same
 //                           invariant at the same cycle and write it here
 //
 //   Every option also accepts the --flag=value spelling; numeric values are
 //   parsed strictly (trailing junk, or a value too large for the setting it
-//   feeds, is a usage error) and may carry a C prefix (0x2, 010).  A flag
-//   that sets one config field (kFieldFlags) parses its value like that
-//   field's config-file key and wins over the --config file.
+//   feeds, is a usage error) and are decimal, or hex after 0x (0x2; 010 is
+//   ten, as in config files and chaos plans).  A flag that sets one config
+//   field (kFieldFlags) parses its value like that field's config-file key
+//   and wins over the --config file.
 //
 //   Exit status: 0 success, 1 incomplete run, 2 usage error, 3 watchdog
 //   fired (diagnostic dump on stderr, including link-protocol state and
@@ -145,6 +147,7 @@
 #include "analysis/report.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/shrink.hpp"
+#include "common/number.hpp"
 #include "core/config_file.hpp"
 #include "core/simulator.hpp"
 #include "io/failpoint.hpp"
@@ -240,7 +243,7 @@ bool value_error(const std::string& flag, const char* v, const char* what) {
 }
 
 bool parse_u64_strict(const std::string& flag, const char* v, u64& out) {
-  return parse_unsigned(v, 0, out) ||
+  return parse_unsigned(v, out) ||
          value_error(flag, v, "an unsigned number");
 }
 
@@ -434,7 +437,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (v == nullptr) return false;
       const ConfigField& field = *find_config_field(opt->key);
       std::string why;
-      const std::optional<u64> word = parse_config_value(field, v, 0, &why);
+      const std::optional<u64> word = parse_config_value(field, v, &why);
       if (!word) {
         std::fprintf(stderr, "error: option '%s': %s\n", flag.c_str(),
                      why.c_str());
@@ -624,6 +627,10 @@ int main(int argc, char** argv) {
   // ---- overrides ------------------------------------------------------------
   {
     DeviceConfig& dc = config.device;
+    // An armed plan runs the invariant checker every 1024 cycles unless the
+    // config file names a cadence; an explicit --chaos-invariants (0 too)
+    // wins, so it is applied after.
+    if (chaos_armed && dc.chaos_invariants == 0) dc.chaos_invariants = 1024;
     for (const auto& [field, word] : args.field_overrides) field->set(dc, word);
     if (args.no_fast_forward) dc.fast_forward = false;
     // A --checkpoint-dir with no cadence from the flag or the file writes
@@ -637,10 +644,8 @@ int main(int argc, char** argv) {
         dc.flight_recorder_depth == 0) {
       dc.flight_recorder_depth = 256;  // a dump was asked for: default ring
     }
-    // Chaos campaigns: the cadence defaults on when a plan is armed, and a
-    // plan that retargets DRAM fault rates needs the data model present
-    // (those injectors live in the data store).
-    if (chaos_armed && dc.chaos_invariants == 0) dc.chaos_invariants = 1024;
+    // A chaos plan that retargets DRAM fault rates needs the data model
+    // present (those injectors live in the data store).
     for (const ChaosEvent& ev : chaos_plan.events) {
       if (ev.action == ChaosAction::DramSbePpm ||
           ev.action == ChaosAction::DramDbePpm) {
@@ -661,7 +666,7 @@ int main(int argc, char** argv) {
       u64 vault = 0;
       TimingBackend backend;
       if (colon == std::string::npos ||
-          !parse_unsigned(spec.substr(0, colon), 0, vault) || vault >= 64 ||
+          !parse_unsigned(spec.substr(0, colon), vault) || vault >= 64 ||
           !timing_backend_from_string(spec.substr(colon + 1), &backend)) {
         std::fprintf(stderr,
                      "error: --vault-backend expects "
