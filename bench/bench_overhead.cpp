@@ -283,24 +283,39 @@ const fs::path& scratch_dir() {
   return dir;
 }
 
-/// The hmcsim_run drive loop with auto-checkpointing: a rotated
-/// generation each time the clock crosses a 10000-cycle boundary, keep 3.
+/// The hmcsim_run drive loop with auto-checkpointing, its cadence tied to
+/// the episode so every episode pays for the same save: one rotated
+/// generation (keep 3) once half its requests have completed, about every
+/// 9000 cycles at the row's size.
 void arm_autosave(Lane& l) {
-  constexpr u64 kInterval = 10000;
   const fs::path dir = scratch_dir() / "auto";
   fs::create_directories(dir);
-  auto written = std::make_shared<u64>(0);
-  l.on_step = [dir, written, last = u64{0}](
-                  Lane& lane, HostDriver& driver,
-                  const DriverResult& r) mutable {
-    if (lane.sim.now() / kInterval == last) return;
-    last = lane.sim.now() / kInterval;
+  struct Saves {
+    u64 episodes{0};
+    u64 written{0};
+    u64 half{0};  ///< this episode's completions before its save
+    bool saved{false};
+  };
+  auto saves = std::make_shared<Saves>();
+  l.episode = [saves](Lane& lane, u64 n) {
+    ++saves->episodes;
+    saves->half = n / 2;
+    saves->saved = false;
+    return burst(lane, n);
+  };
+  l.on_step = [dir, saves](Lane& lane, HostDriver& driver,
+                           const DriverResult& r) {
+    if (saves->saved || r.completed < saves->half) return;
     save_or_die(lane.sim,
-                checkpoint_generation_path(dir.string(), (*written)++),
+                checkpoint_generation_path(dir.string(), saves->written++),
                 save_host_state(driver, r));
     prune_checkpoint_generations(dir.string(), 3);
+    saves->saved = true;
   };
-  l.collect = [written](Lane& lane) { lane.note("generations", *written); };
+  l.collect = [saves](Lane& lane) {
+    lane.note("episodes", saves->episodes);
+    lane.note("generations", saves->written);
+  };
 }
 
 /// Checkpoint save and restore, one per episode, on a device loaded with
@@ -592,13 +607,14 @@ const std::vector<Row>& rows() {
 
       {"checkpoint", 1 << 16, 25, {},
        {{"off"},
-        {"ckpt_10k", {}, arm_autosave},
+        {"ckpt_episode", {}, arm_autosave},
         {"off_rerun"},
         {"save", {}, arm_save},
         {"restore", {}, arm_restore}},
-       {off_gap(2.0), overhead("ckpt_10k", 5.0)},
-       {{"generations written", [](const RowRun& r) {
-           return r["ckpt_10k"].fact("generations") > 0;
+       {off_gap(2.0), overhead("ckpt_episode", 5.0)},
+       {{"every episode writes one generation", [](const RowRun& r) {
+           const Lane& l = r["ckpt_episode"];
+           return l.fact("generations") == l.fact("episodes");
          }}}},
 
       {"backend", 1 << 16, 15, {},

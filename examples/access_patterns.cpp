@@ -9,11 +9,11 @@
 //
 // Usage: ./examples/access_patterns [requests]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "analysis/report.hpp"
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
 
@@ -52,7 +52,7 @@ void run_pattern(const char* label, Generator& gen, u64 requests,
 
 int main(int argc, char** argv) {
   const u64 requests =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : (u64{1} << 16);
+      examples::number_arg(argc, argv, 1, u64{1} << 16, "[requests]");
 
   GeneratorConfig gc;
   gc.capacity_bytes = u64{2} << 30;

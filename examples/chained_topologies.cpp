@@ -4,10 +4,10 @@
 //
 // Usage: ./examples/chained_topologies [requests_per_cube]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
 
@@ -59,7 +59,8 @@ void explore(const char* name, Topology topo, u32 links, u64 requests) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 requests = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 4096;
+  const u64 requests =
+      examples::number_arg(argc, argv, 1, 4096, "[requests_per_cube]");
   std::string err;
 
   explore("chain of 4", make_chain(4, 4, 2, 1, &err), 4, requests);

@@ -5,10 +5,10 @@
 //
 // Usage: ./examples/cpu_integration [iterations]
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 
 #include "core/memory_system.hpp"
+#include "example_args.hpp"
 
 using namespace hmcsim;
 
@@ -26,7 +26,7 @@ u64 node_addr(usize index) { return kHeapBase + index * kNodeBytes; }
 
 int main(int argc, char** argv) {
   const u64 iterations =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : kNodes;
+      examples::number_arg(argc, argv, 1, kNodes, "[iterations]");
 
   DeviceConfig dc;  // 4-link / 8-bank / 2 GB
   MemorySystem mem(dc);

@@ -13,11 +13,11 @@
 //
 // Usage: ./examples/gups [updates] [table_mb]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/random.hpp"
 #include "core/memory_system.hpp"
+#include "example_args.hpp"
 
 using namespace hmcsim;
 
@@ -95,9 +95,11 @@ GupsResult run_device_amo(u64 updates, u64 table_bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kArgs = "[updates] [table_mb]";
   const u64 updates =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : (u64{1} << 15);
-  const u64 table_mb = argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 256;
+      examples::number_arg(argc, argv, 1, u64{1} << 15, kArgs);
+  const u64 table_mb =
+      examples::number_arg(argc, argv, 2, 256, kArgs, ~u64{0} >> 20);
   const u64 table_bytes = table_mb << 20;
 
   std::printf("GUPS: %llu random 16B updates over a %llu MiB table "

@@ -13,11 +13,11 @@
 //
 // Usage: ./examples/near_memory_compute [updates]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/random.hpp"
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 
 using namespace hmcsim;
 
@@ -87,7 +87,7 @@ u64 run_cmc(u64 updates, Simulator& sim) {
 
 int main(int argc, char** argv) {
   const u64 updates =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 4096;
+      examples::number_arg(argc, argv, 1, 4096, "[updates]");
 
   std::printf("histogram of %llu updates over %llu buckets\n\n",
               static_cast<unsigned long long>(updates),

@@ -13,11 +13,11 @@
 //
 // Usage: ./examples/numa_channels [requests_per_channel]
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 
 #include "common/random.hpp"
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 
 using namespace hmcsim;
 
@@ -70,7 +70,7 @@ void step(Channel& ch) {
 
 int main(int argc, char** argv) {
   const u64 requests =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 8192;
+      examples::number_arg(argc, argv, 1, 8192, "[requests_per_channel]");
 
   Channel near{"near", {}, /*interconnect_delay=*/2, {}, 0, 0, 0, 0, {}};
   Channel far{"far", {}, /*interconnect_delay=*/40, {}, 0, 0, 0, 0, {}};

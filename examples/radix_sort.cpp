@@ -11,12 +11,12 @@
 //
 // Usage: ./examples/radix_sort [keys]
 #include <cstdio>
-#include <cstdlib>
 #include <array>
 #include <vector>
 
 #include "common/random.hpp"
 #include "core/memory_system.hpp"
+#include "example_args.hpp"
 
 using namespace hmcsim;
 
@@ -34,8 +34,7 @@ u64 key_addr(u64 table, u64 index) { return table + index * kBlockBytes; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const u64 keys =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : (u64{1} << 15);
+  const u64 keys = examples::number_arg(argc, argv, 1, u64{1} << 15, "[keys]");
 
   DeviceConfig dc;  // 4-link / 8-bank / 2 GB
   MemorySystem mem(dc);

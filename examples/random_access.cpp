@@ -10,7 +10,6 @@
 // Prints the simulated runtime in clock cycles plus the contention trace
 // counters the paper's Figure 5 visualizes.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -19,6 +18,7 @@
 #include "analysis/json.hpp"
 #include "analysis/report.hpp"
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
 
@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   u64 requests = u64{1} << 18;
   bool json = false;
   if (argc > 1) which = static_cast<char>(std::tolower(argv[1][0]));
-  if (argc > 2) requests = std::strtoull(argv[2], nullptr, 0);
+  requests = examples::number_arg(argc, argv, 2, requests,
+                                  "[a|b|c|d] [requests] [--json]");
   for (int i = 3; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") json = true;
   }
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.send_stalls));
   std::printf("request latency      : mean %.1f, min %llu, max %llu cycles\n",
               result.latency.mean(),
-              static_cast<unsigned long long>(result.latency.min),
+              static_cast<unsigned long long>(
+                  result.latency.count == 0 ? 0 : result.latency.min),
               static_cast<unsigned long long>(result.latency.max));
   std::printf("effective bandwidth  : %.1f GB/s (data payload at 1.25 GHz)\n",
               effective_bandwidth_gbs(

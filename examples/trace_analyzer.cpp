@@ -13,11 +13,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "analysis/report.hpp"
 #include "core/simulator.hpp"
+#include "example_args.hpp"
 #include "trace/reader.hpp"
 #include "trace/series.hpp"
 #include "workload/driver.hpp"
@@ -51,11 +53,10 @@ std::string generate_demo_trace() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kArgs = "<trace.txt> [vaults] [bucket_width] [--csv]";
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <trace.txt> [vaults] [bucket_width] [--csv]\n"
-                 "       %s --demo\n",
-                 argv[0], argv[0]);
+    std::fprintf(stderr, "usage: %s %s\n       %s --demo\n", argv[0], kArgs,
+                 argv[0]);
     return 1;
   }
 
@@ -66,9 +67,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else if (i == 2) {
-      vaults = static_cast<u32>(std::strtoul(argv[i], nullptr, 0));
+      vaults = static_cast<u32>(examples::number_arg(
+          argc, argv, i, vaults, kArgs, std::numeric_limits<u32>::max()));
     } else if (i == 3) {
-      bucket_width = std::strtoull(argv[i], nullptr, 0);
+      bucket_width = examples::number_arg(argc, argv, i, bucket_width, kArgs);
     }
   }
 

@@ -53,13 +53,19 @@ struct Shim {
     if (frozen) return Status::Ok;
     const Status s = sim.init(config, topo);
     if (!ok(s)) return s;
+    attach_deferred();
+    return Status::Ok;
+  }
+
+  /// Wire the trace level, trace sink and lifecycle observer set before
+  /// bring-up into the now-initialized simulator, and freeze.
+  void attach_deferred() {
     sim.tracer().set_level(pending_level);
     if (trace_stream) {
       sim.tracer().add_sink(std::make_shared<TextSink>(*trace_stream));
     }
     if (lifecycle) sim.add_lifecycle_observer(lifecycle);
     frozen = true;
-    return Status::Ok;
   }
 };
 
@@ -697,15 +703,7 @@ int hmcsim_checkpoint_restore(struct hmcsim_t* hmc, const char* path) {
   // the shim and freeze the topology, wiring the deferred trace/lifecycle
   // hooks exactly as the first send/clock would have.
   shim->config = shim->sim.config();
-  if (!shim->frozen) {
-    shim->sim.tracer().set_level(shim->pending_level);
-    if (shim->trace_stream) {
-      shim->sim.tracer().add_sink(
-          std::make_shared<TextSink>(*shim->trace_stream));
-    }
-    if (shim->lifecycle) shim->sim.add_lifecycle_observer(shim->lifecycle);
-    shim->frozen = true;
-  }
+  if (!shim->frozen) shim->attach_deferred();
   hmc->num_devs = shim->config.num_devices;
   hmc->num_links = shim->config.device.num_links;
   g_last_error.clear();

@@ -14,7 +14,7 @@
 //   ts   = stamp cycle, dur = segment length (1 cycle == 1 "microsecond")
 //
 // The sink streams: each complete() appends the packet's events, and
-// finish() closes the JSON document (also invoked by flush()).
+// finish() closes the JSON document.
 #pragma once
 
 #include <iosfwd>
@@ -70,7 +70,6 @@ class ChromeTraceSink final : public LifecycleObserver {
   /// Close the JSON document (idempotent).  After this, further
   /// complete() calls are ignored.
   void finish() { out_.close(); }
-  void flush() override { finish(); }
 
   [[nodiscard]] u64 packets_emitted() const { return packets_; }
 

@@ -85,7 +85,6 @@ class LifecycleObserver {
  public:
   virtual ~LifecycleObserver() = default;
   virtual void complete(const PacketLifecycle& lc) = 0;
-  virtual void flush() {}
 };
 
 /// Aggregates completed lifecycles into per-(class, segment) log2 latency

@@ -410,69 +410,18 @@ TEST_F(HmcFixture, GetStatsMatchesNamedCounters) {
   EXPECT_EQ(stats.writes, 1u);
   EXPECT_EQ(stats.sends, 2u);
   EXPECT_EQ(stats.bytes_written, 64u);
-  // Every field must agree with its hmcsim_get_stat counterpart: this pins
-  // the table-driven name lookup against the explicit C struct copy.
-  static_assert(sizeof(struct hmcsim_stats) == 47 * sizeof(uint64_t),
-                "a new hmcsim_stats field needs a row below");
-#define HMC_STAT_ROW(field) {#field, stats.field}
-  const struct {
-    const char* name;
-    uint64_t value;
-  } rows[] = {
-      HMC_STAT_ROW(reads),
-      HMC_STAT_ROW(writes),
-      HMC_STAT_ROW(atomics),
-      HMC_STAT_ROW(mode_ops),
-      HMC_STAT_ROW(custom_ops),
-      HMC_STAT_ROW(bytes_read),
-      HMC_STAT_ROW(bytes_written),
-      HMC_STAT_ROW(responses),
-      HMC_STAT_ROW(error_responses),
-      HMC_STAT_ROW(bank_conflicts),
-      HMC_STAT_ROW(xbar_rqst_stalls),
-      HMC_STAT_ROW(xbar_rsp_stalls),
-      HMC_STAT_ROW(vault_rsp_stalls),
-      HMC_STAT_ROW(latency_penalties),
-      HMC_STAT_ROW(route_hops),
-      HMC_STAT_ROW(misroutes),
-      HMC_STAT_ROW(link_errors),
-      HMC_STAT_ROW(link_retries),
-      HMC_STAT_ROW(refreshes),
-      HMC_STAT_ROW(row_hits),
-      HMC_STAT_ROW(row_misses),
-      HMC_STAT_ROW(sends),
-      HMC_STAT_ROW(send_stalls),
-      HMC_STAT_ROW(recvs),
-      HMC_STAT_ROW(flow_packets),
-      HMC_STAT_ROW(dram_sbes),
-      HMC_STAT_ROW(dram_dbes),
-      HMC_STAT_ROW(scrub_steps),
-      HMC_STAT_ROW(scrub_corrections),
-      HMC_STAT_ROW(scrub_uncorrectables),
-      HMC_STAT_ROW(vault_failures),
-      HMC_STAT_ROW(vault_remaps),
-      HMC_STAT_ROW(degraded_drops),
-      HMC_STAT_ROW(link_crc_errors),
-      HMC_STAT_ROW(link_seq_errors),
-      HMC_STAT_ROW(link_abort_entries),
-      HMC_STAT_ROW(link_irtry_tx),
-      HMC_STAT_ROW(link_irtry_rx),
-      HMC_STAT_ROW(link_pret_tx),
-      HMC_STAT_ROW(link_tret_tx),
-      HMC_STAT_ROW(link_replayed_flits),
-      HMC_STAT_ROW(link_token_stalls),
-      HMC_STAT_ROW(link_retrain_cycles),
-      HMC_STAT_ROW(link_failures),
-      HMC_STAT_ROW(link_tokens_debited),
-      HMC_STAT_ROW(link_tokens_returned),
-      HMC_STAT_ROW(pcm_write_throttle_stalls),
-  };
-#undef HMC_STAT_ROW
-  static_assert(sizeof(rows) / sizeof(rows[0]) == 47);
-  for (const auto& row : rows) {
+  // hmcsim_stats lays the counters out in kStatFields order, and every word
+  // must agree with its hmcsim_get_stat counterpart: this pins the
+  // table-driven name lookup against the explicit C struct copy.
+  std::array<uint64_t, std::size(hmcsim::kStatFields)> words{};
+  static_assert(sizeof(struct hmcsim_stats) == sizeof(words),
+                "a new hmcsim_stats field needs a kStatFields entry");
+  std::memcpy(words.data(), &stats, sizeof(words));
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::string name(hmcsim::kStatFields[i].name);
     uint64_t value = ~0ull;
-    ASSERT_EQ(hmcsim_get_stat(&hmc, 0, row.name, &value), 0) << row.name;
-    EXPECT_EQ(value, row.value) << row.name;
+    ASSERT_EQ(hmcsim_get_stat(&hmc, 0, name.c_str(), &value), 0) << name;
+    EXPECT_EQ(value, words[i]) << name;
   }
   // Invalid arguments.
   EXPECT_EQ(hmcsim_get_stats(&hmc, 5, &stats), -1);

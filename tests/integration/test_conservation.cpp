@@ -33,15 +33,15 @@
 #include <vector>
 
 #include "core/link_layer.hpp"
-#include "tests/core/helpers.hpp"
-#include "workload/driver.hpp"
-#include "workload/trace_file.hpp"
+#include "tests/integration/scenario.hpp"
 
 namespace hmcsim {
 namespace {
 
 constexpr u64 kRequests = 2000;
-constexpr u64 kTraceEntries = 256;
+/// test::mixed_trace() is all non-posted, so the injected totals are fully
+/// observable at the host edge.
+constexpr u64 kTraceSeed = 0xc0de5eed0ddba11ull;
 constexpr u64 kIdleWindowEverySteps = 160;
 constexpr u32 kIdleWindowCycles = 256;
 constexpr u32 kIdleTailCycles = 3000;
@@ -53,56 +53,9 @@ DeviceConfig conservation_device(bool ras,
   // thousands of times, with a narrow busy window so traffic still flows.
   dc.refresh_interval_cycles = 512;
   dc.refresh_busy_cycles = 8;
-  dc.timing_backend = backend;
-  if (backend == TimingBackend::GenericDdr) {
-    dc.ddr_tcl = 3;
-    dc.ddr_trcd = 2;
-    dc.ddr_trp = 2;
-    dc.ddr_tras = 6;
-  } else if (backend == TimingBackend::PcmLike) {
-    // Asymmetric enough that the write gap gates issues mid-run.
-    dc.pcm_read_cycles = 4;
-    dc.pcm_write_cycles = 12;
-    dc.pcm_write_gap_cycles = 6;
-  }
-  if (ras) {
-    dc.dram_sbe_rate_ppm = 20000;
-    dc.dram_dbe_rate_ppm = 4000;
-    dc.scrub_interval_cycles = 128;
-    dc.vault_fail_threshold = 2;
-    dc.link_protocol = true;
-    dc.link_error_rate_ppm = 2000;
-    dc.link_retry_limit = 3;
-  }
+  dc = test::with_backend(dc, backend);
+  if (ras) test::ras_storm(dc);
   return dc;
-}
-
-/// Deterministic all-non-posted request mix with a composition the test
-/// can recompute exactly: every command below elicits a response, so the
-/// injected totals are fully observable at the host edge.
-std::vector<RequestDesc> conservation_trace(u64 capacity) {
-  static constexpr Command kReads[] = {Command::Rd16, Command::Rd64,
-                                       Command::Rd128};
-  static constexpr Command kWrites[] = {Command::Wr16, Command::Wr64,
-                                        Command::Wr128};
-  SplitMix64 rng(0xc0de5eed0ddba11ull);
-  const u64 blocks = capacity / 128;
-  std::vector<RequestDesc> reqs;
-  reqs.reserve(kTraceEntries);
-  for (u64 i = 0; i < kTraceEntries; ++i) {
-    RequestDesc d;
-    d.addr = 128 * rng.next_below(blocks);
-    const u64 pick = rng.next_below(8);
-    if (pick < 4) {
-      d.cmd = kReads[pick % 3];
-    } else if (pick < 7) {
-      d.cmd = kWrites[pick % 3];
-    } else {
-      d.cmd = Command::TwoAdd8;
-    }
-    reqs.push_back(d);
-  }
-  return reqs;
 }
 
 struct InjectedTotals {
@@ -278,7 +231,8 @@ class Conservation
 TEST_P(Conservation, CountsSumToInjectedTotals) {
   const auto [ras, backend] = GetParam();
   const std::vector<RequestDesc> trace =
-      conservation_trace(conservation_device(ras).derived_capacity());
+      test::mixed_trace(conservation_device(ras).derived_capacity(),
+                        kTraceSeed);
 
   std::vector<RunResult> runs;
   for (const bool fast_forward : {false, true}) {
@@ -354,7 +308,7 @@ TEST(TokenConservation, CreditLoopBalancesMidFlightAndAtQuiescence) {
   ASSERT_EQ(sim.init_simple(dc, &diag), Status::Ok) << diag;
 
   const std::vector<RequestDesc> trace =
-      conservation_trace(dc.derived_capacity());
+      test::mixed_trace(dc.derived_capacity(), kTraceSeed);
   TraceFileGenerator gen{std::vector<RequestDesc>(trace)};
   DriverConfig dcfg;
   dcfg.total_requests = kRequests;

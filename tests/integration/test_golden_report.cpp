@@ -8,15 +8,9 @@
 // printed digit can legitimately differ across libc printf
 // implementations.
 //
-// To regenerate after an intentional behavior change:
-//
-//   HMCSIM_UPDATE_GOLDEN=1 ctest -R GoldenReport
-//
-// then review the diff like any other source change.
+// tests/golden.hpp regenerates it after an intentional change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <regex>
 #include <sstream>
@@ -25,12 +19,9 @@
 #include "analysis/json.hpp"
 #include "analysis/report.hpp"
 #include "tests/core/helpers.hpp"
+#include "tests/golden.hpp"
 #include "trace/lifecycle.hpp"
 #include "workload/driver.hpp"
-
-#ifndef HMCSIM_GOLDEN_DIR
-#define HMCSIM_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace hmcsim {
 namespace {
@@ -71,47 +62,7 @@ std::string render_report() {
 }
 
 TEST(GoldenReport, JsonReportMatchesGoldenFile) {
-  const std::string path =
-      std::string(HMCSIM_GOLDEN_DIR) + "/report_small_random.json";
-  const std::string got = render_report();
-
-  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    GTEST_SKIP() << "golden file regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R GoldenReport";
-  std::ostringstream want;
-  want << in.rdbuf();
-  const std::string expected = std::move(want).str();
-
-  if (got != expected) {
-    // Point at the first differing line so the failure reads like a diff.
-    std::istringstream ga(expected);
-    std::istringstream gb(got);
-    std::string la;
-    std::string lb;
-    usize line = 0;
-    while (true) {
-      const bool ha = static_cast<bool>(std::getline(ga, la));
-      const bool hb = static_cast<bool>(std::getline(gb, lb));
-      ++line;
-      if (!ha && !hb) break;
-      if (la != lb || ha != hb) {
-        FAIL() << "report diverges from golden at line " << line
-               << "\n  golden: " << (ha ? la : "<eof>")
-               << "\n  got:    " << (hb ? lb : "<eof>")
-               << "\nIf the change is intentional, regenerate with "
-                  "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
-      }
-    }
-  }
-  SUCCEED();
+  test::expect_golden("report_small_random.json", render_report());
 }
 
 TEST(GoldenReport, MaskerOnlyTouchesFloats) {

@@ -3,17 +3,12 @@
 // stable (the Chrome render is locked by a golden file).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "profile/flight_recorder.hpp"
-
-#ifndef HMCSIM_GOLDEN_DIR
-#define HMCSIM_GOLDEN_DIR "tests/golden"
-#endif
+#include "tests/golden.hpp"
 
 namespace hmcsim {
 namespace {
@@ -144,26 +139,7 @@ std::string render_chrome_fixture() {
 }
 
 TEST(FlightRecorder, ChromeDumpMatchesGoldenFile) {
-  const std::string path =
-      std::string(HMCSIM_GOLDEN_DIR) + "/flight_recorder_chrome.json";
-  const std::string got = render_chrome_fixture();
-
-  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    GTEST_SKIP() << "golden file regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R ChromeDump";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "Chrome render diverged; if intentional, regenerate with "
-         "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
+  test::expect_golden("flight_recorder_chrome.json", render_chrome_fixture());
 }
 
 TEST(FlightRecorder, ChromeDumpIsWellFormedEnough) {

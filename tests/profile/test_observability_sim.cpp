@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,13 +15,10 @@
 #include "helpers.hpp"
 #include "packet/crc32.hpp"
 #include "topo/topology.hpp"
+#include "tests/golden.hpp"
 #include "trace/sink.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
-
-#ifndef HMCSIM_GOLDEN_DIR
-#define HMCSIM_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace hmcsim {
 namespace {
@@ -423,26 +418,7 @@ std::string render_event_stream() {
 }
 
 TEST(ObservabilitySim, EventStreamMatchesGolden) {
-  const std::string path =
-      std::string(HMCSIM_GOLDEN_DIR) + "/event_stream_chain3.txt";
-  const std::string got = render_event_stream();
-
-  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    GTEST_SKIP() << "golden file regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R EventStream";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "event stream diverged; if intentional, regenerate with "
-         "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
+  test::expect_golden("event_stream_chain3.txt", render_event_stream());
 }
 
 }  // namespace

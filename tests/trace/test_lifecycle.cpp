@@ -2,18 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "tests/golden.hpp"
 #include "trace/chrome.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracer.hpp"
-
-#ifndef HMCSIM_GOLDEN_DIR
-#define HMCSIM_GOLDEN_DIR "tests/golden"
-#endif
 
 namespace hmcsim {
 namespace {
@@ -243,26 +238,7 @@ std::string render_lifecycle_chrome() {
 }
 
 TEST(ChromeTraceSink, LifecycleExportMatchesGoldenFile) {
-  const std::string path =
-      std::string(HMCSIM_GOLDEN_DIR) + "/lifecycle_chrome.json";
-  const std::string got = render_lifecycle_chrome();
-
-  if (std::getenv("HMCSIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    GTEST_SKIP() << "golden file regenerated: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with HMCSIM_UPDATE_GOLDEN=1 ctest -R ChromeTraceSink";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "Chrome lifecycle export diverged; if intentional, regenerate with "
-         "HMCSIM_UPDATE_GOLDEN=1 and review the diff.";
+  test::expect_golden("lifecycle_chrome.json", render_lifecycle_chrome());
 }
 
 // ---- level gating and text round-trip of the new event ---------------------

@@ -557,6 +557,22 @@ Topology build_topology(const Args& args, const DeviceConfig& dc,
   return Topology{};
 }
 
+/// Chaos host-side wiring: host_timeout events retarget the driver's
+/// response deadline (`timeout` is its configured baseline), and the
+/// invariant suite gains the host tag-pool / conservation probe over the
+/// caller's in-progress result.
+void wire_chaos_host(Simulator& sim, HostDriver& driver,
+                     const DriverResult& r, Cycle timeout) {
+  ChaosEngine* chaos = sim.chaos();
+  if (chaos == nullptr) return;
+  chaos->set_host_timeout_hook(
+      [&driver](u64 cycles) { driver.set_response_timeout(cycles); },
+      timeout);
+  chaos->set_host_probe([&driver, &r](std::string* detail) {
+    return driver.invariants_ok(r, detail);
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -831,18 +847,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sim.now()));
   }
 
-  // Chaos host-side wiring: host_timeout events retarget the driver's
-  // response deadline, and the invariant suite gains the host tag-pool /
-  // conservation probe.  Installed after the host-state restore so a live
-  // override from a checkpointed campaign re-applies to this driver.
-  if (ChaosEngine* chaos = sim.chaos()) {
-    chaos->set_host_timeout_hook(
-        [&driver](u64 cycles) { driver.set_response_timeout(cycles); },
-        dcfg.response_timeout_cycles);
-    chaos->set_host_probe([&driver, &r](std::string* detail) {
-      return driver.invariants_ok(r, detail);
-    });
-  }
+  // Installed after the host-state restore so a live override from a
+  // checkpointed campaign re-applies to this driver.
+  wire_chaos_host(sim, driver, r, dcfg.response_timeout_cycles);
 
   // ---- drive ----------------------------------------------------------------
   const u64 ckpt_interval = args.checkpoint_dir.empty()
@@ -1049,14 +1056,7 @@ int main(int argc, char** argv) {
         if (!ogen) return out;
         HostDriver odriver(osim, *ogen, dcfg);
         DriverResult orr;
-        if (ChaosEngine* oc = osim.chaos()) {
-          oc->set_host_timeout_hook(
-              [&odriver](u64 cycles) { odriver.set_response_timeout(cycles); },
-              dcfg.response_timeout_cycles);
-          oc->set_host_probe([&odriver, &orr](std::string* detail) {
-            return odriver.invariants_ok(orr, detail);
-          });
-        }
+        wire_chaos_host(osim, odriver, orr, dcfg.response_timeout_cycles);
         while (odriver.step(orr)) {}
         odriver.finish(orr);
         if (osim.chaos_violated()) {
