@@ -18,8 +18,7 @@
 //
 // Scale knobs (env), each overriding every row's default when set:
 // HMCSIM_OVERHEAD_REQUESTS (requests per episode; idle modes clock 16
-// cycles and the dispatch kernel makes 1024 bank probes per request) and
-// HMCSIM_OVERHEAD_REPS (interleaved rounds).
+// cycles per request) and HMCSIM_OVERHEAD_REPS (interleaved rounds).
 //
 // Exit status: 0 every check and gate passed; 1 a validity check failed
 // or the JSON could not be written; 2 usage error; 3 only timing gates
@@ -40,9 +39,7 @@
 
 #include <unistd.h>
 
-#include "backend/timing_backend.hpp"
 #include "bench/bench_common.hpp"
-#include "core/device.hpp"
 #include "trace/lifecycle.hpp"
 #include "trace/series.hpp"
 #include "trace/sink.hpp"
@@ -210,54 +207,6 @@ u64 bursty(Lane& l, u64 n) {
     for (u32 i = 0; i < 65536; ++i) l.sim.clock();
   }
   return l.sim.now() - start;
-}
-
-/// Keep a scalar alive without letting the optimizer reason about it.  A
-/// register-only constraint: GCC's sanitizer builds mishandle "+r,m".
-template <typename T>
-inline void keep(T& value) {
-  asm volatile("" : "+r"(value) : : "memory");
-}
-
-/// Dispatch micro-kernel: a rotating 8-bank scan with the clock advancing
-/// every 8 probes.  Both arms test bank occupancy inline, as the vault scan
-/// does, so only a free bank reaches the backend.  The inline arm is the
-/// closed-page arithmetic as the pre-backend vault scan inlined it; the
-/// virtual arm makes the same decision through the factory's opaque
-/// pointer, gate() then issue(), as core/simulator.cpp dispatches them.
-/// Work is counted in backend calls, two per free probe: the unit of
-/// dispatches_per_req.
-template <bool kVirtual>
-u64 dispatch_kernel(Lane& l, u64 n) {
-  constexpr u32 kBanks = 8;
-  const DeviceConfig& dc = l.sim.config().device;
-  VaultState vault;
-  vault.bank_busy_until.assign(kBanks, 0);
-  vault.open_row.assign(kBanks, ~u64{0});
-  DeviceStats stats;
-  std::unique_ptr<VaultTimingBackend> backend = make_timing_backend(dc, 0);
-  VaultTimingBackend* p = backend.get();
-  keep(p);  // opaque: no devirtualization
-  const u64 probes = 1024 * n;
-  u64 ready = 0;
-  for (u64 i = 0; i < probes; ++i) {
-    const Cycle now = static_cast<Cycle>(i / kBanks);
-    const u32 bank = static_cast<u32>(i % kBanks);
-    if (vault.bank_busy_until[bank] > now) continue;
-    if constexpr (kVirtual) {
-      if (p->gate(vault, bank, AccessClass::Read, now) != BankGate::Ready) {
-        continue;
-      }
-      ++ready;
-      p->issue(vault, bank, /*row=*/0, AccessClass::Read, now, stats);
-    } else {
-      ++ready;
-      vault.bank_busy_until[bank] = now + dc.bank_busy_cycles;
-    }
-  }
-  keep(ready);
-  keep(vault.bank_busy_until[0]);
-  return 2 * ready;
 }
 
 void die(const std::string& what) {
@@ -493,21 +442,6 @@ Edit backend(TimingBackend b) {
   };
 }
 
-/// Backend calls per retired request, as the vault scan makes them: one
-/// issue() per retire, one gate() per ready bank head on a free bank (it
-/// retires, or stalls on the pcm write throttle or a full response queue)
-/// and one refresh() per refresh.
-void record_dispatch_density(Lane& l) {
-  l.collect = [](Lane& lane) {
-    const DeviceStats& s = lane.stats;
-    const u64 gates =
-        s.retired() + s.pcm_write_throttle_stalls + s.vault_rsp_stalls;
-    lane.note("dispatches_per_req",
-              static_cast<double>(s.retired() + gates + s.refreshes) /
-                  static_cast<double>(s.retired()));
-  };
-}
-
 Edit fast_forward(bool on) {
   return [on](DeviceConfig& dc) { dc.fast_forward = on; };
 }
@@ -618,26 +552,10 @@ const std::vector<Row>& rows() {
          }}}},
 
       {"backend", 1 << 16, 15, {},
-       {{"hmc_dram", backend(TimingBackend::HmcDram), record_dispatch_density},
-        {"generic_ddr", backend(TimingBackend::GenericDdr),
-         record_dispatch_density},
-        {"pcm_like", backend(TimingBackend::PcmLike), record_dispatch_density},
-        {"inline", {}, episode(dispatch_kernel<false>, "call")},
-        {"virtual", {}, episode(dispatch_kernel<true>, "call")}},
-       {{"dispatch_delta_ns",
-         [](const RowRun& r) {
-           return 1e9 / r["virtual"].best - 1e9 / r["inline"].best;
-         }},
-        // The per-call premium amortized over hmc_dram's measured density.
-        {"dispatch_premium_pct",
-         [](const RowRun& r) {
-           const Lane& dram = r["hmc_dram"];
-           const double delta_s =
-               1.0 / r["virtual"].best - 1.0 / r["inline"].best;
-           return 100.0 * delta_s * dram.fact("dispatches_per_req") *
-                  dram.best;
-         },
-         2.0}},
+       {{"hmc_dram", backend(TimingBackend::HmcDram)},
+        {"generic_ddr", backend(TimingBackend::GenericDdr)},
+        {"pcm_like", backend(TimingBackend::PcmLike)}},
+       {},
        {}},
 
       {"fast_forward", 3000, 3,

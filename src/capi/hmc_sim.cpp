@@ -4,6 +4,7 @@
 #include "capi/hmc_sim.h"
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <ostream>
@@ -406,54 +407,15 @@ int hmcsim_get_stats(struct hmcsim_t* hmc, uint32_t dev,
   if (shim == nullptr || out == nullptr) return -1;
   if (!ok(shim->freeze())) return -1;
   if (dev >= shim->sim.num_devices()) return -1;
+  // hmcsim_stats names the counters in kStatFields order
+  // (StatFields.CApiStructNamesEveryCounterInOrder reads the header).
   const DeviceStats& s = shim->sim.stats(dev);
-  out->reads = s.reads;
-  out->writes = s.writes;
-  out->atomics = s.atomics;
-  out->mode_ops = s.mode_ops;
-  out->custom_ops = s.custom_ops;
-  out->bytes_read = s.bytes_read;
-  out->bytes_written = s.bytes_written;
-  out->responses = s.responses;
-  out->error_responses = s.error_responses;
-  out->bank_conflicts = s.bank_conflicts;
-  out->xbar_rqst_stalls = s.xbar_rqst_stalls;
-  out->xbar_rsp_stalls = s.xbar_rsp_stalls;
-  out->vault_rsp_stalls = s.vault_rsp_stalls;
-  out->latency_penalties = s.latency_penalties;
-  out->route_hops = s.route_hops;
-  out->misroutes = s.misroutes;
-  out->link_errors = s.link_errors;
-  out->link_retries = s.link_retries;
-  out->refreshes = s.refreshes;
-  out->row_hits = s.row_hits;
-  out->row_misses = s.row_misses;
-  out->sends = s.sends;
-  out->send_stalls = s.send_stalls;
-  out->recvs = s.recvs;
-  out->flow_packets = s.flow_packets;
-  out->dram_sbes = s.dram_sbes;
-  out->dram_dbes = s.dram_dbes;
-  out->scrub_steps = s.scrub_steps;
-  out->scrub_corrections = s.scrub_corrections;
-  out->scrub_uncorrectables = s.scrub_uncorrectables;
-  out->vault_failures = s.vault_failures;
-  out->vault_remaps = s.vault_remaps;
-  out->degraded_drops = s.degraded_drops;
-  out->link_crc_errors = s.link_crc_errors;
-  out->link_seq_errors = s.link_seq_errors;
-  out->link_abort_entries = s.link_abort_entries;
-  out->link_irtry_tx = s.link_irtry_tx;
-  out->link_irtry_rx = s.link_irtry_rx;
-  out->link_pret_tx = s.link_pret_tx;
-  out->link_tret_tx = s.link_tret_tx;
-  out->link_replayed_flits = s.link_replayed_flits;
-  out->link_token_stalls = s.link_token_stalls;
-  out->link_retrain_cycles = s.link_retrain_cycles;
-  out->link_failures = s.link_failures;
-  out->link_tokens_debited = s.link_tokens_debited;
-  out->link_tokens_returned = s.link_tokens_returned;
-  out->pcm_write_throttle_stalls = s.pcm_write_throttle_stalls;
+  u64 words[std::size(kStatFields)];
+  static_assert(sizeof(struct hmcsim_stats) == sizeof(words));
+  for (usize i = 0; i < std::size(kStatFields); ++i) {
+    words[i] = s.*kStatFields[i].member;
+  }
+  std::memcpy(out, words, sizeof(words));
   return 0;
 }
 

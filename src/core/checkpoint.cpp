@@ -59,12 +59,11 @@ constexpr u64 kTrailerWord = 0x4e454d4953434d48ull;  // "HMCSIMEN" LE
 constexpr u32 kVersion = 8;
 constexpr u32 kMinVersion = 6;
 // Per-vault backend override list cap (config_file caps indices below 64,
-// so more entries can never validate) and backend-private blob cap: both
-// bound what a forged CFG/DEVC payload can make restore allocate.
+// so more entries can never validate): it bounds what a forged CFG
+// payload can make restore allocate.
 constexpr u64 kMaxVaultOverrides = 64;
-constexpr u64 kMaxBackendBlobBytes = 4096;
 
-u32 payload_crc(const std::string& payload) {
+u32 payload_crc(std::string_view payload) {
   return crc::crc32k(std::span<const u8>(
       reinterpret_cast<const u8*>(payload.data()), payload.size()));
 }
@@ -253,26 +252,6 @@ bool io(Ar& ar, G& rng) {
   return true;
 }
 
-/// v7 backend-private state frame: the backend kind, the blob's byte
-/// length, then the backend's own words.  The shared bank arrays travel in
-/// the vault record itself.
-bool backend_frame(WordWriter& ar, const VaultTimingBackend& timing) {
-  std::ostringstream blob;
-  WordWriter blob_ar(blob);
-  timing.serialize(blob_ar);
-  const std::string bytes = blob.str();
-  return ar(timing.kind()) && ar(bytes.size()) &&
-         ar.bytes(bytes.data(), bytes.size());
-}
-
-/// The backend was already built from the restored config, so the frame's
-/// kind must agree.
-bool backend_frame(WordReader& ar, VaultTimingBackend& timing) {
-  u64 len = 0;
-  return ar.expect(static_cast<u64>(timing.kind())) && ar(len) &&
-         len <= kMaxBackendBlobBytes && timing.restore(ar, len);
-}
-
 template <class Ar, Record<VaultState> V>
 bool io(Ar& ar, V& vault, DevcContext& ctx, const AddressMap& banks) {
   ctx.what = "vault queue";
@@ -286,10 +265,15 @@ bool io(Ar& ar, V& vault, DevcContext& ctx, const AddressMap& banks) {
   }
   ctx.what = "vault rng";
   if (!io(ar, vault.dram_rng)) return false;
-  // v6 predates backend frames: the backend keeps its power-on state.
+  // v6 predates timing frames: the vault keeps its power-on state.
   if (ctx.version < 7) return true;
+  // The v7 frame: the vault's model kind, its state's byte length, then
+  // pcm_like's write-gap deadline.  The vault was built from the restored
+  // config, so the kind and the length must agree with it.
   ctx.what = "vault backend state";
-  return backend_frame(ar, *vault.timing);
+  const bool pcm = vault.timing == TimingBackend::PcmLike;
+  return ar.expect(static_cast<u64>(vault.timing)) &&
+         ar.expect(pcm ? 8 : 0) && (!pcm || ar(vault.write_ok));
 }
 
 template <class Ar, Record<RegisterFile> F>
@@ -542,7 +526,7 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
   std::ostringstream sec;
   WordWriter w(sec);
   const auto emit = [&](u32 type) {
-    const std::string payload = sec.str();
+    const std::string_view payload = sec.view();
     out(type);
     out(payload.size());
     out(payload_crc(payload));

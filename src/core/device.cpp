@@ -1,5 +1,7 @@
 #include "core/device.hpp"
 
+#include <algorithm>
+
 #include "core/link_layer.hpp"
 
 namespace hmcsim {
@@ -13,6 +15,63 @@ SplitMix64 vault_rng(u64 fault_seed, u32 dev, u32 vault) {
 }
 
 }  // namespace
+
+void VaultState::charge_bank(const DeviceConfig& cfg, u32 bank, u64 row,
+                             bool writes, Cycle now, DeviceStats& stats) {
+  // The DRAM models differ only in their costs: under OpenPage a row-buffer
+  // hit costs `hit`, and a miss (precharge + activate) costs `miss` and
+  // leaves the new row open; under ClosedPage every access costs `closed`.
+  Cycle hit = 0;
+  Cycle miss = 0;
+  Cycle closed = 0;
+  switch (timing) {
+    case TimingBackend::HmcDram:
+      // The paper's DRAM model.
+      hit = cfg.row_hit_cycles;
+      miss = cfg.row_miss_cycles;
+      closed = cfg.bank_busy_cycles;
+      break;
+    case TimingBackend::GenericDdr:
+      // A hit costs tCL; a miss, or any ClosedPage access, costs
+      // activate-to-read plus the column latency, floored by the
+      // row-active minimum, plus the precharge.
+      hit = cfg.ddr_tcl;
+      miss = std::max<Cycle>(Cycle{cfg.ddr_trcd} + cfg.ddr_tcl,
+                             cfg.ddr_tras) +
+             cfg.ddr_trp;
+      closed = miss;
+      break;
+    case TimingBackend::PcmLike:
+      // Reads and writes occupy the bank asymmetrically, a write opens the
+      // vault's write gap, and no row buffer is modeled (PCM reads are
+      // non-destructive), so open_row stays kNoOpenRow.
+      if (writes) {
+        bank_busy_until[bank] = now + cfg.pcm_write_cycles;
+        if (cfg.pcm_write_gap_cycles != 0) {
+          write_ok = now + cfg.pcm_write_gap_cycles;
+        }
+      } else {
+        bank_busy_until[bank] = now + cfg.pcm_read_cycles;
+      }
+      return;
+  }
+  if (cfg.row_policy != RowPolicy::OpenPage) {
+    bank_busy_until[bank] = now + closed;
+  } else if (open_row[bank] == row) {
+    bank_busy_until[bank] = now + hit;
+    ++stats.row_hits;
+  } else {
+    bank_busy_until[bank] = now + miss;
+    open_row[bank] = row;
+    ++stats.row_misses;
+  }
+}
+
+void VaultState::refresh(Cycle now, u32 busy_cycles) {
+  const Cycle until = now + busy_cycles;
+  for (Cycle& busy : bank_busy_until) busy = std::max(busy, until);
+  std::fill(open_row.begin(), open_row.end(), kNoOpenRow);
+}
 
 Device::Device(u32 cube_id, const DeviceConfig& config)
     : regs(config.num_links),
@@ -36,9 +95,7 @@ Device::Device(u32 cube_id, const DeviceConfig& config)
     vault.bank_busy_until.assign(config.banks_per_vault, 0);
     vault.open_row.assign(config.banks_per_vault, kNoOpenRow);
     vault.dram_rng = vault_rng(config.fault_seed, cube_id, v);
-    // The backend references the device's own config copy (config_), whose
-    // address is stable for the device's lifetime.
-    vault.timing = make_timing_backend(config_, v);
+    vault.timing = config.backend_for_vault(v);
     vaults.push_back(std::move(vault));
   }
   mode_rsp = BoundedQueue<ResponseEntry>(config.xbar_depth);
@@ -77,7 +134,7 @@ void Device::reset(bool clear_memory) {
     std::fill(vault.bank_busy_until.begin(), vault.bank_busy_until.end(), 0);
     std::fill(vault.open_row.begin(), vault.open_row.end(), kNoOpenRow);
     vault.dram_rng = vault_rng(config_.fault_seed, id_, v++);
-    vault.timing->reset();
+    vault.write_ok = 0;
   }
   mode_rsp.clear();
   regs.reset();

@@ -17,10 +17,8 @@
 // of the original simulator, kept intact for traceability to the paper.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "backend/timing_backend.hpp"
 #include "common/random.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
@@ -139,11 +137,26 @@ struct VaultState {
   /// other vaults retire.  Seeded from (fault_seed, device, vault);
   /// checkpointed since format v4, so it is simulated state.
   SplitMix64 dram_rng{0};
-  /// Bank-timing backend (src/backend/): decides how long a bank stays
-  /// busy after a command and whether a free bank may take one now.  Owns
-  /// only backend-private state; the shared arrays above remain the
-  /// source of truth for bank occupancy.
-  std::unique_ptr<VaultTimingBackend> timing;
+  /// The vault's bank-timing model (DeviceConfig::backend_for_vault,
+  /// docs/BACKENDS.md).
+  TimingBackend timing{TimingBackend::HmcDram};
+  /// pcm_like's vault-wide write gap: the first cycle the next write may
+  /// issue.  Stays 0 under the DRAM models.
+  Cycle write_ok{0};
+
+  /// True when the write gap holds an access that writes the bank (a
+  /// write, an atomic or a custom command) at `now`.
+  [[nodiscard]] bool write_throttled(bool writes, Cycle now) const {
+    return writes && write_ok > now;
+  }
+  /// Charge the free `bank` for an access to `row` at `now` under the
+  /// vault's model: set the bank's busy window, manage its row buffer and
+  /// count row hits and misses, and open pcm_like's write gap.
+  void charge_bank(const DeviceConfig& cfg, u32 bank, u64 row, bool writes,
+                   Cycle now, DeviceStats& stats);
+  /// Every bank goes offline until at least now + busy_cycles, and every
+  /// open row closes.
+  void refresh(Cycle now, u32 busy_cycles);
 };
 
 /// Per-device RAS runtime state: the error log the 0x2E register block

@@ -990,46 +990,28 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
           continue;
         }
         const u32 phys_index = static_cast<u32>(entry.req.addr);
-        ResponseFields rf;
-        rf.tag = entry.req.tag;
-        rf.cub = dev.id();
-        rf.slid = entry.req.slid;
-        ResponseEntry rsp;
-        rsp.home_dev = entry.home_dev;
-        rsp.home_link = entry.home_link;
-        rsp.tag = entry.req.tag;
-        Status rs;
-        if (entry.req.cmd == Command::ModeRead) {
-          u64 value = 0;
-          rs = read_register_live(dev, phys_index, value);
-          if (ok(rs)) {
-            rf.cmd = Command::ModeReadResponse;
-            const u64 payload[2] = {value, 0};
-            (void)encode_response(rf, payload, rsp.pkt);
-          }
+        const bool read = entry.req.cmd == Command::ModeRead;
+        u64 value[2] = {0, 0};
+        const Status rs =
+            read ? read_register_live(dev, phys_index, value[0])
+                 : dev.regs.write_phys(phys_index,
+                                       entry.pkt.payload().empty()
+                                           ? 0
+                                           : entry.pkt.payload()[0]);
+        // Space was reserved above; the push cannot fail.
+        if (ok(rs)) {
+          (void)dev.mode_rsp.push(make_response(
+              dev, entry,
+              read ? Command::ModeReadResponse : Command::ModeWriteResponse,
+              ErrStat::Ok, {value, read ? 2u : 0u}));
         } else {
-          rs = dev.regs.write_phys(phys_index,
-                                   entry.pkt.payload().empty()
-                                       ? 0
-                                       : entry.pkt.payload()[0]);
-          if (ok(rs)) {
-            rf.cmd = Command::ModeWriteResponse;
-            (void)encode_response(rf, {}, rsp.pkt);
-          }
-        }
-        if (!ok(rs)) {
-          rf.cmd = Command::Error;
-          rf.errstat = ErrStat::RegisterFault;
-          (void)encode_response(rf, {}, rsp.pkt);
+          (void)dev.mode_rsp.push(make_response(dev, entry, Command::Error,
+                                                ErrStat::RegisterFault));
           ++dev.stats.error_responses;
           trace(TraceEvent::ErrorResponse, stage, dev.id(), link, kNoCoord,
                 kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
                 entry.req.cmd);
         }
-        rsp.cmd = field::cmd_of(rsp.pkt.header());
-        rsp.ready_cycle = cycle_ + 1;
-        // Space was reserved above; this push cannot fail.
-        (void)dev.mode_rsp.push(std::move(rsp));
         ++dev.stats.mode_ops;
         trace(TraceEvent::ModeRequest, stage, dev.id(), link, kNoCoord,
               kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
@@ -1202,11 +1184,10 @@ void Simulator::process_vault(Device& dev, u32 vault_index,
   VaultState& vault = dev.vaults[vault_index];
 
   // DRAM refresh: when this vault's (staggered) refresh slot comes due,
-  // the timing backend takes every bank offline for the refresh window and
-  // nothing retires.
+  // every bank goes offline for the refresh window and nothing retires.
   if (cfg.refresh_interval_cycles != 0 &&
       cycles_to_refresh(refresh_phase, vault_index) == 0) {
-    vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
+    vault.refresh(cycle_, cfg.refresh_busy_cycles);
     ++dev.stats.refreshes;
   }
 
@@ -1243,13 +1224,10 @@ void Simulator::process_vault(Device& dev, u32 vault_index,
     if (entry.ready_cycle > cycle_) continue;  // not yet visible here
     const u32 bank = vault.rqst.key(i);
     // Atomics and custom commands run at the vault as read-modify-writes.
-    const AccessClass access =
-        entry.custom != nullptr || is_atomic(entry.req.cmd)
-            ? AccessClass::Rmw
-            : (is_write(entry.req.cmd) ? AccessClass::Write
-                                       : AccessClass::Read);
-    // The bank is free; a backend-wide limit may still hold this class.
-    if (vault.timing->gate(vault, bank, access, cycle_) != BankGate::Ready) {
+    const bool writes = entry.custom != nullptr ||
+                        is_atomic(entry.req.cmd) || is_write(entry.req.cmd);
+    // The bank is free; pcm_like's write gap may still hold a write.
+    if (vault.write_throttled(writes, cycle_)) {
       ++dev.stats.pcm_write_throttle_stalls;
       continue;
     }
@@ -1269,8 +1247,8 @@ void Simulator::process_vault(Device& dev, u32 vault_index,
       continue;
     }
     if (!retire_request(dev, vault_index, entry)) continue;
-    vault.timing->issue(vault, bank, dev.address_map().row_of(entry.req.addr),
-                        access, cycle_, dev.stats);
+    vault.charge_bank(cfg, bank, dev.address_map().row_of(entry.req.addr),
+                      writes, cycle_, dev.stats);
     vault.rqst.remove(i);
     ++retired;
   }
@@ -1290,20 +1268,10 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
 
   // Range check against capacity for the full access footprint.
   if (addr + bytes > dev.store.capacity()) {
-    ResponseFields rf;
-    rf.cmd = Command::Error;
-    rf.tag = entry.req.tag;
-    rf.cub = dev.id();
-    rf.slid = entry.req.slid;
-    rf.errstat = ErrStat::InvalidAddress;
-    ResponseEntry rsp;
-    (void)encode_response(rf, {}, rsp.pkt);
-    rsp.cmd = Command::Error;
-    rsp.tag = entry.req.tag;
-    rsp.home_dev = entry.home_dev;
-    rsp.home_link = entry.home_link;
-    rsp.ready_cycle = cycle_ + 1;
-    if (!posted && !vault.rsp.push(std::move(rsp))) return false;
+    if (!posted && !vault.rsp.push(make_response(dev, entry, Command::Error,
+                                                 ErrStat::InvalidAddress))) {
+      return false;
+    }
     ++dev.stats.error_responses;
     trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
           dev.quad_of_vault(vault_index), vault_index, bank, addr,
@@ -1323,20 +1291,10 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
   // channel; the error is logged and counted, the operation dropped.
   const auto poison_response = [&]() -> bool {
     if (posted) return true;
-    ResponseFields rf;
-    rf.cmd = Command::Error;
-    rf.tag = entry.req.tag;
-    rf.cub = dev.id();
-    rf.slid = entry.req.slid;
-    rf.errstat = ErrStat::DramDbe;
-    ResponseEntry rsp;
-    (void)encode_response(rf, {}, rsp.pkt);
-    rsp.cmd = Command::Error;
-    rsp.tag = entry.req.tag;
-    rsp.home_dev = entry.home_dev;
-    rsp.home_link = entry.home_link;
-    rsp.ready_cycle = cycle_ + 1;
-    if (!vault.rsp.push(std::move(rsp))) return false;
+    if (!vault.rsp.push(make_response(dev, entry, Command::Error,
+                                      ErrStat::DramDbe))) {
+      return false;
+    }
     ++dev.stats.error_responses;
     trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
           dev.quad_of_vault(vault_index), vault_index, bank, addr,
@@ -1366,27 +1324,11 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
           entry.req.tag, cmd);
     if (posted) return true;
 
-    ResponseFields rf;
-    rf.cmd = def.response_flits > 1 ? Command::ReadResponse
-                                    : Command::WriteResponse;
-    rf.tag = entry.req.tag;
-    rf.cub = dev.id();
-    rf.slid = entry.req.slid;
-    ResponseEntry rsp;
-    (void)encode_response(rf, {rsp_payload, rsp_words}, rsp.pkt);
-    rsp.cmd = rf.cmd;
-    rsp.tag = rf.tag;
-    rsp.home_dev = entry.home_dev;
-    rsp.home_link = entry.home_link;
-    rsp.ready_cycle = cycle_ + 1;
-    rsp.life = entry.life;
-    rsp.life.retire = cycle_;
-    rsp.life.dev = dev.id();
-    rsp.life.vault = vault_index;
-    rsp.life.link = entry.home_link;
-    rsp.life.tag = entry.req.tag;
-    rsp.life.cmd = cmd;
-    const bool pushed = vault.rsp.push(std::move(rsp));
+    const bool pushed = vault.rsp.push(make_response(
+        dev, entry,
+        def.response_flits > 1 ? Command::ReadResponse
+                               : Command::WriteResponse,
+        ErrStat::Ok, {rsp_payload, rsp_words}, vault_index));
     if (pushed) ++dev.stats.responses;
     return pushed;
   }
@@ -1457,72 +1399,60 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
           entry.req.tag, cmd);
   } else {
     // Unsupported at a vault (flow/mode should never get here).
-    ResponseFields rf;
-    rf.cmd = Command::Error;
-    rf.tag = entry.req.tag;
-    rf.cub = dev.id();
-    rf.slid = entry.req.slid;
-    rf.errstat = ErrStat::InvalidCommand;
-    ResponseEntry rsp;
-    (void)encode_response(rf, {}, rsp.pkt);
-    rsp.cmd = Command::Error;
-    rsp.tag = entry.req.tag;
-    rsp.home_dev = entry.home_dev;
-    rsp.home_link = entry.home_link;
-    rsp.ready_cycle = cycle_ + 1;
-    if (!vault.rsp.push(std::move(rsp))) return false;
+    if (!vault.rsp.push(make_response(dev, entry, Command::Error,
+                                      ErrStat::InvalidCommand))) {
+      return false;
+    }
     ++dev.stats.error_responses;
     return true;
   }
 
   if (posted) return true;
 
-  ResponseFields rf;
-  rf.cmd = response_command(cmd);
-  rf.tag = entry.req.tag;
-  rf.cub = dev.id();
-  rf.slid = entry.req.slid;
-  ResponseEntry rsp;
-  if (rf.cmd == Command::ReadResponse) {
-    (void)encode_response(rf, {data, bytes / 8}, rsp.pkt);
-  } else {
-    (void)encode_response(rf, {}, rsp.pkt);
-  }
-  rsp.cmd = rf.cmd;
-  rsp.tag = rf.tag;
-  rsp.home_dev = entry.home_dev;
-  rsp.home_link = entry.home_link;
-  rsp.ready_cycle = cycle_ + 1;
-  rsp.life = entry.life;
-  rsp.life.retire = cycle_;
-  rsp.life.dev = dev.id();
-  rsp.life.vault = vault_index;
-  rsp.life.link = entry.home_link;
-  rsp.life.tag = entry.req.tag;
-  rsp.life.cmd = cmd;
-  const bool pushed = vault.rsp.push(std::move(rsp));
+  const Command rsp_cmd = response_command(cmd);
+  const bool pushed = vault.rsp.push(make_response(
+      dev, entry, rsp_cmd, ErrStat::Ok,
+      {data, rsp_cmd == Command::ReadResponse ? bytes / 8 : 0}, vault_index));
   // Callers checked for space before retiring; a failure here is a bug.
   if (pushed) ++dev.stats.responses;
   return pushed;
 }
 
-bool Simulator::emit_error_response(Device& dev, const RequestEntry& entry,
-                                    ErrStat errstat, u8 stage) {
-  if (dev.mode_rsp.full()) return false;
+ResponseEntry Simulator::make_response(const Device& dev,
+                                       const RequestEntry& entry, Command cmd,
+                                       ErrStat errstat,
+                                       std::span<const u64> payload,
+                                       u32 retired_in) const {
   ResponseFields rf;
-  rf.cmd = Command::Error;
+  rf.cmd = cmd;
   rf.tag = entry.req.tag;
   rf.cub = dev.id();
   rf.slid = entry.req.slid;
   rf.errstat = errstat;
   ResponseEntry rsp;
-  (void)encode_response(rf, {}, rsp.pkt);
-  rsp.cmd = Command::Error;
-  rsp.tag = entry.req.tag;
+  (void)encode_response(rf, payload, rsp.pkt);
+  rsp.ready_cycle = cycle_ + 1;
   rsp.home_dev = entry.home_dev;
   rsp.home_link = entry.home_link;
-  rsp.ready_cycle = cycle_ + 1;
-  const bool pushed = dev.mode_rsp.push(std::move(rsp));
+  rsp.tag = entry.req.tag;
+  rsp.cmd = cmd;
+  if (retired_in != kNoCoord) {
+    rsp.life = entry.life;
+    rsp.life.retire = cycle_;
+    rsp.life.dev = dev.id();
+    rsp.life.vault = retired_in;
+    rsp.life.link = entry.home_link;
+    rsp.life.tag = entry.req.tag;
+    rsp.life.cmd = entry.req.cmd;
+  }
+  return rsp;
+}
+
+bool Simulator::emit_error_response(Device& dev, const RequestEntry& entry,
+                                    ErrStat errstat, u8 stage) {
+  if (dev.mode_rsp.full()) return false;
+  const bool pushed =
+      dev.mode_rsp.push(make_response(dev, entry, Command::Error, errstat));
   if (pushed) {
     ++dev.stats.error_responses;
     dev.ras.last_error_addr = entry.req.addr;

@@ -342,6 +342,16 @@ class Simulator {
   /// vault response queue is full (the entry must stay queued).
   bool retire_request(Device& dev, u32 vault_index, RequestEntry& entry);
 
+  /// The response `dev` sends for `entry`: it echoes the request's tag,
+  /// source link and home, carries `payload`, and the next stage may move
+  /// it at cycle_ + 1.  `retired_in` is the vault that retired the
+  /// request; it stamps the lifecycle, so only a response that traversed a
+  /// bank enters lifecycle accounting (kNoCoord for every other response).
+  [[nodiscard]] ResponseEntry make_response(
+      const Device& dev, const RequestEntry& entry, Command cmd,
+      ErrStat errstat = ErrStat::Ok, std::span<const u64> payload = {},
+      u32 retired_in = kNoCoord) const;
+
   /// Build an error response for a failed request and stage it in
   /// dev.mode_rsp.  Returns false when that queue is full.
   bool emit_error_response(Device& dev, const RequestEntry& entry,

@@ -1,10 +1,9 @@
 // The word codec: one 8-byte little-endian word per value.
 //
 // Every value a checkpoint carries travels as one such word, whatever its
-// C++ type: the checkpoint sections (core/checkpoint.cpp), the HOST blob
-// (workload/driver.cpp) and the timing backends' state frames
-// (backend/timing_backend.cpp).  A record states its layout once, as a
-// function template over the direction:
+// C++ type: the checkpoint sections (core/checkpoint.cpp) and the HOST blob
+// (workload/driver.cpp).  A record states its layout once, as a function
+// template over the direction:
 //
 //   template <class Ar, io::Record<Foo> R>
 //   bool io(Ar& ar, R& foo) {

@@ -457,5 +457,53 @@ TEST(CheckpointForged, LifecycleTagPastItsTypeIsRejected) {
   expect_rejected(bytes, ckpt::kSectionDevice, "lifecycle tag 0x10000");
 }
 
+TEST(CheckpointForged, BackendFrameMustMatchItsVault) {
+  // One pcm_like vault, its write gap on, among hmc_dram vaults.
+  constexpr u32 kPcmVault = 3;
+  constexpr u32 kDramVault = 4;
+  DeviceConfig dc = small_device();
+  dc.vault_backends = {{kPcmVault, TimingBackend::PcmLike}};
+  dc.pcm_write_gap_cycles = 6;
+  const std::string base = save(test::make_simple_sim(dc));
+  (void)restored_from(base);
+
+  // A vault's bank-timing frame (kind, byte length, state words) follows
+  // its DRAM RNG word.
+  const auto frame_word = [&](u32 vault) {
+    Simulator edited = restored_from(base);
+    SplitMix64& rng = edited.device(0).vaults[vault].dram_rng;
+    rng = SplitMix64(rng.state() ^ 1);
+    return differing_word(base, save(edited), ckpt::kSectionDevice) + 1;
+  };
+  const usize pcm = frame_word(kPcmVault);
+  const usize dram = frame_word(kDramVault);
+  const test::CkptSection devc =
+      test::find_section(base, ckpt::kSectionDevice);
+  const auto word = [&](usize w) {
+    return test::load_word(base, devc.payload + 8 * w);
+  };
+  ASSERT_EQ(word(pcm), static_cast<u64>(TimingBackend::PcmLike));
+  ASSERT_EQ(word(pcm + 1), 8u);
+  ASSERT_EQ(word(dram), static_cast<u64>(TimingBackend::HmcDram));
+  ASSERT_EQ(word(dram + 1), 0u);
+
+  const struct {
+    const char* what;
+    usize word;
+    u64 bad;
+  } cases[] = {
+      {"pcm_like frame kind = hmc_dram", pcm,
+       static_cast<u64>(TimingBackend::HmcDram)},
+      {"pcm_like frame length 0", pcm + 1, 0},
+      {"pcm_like frame length 16", pcm + 1, 16},
+      {"hmc_dram frame length 8", dram + 1, 8},
+  };
+  for (const auto& c : cases) {
+    std::string bytes = base;
+    test::forge_word(bytes, devc, c.word, c.bad);
+    expect_rejected(bytes, ckpt::kSectionDevice, c.what);
+  }
+}
+
 }  // namespace
 }  // namespace hmcsim

@@ -1,9 +1,11 @@
-// perfbench keeps its own hand-written list of the DeviceStats counters
-// (PERFBENCH_STATS_FIELDS in perfbench/perfbench.cpp), which its behaviour
-// digests print.  This test reads that file as text: the list must name
-// every kStatFields entry exactly once and nothing else, so a new counter
-// cannot miss the benchmark's digest.  The two lists differ in order, so
-// order is not checked.
+// Two hand-written lists of the DeviceStats counters live outside
+// kStatFields, and these tests read each file as text:
+//   * perfbench's PERFBENCH_STATS_FIELDS (perfbench/perfbench.cpp), which
+//     its behaviour digests print, must name every counter exactly once
+//     and nothing else, in any order;
+//   * the C API's struct hmcsim_stats (src/capi/hmc_sim.h) must name
+//     exactly kStatFields' counters in kStatFields' order, because
+//     hmcsim_get_stats fills its words by that order.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,18 +13,23 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/stats.hpp"
 
 namespace hmcsim {
 namespace {
 
-TEST(StatFields, PerfbenchDigestListNamesEveryCounterOnce) {
-  std::ifstream in(HMCSIM_PERFBENCH_SOURCE);
-  ASSERT_TRUE(in.is_open()) << HMCSIM_PERFBENCH_SOURCE;
+std::string read_text(const char* path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
   std::ostringstream text;
   text << in.rdbuf();
-  const std::string src = std::move(text).str();
+  return std::move(text).str();
+}
+
+TEST(StatFields, PerfbenchDigestListNamesEveryCounterOnce) {
+  const std::string src = read_text(HMCSIM_PERFBENCH_SOURCE);
   // The macro runs from its #define to the first line not continued by a
   // backslash.
   const std::string head = "#define PERFBENCH_STATS_FIELDS(X)";
@@ -50,6 +57,24 @@ TEST(StatFields, PerfbenchDigestListNamesEveryCounterOnce) {
     ADD_FAILURE() << "PERFBENCH_STATS_FIELDS names " << name
                   << ", which is not a DeviceStats counter";
   }
+}
+
+TEST(StatFields, CApiStructNamesEveryCounterInOrder) {
+  const std::string src = read_text(HMCSIM_CAPI_HEADER);
+  const usize begin = src.find("struct hmcsim_stats {");
+  ASSERT_NE(begin, std::string::npos);
+  const usize end = src.find("};", begin);
+  ASSERT_NE(end, std::string::npos);
+  const std::string body = src.substr(begin, end - begin);
+  std::vector<std::string> named;
+  const std::regex member(R"(uint64_t\s+(\w+)\s*;)");
+  for (std::sregex_iterator it(body.begin(), body.end(), member), last;
+       it != last; ++it) {
+    named.push_back((*it)[1]);
+  }
+  std::vector<std::string> expected;
+  for (const StatField& f : kStatFields) expected.emplace_back(f.name);
+  EXPECT_EQ(named, expected);
 }
 
 }  // namespace
