@@ -1,6 +1,7 @@
 #include "core/device.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/link_layer.hpp"
 
@@ -104,13 +105,23 @@ Device::Device(u32 cube_id, const DeviceConfig& config)
     link.rqst.count_pushes_into(&queue_pushes);
     link.rsp.count_pushes_into(&queue_pushes);
   }
-  for (VaultState& vault : vaults) {
-    vault.rqst.count_pushes_into(&queue_pushes);
-    vault.rsp.count_pushes_into(&queue_pushes);
+  for (u32 v = 0; v < config.num_vaults(); ++v) {
+    vaults[v].rqst.count_pushes_into(&queue_pushes, &active_vaults,
+                                     u64{1} << v);
+    vaults[v].rsp.count_pushes_into(&queue_pushes, &active_vaults,
+                                    u64{1} << v);
   }
   fault_rng = SplitMix64(config.fault_seed + cube_id * 0x9e3779b97f4a7c15ull);
   ras.failed_vaults = config.failed_vault_mask;
   ras.vault_uncorrectable.assign(config.num_vaults(), 0);
+}
+
+bool Device::vaults_idle() const {
+  for (u64 active = active_vaults; active != 0; active &= active - 1) {
+    const VaultState& vault = vaults[std::countr_zero(active)];
+    if (!vault.rqst.empty() || !vault.rsp.empty()) return false;
+  }
+  return true;
 }
 
 void Device::reset(bool clear_memory) {
@@ -137,6 +148,7 @@ void Device::reset(bool clear_memory) {
     vault.write_ok = 0;
   }
   mode_rsp.clear();
+  active_vaults = 0;
   regs.reset();
   if (clear_memory) store.clear();
   stats = DeviceStats{};

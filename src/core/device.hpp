@@ -180,8 +180,8 @@ struct RasState {
 class Device {
  public:
   Device(u32 cube_id, const DeviceConfig& config);
-  /// Every queue counts into queue_pushes by address, so a Device stays
-  /// where it was built.
+  /// Every queue reports into queue_pushes (and each vault queue into
+  /// active_vaults) by address, so a Device stays where it was built.
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
@@ -218,11 +218,23 @@ class Device {
   /// bookkeeping, not simulated state (never serialized or reset): the
   /// idle fast-forward engine reads it to notice a push between clocks.
   u64 queue_pushes{0};
+  /// Bit v set: vault v may hold work.  Each vault queue sets its bit on
+  /// every accepted push (through count_pushes_into, so a push through
+  /// device(), a checkpoint restore or a chaos edit marks it too), and
+  /// stage 5 clears it once both of the vault's queues are empty.  Stages
+  /// 3-5 visit only these vaults; a stale bit costs one visit to an empty
+  /// vault, which is a no-op.  Execution bookkeeping like queue_pushes:
+  /// never serialized.
+  u64 active_vaults{0};
 
   /// True when vault `v` is serving traffic (not marked failed).
   [[nodiscard]] bool vault_alive(u32 v) const {
     return (ras.failed_vaults >> v & 1) == 0;
   }
+
+  /// True when no vault queue holds an entry.  Reads only the queues of
+  /// the vaults in active_vaults.
+  [[nodiscard]] bool vaults_idle() const;
 
  private:
   u32 id_;

@@ -1,6 +1,7 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/link_layer.hpp"
 
@@ -91,12 +92,25 @@ Status Simulator::init(const SimConfig& config, Topology topo,
   }
   xbar_free_.assign(usize{config.num_devices} * links, 0);
   failed_snapshot_.assign(config.num_devices, 0);
-  // Vault v's refresh slot is staggered v/vaults of the way into the
-  // interval (every device alike).
-  refresh_offset_.resize(vaults);
-  for (u32 v = 0; v < vaults; ++v) {
-    refresh_offset_[v] =
-        Cycle{v} * config.device.refresh_interval_cycles / vaults;
+  // Vault v's refresh slot is staggered offset_v = v/vaults of the way
+  // into the interval (every device alike): the call at cycle c refreshes
+  // it when (c + offset_v) % interval == 0, the phase c % interval equal
+  // to (interval - offset_v) % interval.  The due set groups the vaults by
+  // that phase, once.
+  refresh_due_.clear();
+  if (const Cycle interval = config.device.refresh_interval_cycles;
+      interval != 0) {
+    for (u32 v = 0; v < vaults; ++v) {
+      const Cycle offset = Cycle{v} * interval / vaults;
+      const Cycle phase = offset == 0 ? 0 : interval - offset;
+      const auto slot = std::ranges::lower_bound(refresh_due_, phase, {},
+                                                 &RefreshSlot::phase);
+      if (slot != refresh_due_.end() && slot->phase == phase) {
+        slot->vaults |= u64{1} << v;
+      } else {
+        refresh_due_.insert(slot, RefreshSlot{phase, u64{1} << v});
+      }
+    }
   }
   bounce_mark_.assign(usize{config.num_devices} * links, 0);
   bounced_.clear();
@@ -188,9 +202,7 @@ bool Simulator::quiescent() const {
       // A packet parked in a link's replay slot is still in flight.
       if (link.proto.replay_pending) return false;
     }
-    for (const auto& vault : dev->vaults) {
-      if (!vault.rqst.empty() || !vault.rsp.empty()) return false;
-    }
+    if (!dev->vaults_idle()) return false;
   }
   return true;
 }
@@ -564,9 +576,7 @@ bool Simulator::ff_queues_idle() const {
         return false;
       }
     }
-    for (const auto& vault : dev.vaults) {
-      if (!vault.rqst.empty() || !vault.rsp.empty()) return false;
-    }
+    if (!dev.vaults_idle()) return false;
   }
   return true;
 }
@@ -577,13 +587,19 @@ u64 Simulator::queue_pushes() const {
   return total;
 }
 
-Cycle Simulator::cycles_to_refresh(Cycle phase, u32 vault) const {
+Simulator::RefreshDue Simulator::next_refresh() const {
   const Cycle interval = config_.device.refresh_interval_cycles;
-  // phase and offset_v are both below the interval, so one subtraction
-  // reduces their sum: no per-vault division.
-  Cycle rem = phase + refresh_offset_[vault];
-  if (rem >= interval) rem -= interval;
-  return rem == 0 ? 0 : interval - rem;
+  const Cycle phase = cycle_ % interval;
+  // The first slot at or after the phase.  There is at most one slot per
+  // vault, so a branch-free count beats a binary search here.
+  usize next = 0;
+  for (const RefreshSlot& slot : refresh_due_) next += slot.phase < phase;
+  // Past the last slot of this interval: the first slot of the next one.
+  if (next == refresh_due_.size()) {
+    return {refresh_due_.front().phase + interval - phase,
+            refresh_due_.front().vaults};
+  }
+  return {refresh_due_[next].phase - phase, refresh_due_[next].vaults};
 }
 
 namespace {
@@ -650,10 +666,7 @@ bool Simulator::ff_arm() {
                         cycle_, cfg.telemetry_interval_cycles));
   }
   if (cfg.refresh_interval_cycles != 0) {
-    const Cycle phase = cycle_ % cfg.refresh_interval_cycles;
-    for (u32 v = 0; v < cfg.num_vaults(); ++v) {
-      stop = std::min(stop, cycle_ + cycles_to_refresh(phase, v));
-    }
+    stop = std::min(stop, cycle_ + next_refresh().in);
   }
   if (chaos_) {
     // Pending plan events are event-horizon entries: the skip must hand
@@ -680,8 +693,32 @@ bool Simulator::ff_arm() {
     ff_quiescent_ = quiescent();
     ff_fingerprint_ = progress_fingerprint();
   }
+  ff_plan_watchdog();
   ff_armed_ = true;
   return true;
+}
+
+void Simulator::ff_plan_watchdog() {
+  // check_watchdog with frozen facts: quiescent, it zeroes the stall count
+  // (a no-op once it is zero); stalled, it resets the count when the
+  // fingerprint moved, traces WATCHDOG_ARM when the count becomes 1, trips
+  // when it reaches the threshold, and otherwise only adds one.  So the
+  // next cycle that must call it is known now.
+  constexpr Cycle kNever = ~Cycle{0};
+  const u32 threshold = config_.device.watchdog_cycles;
+  const u32 stalled = watchdog_stall_cycles_;
+  Cycle next = kNever;
+  ff_stall_step_ = 0;
+  if (threshold != 0 && ff_quiescent_) {
+    if (stalled != 0) next = cycle_;
+  } else if (threshold != 0) {
+    ff_stall_step_ = 1;
+    const bool counting = ff_fingerprint_ == watchdog_fingerprint_ &&
+                          stalled != 0 && stalled < threshold;
+    // The call that finds threshold - 1 stalled cycles trips.
+    next = counting ? cycle_ + (threshold - 1 - stalled) : cycle_;
+  }
+  ff_horizon_ = std::min(ff_stop_cycle_, next);
 }
 
 bool Simulator::ff_fast_cycle() {
@@ -689,7 +726,14 @@ bool Simulator::ff_fast_cycle() {
   // entries directly between clocks.  The queues were empty at arm time,
   // so an unchanged push count proves they still are; any push since, even
   // one already removed again, hands the clock back to the staged path.
-  if (cycle_ >= ff_stop_cycle_ || queue_pushes() != ff_pushes_) {
+  if (queue_pushes() != ff_pushes_) {
+    ff_armed_ = false;
+    return false;
+  }
+  // Short of the horizon a fast cycle only counts.  At it, either a
+  // bounded event needs the staged path, or the watchdog steps in full.
+  const bool at_horizon = cycle_ >= ff_horizon_;
+  if (at_horizon && cycle_ >= ff_stop_cycle_) {
     ff_armed_ = false;
     return false;
   }
@@ -699,13 +743,18 @@ bool Simulator::ff_fast_cycle() {
     if (profiler_) profiler_->note_fast_cycle();
     ++ff_span_len_;
   }
+  if (!at_horizon) {
+    watchdog_stall_cycles_ += ff_stall_step_;
+    return true;
+  }
   // Host responses awaiting recv() keep quiescence false with a constant
   // fingerprint, so the stall count keeps climbing during a skip — and may
   // trip the watchdog mid-skip, freezing the machine exactly as the staged
   // path would.
-  if (config_.device.watchdog_cycles != 0 &&
-      check_watchdog(ff_quiescent_, ff_fingerprint_)) {
+  if (check_watchdog(ff_quiescent_, ff_fingerprint_)) {
     ff_armed_ = false;
+  } else {
+    ff_plan_watchdog();
   }
   return true;
 }
@@ -1141,7 +1190,6 @@ void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index) {
 }
 
 void Simulator::stage3_and_4_vaults() {
-  const u32 vaults = config_.device.num_vaults();
   // Stage-start snapshot of the failure masks: vaults failed before this
   // stage skip it and drain below, after every live vault; a vault that
   // fails during the stage finishes its own pass first.
@@ -1153,40 +1201,48 @@ void Simulator::stage3_and_4_vaults() {
   // devices, and the per-vault table only needs relative weights.  The
   // sampling key is the deterministic cycle counter, never wall time.
   const bool time_vaults = profiler_ != nullptr && (cycle_ & 0xF) == 0;
-  // One division per cycle places every vault's staggered refresh slot.
-  const Cycle interval = config_.device.refresh_interval_cycles;
-  const Cycle refresh_phase = interval != 0 ? cycle_ % interval : 0;
+  // One lookup per cycle finds the vaults whose staggered refresh slot is
+  // this cycle; they are visited whether or not they hold work.
+  u64 refreshing = 0;
+  if (config_.device.refresh_interval_cycles != 0) {
+    const RefreshDue due = next_refresh();
+    if (due.in == 0) refreshing = due.vaults;
+  }
   for (u32 d = 0; d < devices_.size(); ++d) {
     Device& dev = *devices_[d];
-    for (u32 v = 0; v < vaults; ++v) {
+    // Only vaults that may hold work or refresh now, in ascending order as
+    // a walk over every vault would take them: the trace stream depends on
+    // that order.  No push during the walk marks a vault it skipped.
+    for (u64 visit = dev.active_vaults | refreshing; visit != 0;
+         visit &= visit - 1) {
+      const u32 v = static_cast<u32>(std::countr_zero(visit));
       const u64 t0 = time_vaults ? StageProfiler::now_ns() : 0;
-      // Stage 3 scans every vault's conflict window, failed vaults
-      // included; stage 4 then retires from the same vault.
+      // Stage 3 scans the vault's conflict window, failed vaults included;
+      // stage 4 then retires from the same vault.
       scan_bank_conflicts(dev, v);
       if ((failed_snapshot_[d] >> v & 1) == 0) {
-        process_vault(dev, v, refresh_phase);
+        process_vault(dev, v, (refreshing >> v & 1) != 0);
       }
       if (time_vaults) profiler_->add_vault(d, v, StageProfiler::now_ns() - t0);
     }
   }
   for (usize d = 0; d < devices_.size(); ++d) {
-    if (failed_snapshot_[d] == 0) continue;
     Device& dev = *devices_[d];
-    for (u32 v = 0; v < vaults; ++v) {
-      if (failed_snapshot_[d] >> v & 1) drain_failed_vault(dev, v);
+    for (u64 failed = failed_snapshot_[d] & dev.active_vaults; failed != 0;
+         failed &= failed - 1) {
+      drain_failed_vault(dev, static_cast<u32>(std::countr_zero(failed)));
     }
   }
 }
 
 void Simulator::process_vault(Device& dev, u32 vault_index,
-                              Cycle refresh_phase) {
+                              bool refresh_due) {
   const DeviceConfig& cfg = dev.config();
   VaultState& vault = dev.vaults[vault_index];
 
   // DRAM refresh: when this vault's (staggered) refresh slot comes due,
   // every bank goes offline for the refresh window and nothing retires.
-  if (cfg.refresh_interval_cycles != 0 &&
-      cycles_to_refresh(refresh_phase, vault_index) == 0) {
+  if (refresh_due) {
     vault.refresh(cycle_, cfg.refresh_busy_cycles);
     ++dev.stats.refreshes;
   }
@@ -1560,24 +1616,27 @@ void Simulator::transfer_link_responses(Device& dev) {
   }
 }
 
+void Simulator::register_responses(Device& dev) {
+  drain_response_queue(dev, dev.mode_rsp, kNoCoord);
+  // Only vaults that may hold work, in ascending order as a walk over every
+  // vault would take them: the link response FIFOs and the trace stream
+  // depend on that order.  Stage 5 pushes into no vault queue, so a vault
+  // whose queues are both empty now leaves the active set.
+  for (u64 visit = dev.active_vaults; visit != 0; visit &= visit - 1) {
+    const u32 v = static_cast<u32>(std::countr_zero(visit));
+    VaultState& vault = dev.vaults[v];
+    drain_response_queue(dev, vault.rsp, v);
+    if (vault.rqst.empty() && vault.rsp.empty()) {
+      dev.active_vaults &= ~(u64{1} << v);
+    }
+  }
+  transfer_link_responses(dev);
+}
+
 void Simulator::stage5_responses() {
   // Root devices first, then children.
-  for (const u32 d : root_devices_) {
-    Device& dev = *devices_[d];
-    drain_response_queue(dev, dev.mode_rsp, kNoCoord);
-    for (u32 v = 0; v < dev.config().num_vaults(); ++v) {
-      drain_response_queue(dev, dev.vaults[v].rsp, v);
-    }
-    transfer_link_responses(dev);
-  }
-  for (const u32 d : child_devices_) {
-    Device& dev = *devices_[d];
-    drain_response_queue(dev, dev.mode_rsp, kNoCoord);
-    for (u32 v = 0; v < dev.config().num_vaults(); ++v) {
-      drain_response_queue(dev, dev.vaults[v].rsp, v);
-    }
-    transfer_link_responses(dev);
-  }
+  for (const u32 d : root_devices_) register_responses(*devices_[d]);
+  for (const u32 d : child_devices_) register_responses(*devices_[d]);
 }
 
 void Simulator::stage6_clock_update() {

@@ -34,7 +34,10 @@
 //     still finishes its own pass.
 // Stages 3 and 4 run back to back per vault (scan, then retire), and each
 // vault draws DRAM faults from its own generator (VaultState::dram_rng).
-// See docs/INTERNALS.md.
+// Stages 3-5 visit only the vaults that may hold work
+// (Device::active_vaults), plus, in stages 3-4, the vaults whose refresh
+// slot is this cycle, in ascending vault order as a walk over every vault
+// would.  See docs/INTERNALS.md.
 #pragma once
 
 #include <iosfwd>
@@ -328,13 +331,17 @@ class Simulator {
 
   /// Stage 3 for one vault: scan the request queue's conflict window.
   void scan_bank_conflicts(Device& dev, u32 vault_index);
-  /// Stage 4 helpers.  `refresh_phase` is cycle_ % refresh_interval_cycles
-  /// (0 when refresh is off).
-  void process_vault(Device& dev, u32 vault_index, Cycle refresh_phase);
-  /// Cycles from now until vault `vault`'s staggered refresh slot, 0 when
-  /// it is due this cycle, given phase = cycle_ % refresh_interval_cycles.
-  /// Requires refresh_interval_cycles != 0.
-  [[nodiscard]] Cycle cycles_to_refresh(Cycle phase, u32 vault) const;
+  /// Stage 4 helpers.  `refresh_due` is true on the vault's staggered
+  /// refresh slot.
+  void process_vault(Device& dev, u32 vault_index, bool refresh_due);
+  /// The next refresh slot at or after cycle_: the cycles until it (0 when
+  /// it is this cycle) and the vaults it refreshes, one lookup in
+  /// refresh_due_.  Requires refresh_interval_cycles != 0.
+  struct RefreshDue {
+    Cycle in;
+    u64 vaults;
+  };
+  [[nodiscard]] RefreshDue next_refresh() const;
   /// Drain a failed vault's queued requests as VAULT_FAILED errors.
   void drain_failed_vault(Device& dev, u32 vault_index);
   /// Retire one request at a bank: perform the memory/register operation
@@ -363,7 +370,8 @@ class Simulator {
   /// dead (the caller skips normal processing).
   bool step_link_protocol(Device& dev, u32 link, u8 stage);
 
-  /// Stage 5 helpers.
+  /// Stage 5 helpers.  register_responses runs stage 5 for one device.
+  void register_responses(Device& dev);
   void drain_response_queue(Device& dev, BoundedQueue<ResponseEntry>& queue,
                             u32 vault_for_trace);
   void transfer_link_responses(Device& dev);
@@ -442,11 +450,17 @@ class Simulator {
   /// refill fixed point, RWS registers awaiting their self-clearing edge).
   bool ff_arm();
   /// One fast cycle: check that no queue took a push since arming (which
-  /// guards against direct Device mutation between calls), advance the
-  /// clock, and step the watchdog against the quiescence/fingerprint facts
-  /// frozen at arm time.  Returns false when the staged path must run
-  /// instead.
+  /// guards against direct Device mutation between calls) and that the
+  /// stop cycle is ahead, advance the clock, and count the watchdog's
+  /// stalled cycle.  Only on the watchdog's planned cycles does it run
+  /// check_watchdog against the quiescence/fingerprint facts frozen at arm
+  /// time.  Returns false when the staged path must run instead.
   bool ff_fast_cycle();
+  /// Plan the watchdog's steps over the rest of the skip: its inputs are
+  /// frozen, so every fast cycle adds ff_stall_step_ to the stall count
+  /// except the next one on which check_watchdog does more (a fingerprint
+  /// reset, the WATCHDOG_ARM onset or the trip), which bounds ff_horizon_.
+  void ff_plan_watchdog();
   /// Every queue a clock stage would consume is empty.  Host-link response
   /// queues are exempt: stage 5 never touches them (they drain via recv()),
   /// so pending host responses are inert during a skip — though they do
@@ -481,9 +495,15 @@ class Simulator {
   /// drain after every live vault; bits earned during the stage wait for
   /// the next cycle.
   std::vector<u64> failed_snapshot_;
-  /// Per-vault refresh stagger (see cycles_to_refresh), derived from the
-  /// config at init, so it is not serialized.
-  std::vector<Cycle> refresh_offset_;
+  /// The refresh due set: one slot per phase (cycle_ % interval) on which
+  /// some vault's staggered refresh falls, with the mask of those vaults,
+  /// sorted by phase.  Derived from the config at init, so it is not
+  /// serialized; empty when refresh is off.
+  struct RefreshSlot {
+    Cycle phase;
+    u64 vaults;
+  };
+  std::vector<RefreshSlot> refresh_due_;
   /// flush_outboxes working state (members to avoid per-cycle allocation).
   std::vector<u8> bounce_mark_;
   std::vector<StagedForward> bounced_;
@@ -500,9 +520,16 @@ class Simulator {
   /// First cycle whose clock() call must run the staged path (exclusive
   /// skip bound); kNoStopCycle when nothing bounds the skip.
   Cycle ff_stop_cycle_{0};
+  /// min(ff_stop_cycle_, the next fast cycle that must call
+  /// check_watchdog): the one cycle compare a fast cycle makes before it
+  /// only counts.  See ff_plan_watchdog.
+  Cycle ff_horizon_{0};
+  /// What a plain fast cycle adds to the watchdog's stall count: 1 while
+  /// the frozen facts show a stall, else 0.
+  u32 ff_stall_step_{0};
   /// quiescent() / progress_fingerprint() frozen at arm time; both are
   /// invariant across fast cycles (only host recv/send change them, and
-  /// those invalidate), letting the watchdog emulation run in O(1).
+  /// those invalidate), which is what lets ff_plan_watchdog plan ahead.
   bool ff_quiescent_{false};
   u64 ff_fingerprint_{0};
   /// queue_pushes() at arm time: a fast cycle runs only while it holds.

@@ -21,9 +21,12 @@
 // slots.  Middle removal is O(n) handle moves with n <= the configured
 // depth (128 in the paper's experiments), never an entry move.
 //
-// A queue may also count its accepted pushes into a counter its owner
-// shares across queues (`count_pushes_into`): the idle fast-forward engine
-// compares one such count per device instead of re-walking every queue.
+// A queue may also report its accepted pushes to its owner
+// (`count_pushes_into`): it counts them into a counter the owner shares
+// across queues, which the idle fast-forward engine compares once per
+// device instead of re-walking every queue, and it may set the owner's bit
+// for it in a shared mask, which is how a vault queue marks its vault
+// active.
 #pragma once
 
 #include <algorithm>
@@ -159,10 +162,19 @@ class BoundedQueue {
     size_ = 0;
   }
 
-  /// Count every accepted push and push_front into `*counter` from now on.
-  /// A refused push, a removal and clear() do not count.  The counter must
-  /// outlive the queue, and a moved or copied queue keeps counting into it.
-  void count_pushes_into(u64* counter) { push_count_ = counter; }
+  /// Count every accepted push and push_front into `*counter` from now on,
+  /// and, when `marks` is given, set the bits of `mark` in `*marks` on each.
+  /// A refused push, a removal and clear() neither count nor mark, and a
+  /// null `counter` turns both off.  Both targets must outlive the queue,
+  /// and a moved or copied queue keeps reporting to them.
+  void count_pushes_into(u64* counter, u64* marks = nullptr, u64 mark = 0) {
+    push_count_ = counter;
+    // Without an owner mask an empty mark lands on the counter, so a push
+    // tests one pointer, not two: the push path stays small enough to
+    // inline into the stages.
+    marks_ = marks != nullptr ? marks : counter;
+    mark_ = marks != nullptr ? mark : 0;
+  }
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
   void reset_stats() { stats_ = QueueStats{}; }
@@ -198,13 +210,19 @@ class BoundedQueue {
     }
     ++size_;
     stats_.high_water = std::max(stats_.high_water, size_);
-    if (push_count_ != nullptr) ++*push_count_;
+    if (push_count_ != nullptr) {
+      ++*push_count_;
+      *marks_ |= mark_;
+    }
   }
 
   usize capacity_{0};
   usize size_{0};
-  /// Shared push counter (see count_pushes_into); null when not counted.
+  /// Shared push counter (null when not reported) and owner mask (see
+  /// count_pushes_into).
   u64* push_count_{nullptr};
+  u64* marks_{nullptr};
+  u64 mark_{0};
   /// Entry storage; every slot in here has been constructed.
   std::vector<Entry> slots_;
   /// slots_.size() handles: FIFO order, then the free slots.

@@ -2,6 +2,8 @@
 // take banks offline without losing or reordering any traffic.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
 
@@ -24,6 +26,55 @@ TEST(Refresh, IssuesAtTheConfiguredRate) {
   for (int i = 0; i < 1000; ++i) sim.clock();
   // 16 vaults x ~10 intervals each.
   EXPECT_NEAR(static_cast<double>(sim.total_stats().refreshes), 160.0, 16.0);
+}
+
+TEST(Refresh, IdleVaultsRefreshOnTheirOwnCycle) {
+  // An idle machine: every vault's refresh comes from the due set, none
+  // from a vault visit that work would have caused.  Vault v refreshes in
+  // the clock call at cycle c when (c + v * interval / 16) % interval == 0:
+  // 160 puts one vault on every 10th phase, 100 is not a multiple of 16
+  // (uneven gaps), and 8 puts two vaults on each phase.  A failed vault
+  // never refreshes.
+  constexpr u32 kBusy = 3;
+  constexpr u32 kFailed = 5;
+  for (const u32 interval : {160u, 100u, 8u}) {
+    for (const bool fast_forward : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "interval " << interval << ", fast_forward "
+                   << fast_forward);
+      DeviceConfig dc = small_device();
+      dc.refresh_interval_cycles = interval;
+      dc.refresh_busy_cycles = kBusy;
+      dc.failed_vault_mask = u64{1} << kFailed;
+      dc.fast_forward = fast_forward;
+      Simulator sim = test::make_simple_sim(dc);
+      const u32 vaults = dc.num_vaults();
+      ASSERT_EQ(vaults, 16u);
+
+      u64 expected = 0;
+      std::vector<Cycle> busy_until(vaults, 0);
+      for (u32 i = 0; i < 3 * interval + 5; ++i) {
+        const Cycle c = sim.now();
+        sim.clock();
+        for (u32 v = 0; v < vaults; ++v) {
+          const Cycle offset = Cycle{v} * interval / vaults;
+          if ((c + offset) % interval == 0 && v != kFailed) {
+            busy_until[v] = c + kBusy;
+            ++expected;
+          }
+          for (const Cycle busy : sim.device(0).vaults[v].bank_busy_until) {
+            ASSERT_EQ(busy, busy_until[v]) << "vault " << v << " cycle " << c;
+          }
+        }
+      }
+      EXPECT_EQ(sim.total_stats().refreshes, expected);
+      EXPECT_EQ(busy_until[kFailed], 0u);
+      // Wide intervals leave idle stretches between slots to skip.
+      if (fast_forward && interval >= 100) {
+        EXPECT_GT(sim.cycles_skipped(), 0u);
+      }
+    }
+  }
 }
 
 TEST(Refresh, StaggeringSpreadsVaultWindows) {

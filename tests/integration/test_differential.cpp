@@ -439,6 +439,101 @@ TEST(DifferentialExtras, RestoreArmsAsSoonAsTheSavedMachineWould) {
   }
 }
 
+// ---- the watchdog under a skip ----------------------------------------------
+//
+// A fast cycle calls check_watchdog only on the cycles it planned at arm
+// time and otherwise just counts the stalled cycle.  The stall count is in
+// the checkpoint's WDOG section, so equal bytes on every cycle prove the
+// count exact.
+
+/// Four reads, one per link, whose responses the host never receives: the
+/// machine stays stalled with nothing left to do, so skips count stalls.
+/// Refresh slots every 64 cycles (16 vaults over 1024) end each skip.
+DeviceConfig parked_device(u32 watchdog_cycles, bool fast_forward) {
+  DeviceConfig dc = test::small_device();
+  dc.refresh_interval_cycles = 1024;
+  dc.refresh_busy_cycles = 4;
+  dc.watchdog_cycles = watchdog_cycles;
+  dc.fast_forward = fast_forward;
+  return dc;
+}
+
+void park_four_reads(Simulator& sim) {
+  for (u32 link = 0; link < 4; ++link) {
+    EXPECT_EQ(test::send_request(sim, 0, link, Command::Rd16,
+                                 PhysAddr{0x1000} * (link + 1),
+                                 static_cast<Tag>(link + 1)),
+              Status::Ok);
+  }
+}
+
+std::string checkpoint_bytes(const Simulator& sim) {
+  std::ostringstream os;
+  EXPECT_EQ(sim.save_checkpoint(os), Status::Ok);
+  return std::move(os).str();
+}
+
+TEST(DifferentialExtras, WatchdogStallCountMatchesStagedEveryCycle) {
+  constexpr Cycle kSlot = 64;
+  constexpr u32 kNever = 1u << 20;
+  // The stall onset (the WATCHDOG_ARM record's cycle) fixes the trip: the
+  // watchdog fires in the clock stamped onset + threshold - 1.
+  Cycle onset = 0;
+  {
+    DeviceConfig dc = parked_device(kNever, false);
+    dc.flight_recorder_depth = 16;
+    Simulator sim;
+    ASSERT_EQ(sim.init_simple(dc), Status::Ok);
+    park_four_reads(sim);
+    for (Cycle i = 0; i < kSlot; ++i) sim.clock();
+    for (const TraceRecord& r : sim.flight_recorder()->snapshot(0)) {
+      if (r.event == TraceEvent::WatchdogArm) onset = r.cycle;
+    }
+    ASSERT_GT(onset, 0u);
+    ASSERT_LT(onset, kSlot);
+  }
+  // The clock at cycle 4 * 64 is a refresh slot, so it runs staged; the
+  // one at 4 * 64 + 32 falls inside a skip.
+  const u32 on_stop = static_cast<u32>(4 * kSlot + 2 - onset);
+  struct Case {
+    const char* name;
+    u32 threshold;
+    bool trips;
+  };
+  for (const Case& c : {Case{"trips mid-skip", on_stop + 32, true},
+                        Case{"trips on a refresh stop cycle", on_stop, true},
+                        Case{"never trips", kNever, false}}) {
+    SCOPED_TRACE(c.name);
+    Simulator staged;
+    Simulator skipping;
+    ASSERT_EQ(staged.init_simple(parked_device(c.threshold, false)),
+              Status::Ok);
+    ASSERT_EQ(skipping.init_simple(parked_device(c.threshold, true)),
+              Status::Ok);
+    park_four_reads(staged);
+    park_four_reads(skipping);
+    bool trip_skipped = false;
+    for (Cycle i = 0; i < 8 * kSlot && !staged.watchdog_fired(); ++i) {
+      const u64 skipped = skipping.cycles_skipped();
+      staged.clock();
+      skipping.clock();
+      ASSERT_EQ(skipping.watchdog_fired(), staged.watchdog_fired())
+          << "cycle " << staged.now();
+      ASSERT_EQ(checkpoint_bytes(skipping), checkpoint_bytes(staged))
+          << "cycle " << staged.now();
+      trip_skipped = skipping.cycles_skipped() > skipped;
+    }
+    EXPECT_EQ(staged.watchdog_fired(), c.trips);
+    EXPECT_GT(skipping.cycles_skipped(), 0u);
+    if (c.trips) {
+      EXPECT_EQ(staged.now(), onset + c.threshold - 1);
+      // The tripping clock was a fast cycle exactly when it was not a
+      // refresh slot.
+      EXPECT_EQ(trip_skipped, (staged.now() - 1) % kSlot != 0);
+    }
+  }
+}
+
 TEST(DifferentialExtras, CheckpointBytesOmitObservability) {
   // The observability knobs are execution-strategy state, never simulated
   // state: a checkpoint from an instrumented run must byte-match one from

@@ -3,9 +3,13 @@
 // accepts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "tests/core/helpers.hpp"
+#include "tests/integration/scenario.hpp"
 #include "workload/driver.hpp"
 
 namespace hmcsim {
@@ -263,6 +267,50 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BlockSizeSweep,
                          [](const auto& info) {
                            return "B" + std::to_string(info.param);
                          });
+
+// Stages 3-5 visit only the vaults in Device::active_vaults, so a vault
+// holding an entry without its bit would never be served.  After every
+// clock of these rows (one cube, failed-vault remapping, a chain, a torus;
+// idle windows on, fast-forward off and on), every vault that holds an
+// entry has its bit set.
+TEST(ActiveVaultProperty, EveryVaultHoldingAnEntryIsMarked) {
+  for (const std::string_view row :
+       {"random_4link", "vault_fail_remap", "random_chain3_ras",
+        "torus_2x2"}) {
+    const test::Scenario* s = std::find_if(
+        std::begin(test::kScenarios), std::end(test::kScenarios),
+        [&](const test::Scenario& r) { return r.name == row; });
+    ASSERT_NE(s, std::end(test::kScenarios)) << row;
+    for (const bool fast_forward : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << row << ", fast_forward "
+                                        << fast_forward);
+      DeviceConfig dc = test::scenario_device(*s);
+      dc.fast_forward = fast_forward;
+      Simulator sim;
+      std::string diag;
+      ASSERT_EQ(test::build_sim(*s, dc, sim, &diag), Status::Ok) << diag;
+      test::RowRun run(*s, sim, /*idle_windows=*/true);
+      u64 marked = 0;
+      while (run.advance()) {
+        for (u32 d = 0; d < sim.num_devices(); ++d) {
+          const Device& dev = sim.device(d);
+          for (u32 v = 0; v < dev.vaults.size(); ++v) {
+            if (dev.vaults[v].rqst.empty() && dev.vaults[v].rsp.empty()) {
+              continue;
+            }
+            ASSERT_NE(dev.active_vaults >> v & 1, 0u)
+                << "cube " << d << " vault " << v << " at cycle "
+                << sim.now();
+            ++marked;
+          }
+        }
+      }
+      EXPECT_EQ(run.result().completed, s->requests);
+      EXPECT_GT(marked, 0u);
+      if (fast_forward) EXPECT_GT(sim.cycles_skipped(), 0u);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace hmcsim

@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/json.hpp"
@@ -239,22 +240,81 @@ TEST(ObservabilitySim, WatchdogFireRecordsArmAndFireAndDumpsTail) {
 }
 
 TEST(ObservabilitySim, WatchdogEmulationUnderFastForwardMatchesStaged) {
+  // A host that parks its responses: four reads, one per link, never
+  // received.  The machine is stalled (responses wait in the host links)
+  // with nothing left to do, so the skipping run spends the stall inside a
+  // skip and the watchdog trips there.  The trip cycle, the recorder's
+  // records and a checkpoint saved mid-skip must match a run that stages
+  // every cycle.
   DeviceConfig dc = small_device();
-  dc.watchdog_cycles = 50;
+  dc.watchdog_cycles = 200;
   dc.flight_recorder_depth = 64;
+  using Record = std::tuple<TraceEvent, u8, Cycle, u32, u32, u32, u32, u32,
+                            PhysAddr, Tag, Command, u64>;
+  struct Run {
+    Cycle tripped{0};
+    u64 skipped{0};
+    u64 skipped_at_save{0};
+    std::string mid_skip;
+    /// Every record but FF_SKIP_SPAN, which only a skipping run files.
+    std::vector<Record> records;
+    u64 span_cycles{0};
+  };
 
   auto run = [&dc](bool fast_forward) {
     dc.fast_forward = fast_forward;
     Simulator sim = make_simple_sim(dc);
-    EXPECT_EQ(send_request(sim, 0, 0, Command::Rd32, 0x1000, 1), Status::Ok);
-    for (VaultState& vault : sim.device(0).vaults) {
-      for (Cycle& busy : vault.bank_busy_until) busy = ~Cycle{0};
+    for (u32 link = 0; link < dc.num_links; ++link) {
+      EXPECT_EQ(send_request(sim, 0, link, Command::Rd16,
+                             PhysAddr{0x40} * link,
+                             static_cast<Tag>(link + 1)),
+                Status::Ok);
     }
-    for (u32 i = 0; i < 500 && !sim.watchdog_fired(); ++i) sim.clock();
+    Run out;
+    for (u32 i = 0; i < 1000 && !sim.watchdog_fired(); ++i) {
+      sim.clock();
+      if (sim.now() == 100) {
+        std::ostringstream os;
+        EXPECT_EQ(sim.save_checkpoint(os), Status::Ok);
+        out.mid_skip = std::move(os).str();
+        out.skipped_at_save = sim.cycles_skipped();
+      }
+    }
     EXPECT_TRUE(sim.watchdog_fired());
-    return sim.now();
+    out.tripped = sim.now();
+    out.skipped = sim.cycles_skipped();
+    for (const TraceRecord& r : sim.flight_recorder()->snapshot(0)) {
+      if (r.event == TraceEvent::FfSkipSpan) {
+        out.span_cycles += r.arg;
+        continue;
+      }
+      out.records.emplace_back(r.event, r.stage, r.cycle, r.dev, r.link,
+                               r.quad, r.vault, r.bank, r.addr, r.tag, r.cmd,
+                               r.arg);
+    }
+    return out;
   };
-  EXPECT_EQ(run(false), run(true));
+  const Run staged = run(false);
+  const Run skipping = run(true);
+  EXPECT_EQ(staged.tripped, 205u);
+  EXPECT_EQ(skipping.tripped, staged.tripped);
+  EXPECT_EQ(staged.skipped, 0u);
+  EXPECT_GT(skipping.skipped, 0u);
+  EXPECT_GT(skipping.skipped_at_save, 0u) << "the save was not mid-skip";
+  EXPECT_EQ(skipping.span_cycles, skipping.skipped);
+  EXPECT_EQ(skipping.mid_skip, staged.mid_skip);
+  EXPECT_EQ(skipping.records, staged.records);
+  // The last stall began 199 clocks before the trip; both records carry
+  // the threshold.
+  ASSERT_GE(staged.records.size(), 2u);
+  const Record& onset = staged.records[staged.records.size() - 2];
+  const Record& fire = staged.records.back();
+  EXPECT_EQ(std::get<0>(onset), TraceEvent::WatchdogArm);
+  EXPECT_EQ(std::get<2>(onset), 6u);
+  EXPECT_EQ(std::get<11>(onset), 200u);
+  EXPECT_EQ(std::get<0>(fire), TraceEvent::WatchdogFire);
+  EXPECT_EQ(std::get<2>(fire), 205u);
+  EXPECT_EQ(std::get<11>(fire), 200u);
 }
 
 TEST(ObservabilitySim, JsonReportHasObservabilitySections) {

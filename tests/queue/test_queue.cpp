@@ -112,6 +112,36 @@ TEST(BoundedQueue, PushCounterCountsAcceptedPushesOnly) {
   EXPECT_EQ(pushes, 6u);
 }
 
+// A vault queue marks its vault active in its device's mask this way.
+TEST(BoundedQueue, PushMarksTheOwnersBitOnAcceptedPushesOnly) {
+  u64 pushes = 0;
+  u64 active = 0;
+  BoundedQueue<int> q(1);
+  q.count_pushes_into(&pushes, &active, u64{1} << 5);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_EQ(active, u64{1} << 5);
+  // Nothing clears the bit but its owner; a removal leaves it set.
+  EXPECT_EQ(q.pop_front(), 1);
+  EXPECT_EQ(active, u64{1} << 5);
+  active = 0;
+  q.push_front(2);
+  EXPECT_EQ(active, u64{1} << 5);
+  active = 0;
+  EXPECT_FALSE(q.push(3));  // refused: the queue is full
+  EXPECT_EQ(active, 0u);
+  q.clear();
+  EXPECT_EQ(active, 0u);
+  EXPECT_EQ(pushes, 2u);
+
+  // A copy reports to the same counter and mask, as the original does;
+  // other owners' bits are left alone.
+  active = u64{1} << 2;
+  BoundedQueue<int> copy = q;
+  EXPECT_TRUE(copy.push(4));
+  EXPECT_EQ(active, (u64{1} << 2) | (u64{1} << 5));
+  EXPECT_EQ(pushes, 3u);
+}
+
 TEST(BoundedQueue, CapacityOneBehavesAsRegister) {
   // The paper requires at least one queue slot per logical queue, acting as
   // a registered input/output stage.
