@@ -75,6 +75,33 @@ void BM_Crc32k(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32k)->Arg(16)->Arg(144)->Arg(4096);
 
+/// One packet's CRC through one engine, at state.range(0) FLITs.  Each CRC
+/// feeds the next packet's first word, so a row times one CRC's latency,
+/// as a send that checks the CRC before it goes on sees it.  The dispatch
+/// in crc::crc32k_packet serves a FLIT count with the carry-less engine
+/// only where its row here is faster.
+void BM_PacketCrc(benchmark::State& state, bool carry_less) {
+  const crc::Engine* engine =
+      carry_less ? crc::carry_less() : &crc::slicing_by_8();
+  if (engine == nullptr) {
+    state.SkipWithError("no carry-less engine on this target or CPU");
+    return;
+  }
+  std::vector<u64> words(2 * static_cast<usize>(state.range(0)));
+  SplitMix64 rng(1);
+  for (auto& w : words) w = rng.next();
+  for (auto _ : state) {
+    words[0] ^= engine->packet(words);
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PacketCrc, slicing_by_8, false)
+    ->Arg(1)->Arg(2)->Arg(5)->Arg(9);
+BENCHMARK_CAPTURE(BM_PacketCrc, carry_less, true)
+    ->Arg(1)->Arg(2)->Arg(5)->Arg(9);
+
 void BM_SealAndCheckCrc(benchmark::State& state) {
   RequestFields f;
   f.cmd = Command::Wr128;

@@ -81,25 +81,31 @@ void accept(Device& dev, u32 link, RequestEntry&& entry) {
   (void)dev.links[link].rqst.push(std::move(entry));
 }
 
+// The link lacks the tokens, the retry-buffer FLITs or the queue slot a
+// transmission of `flits` FLITs needs.
+bool lacks_room(const Device& dev, u32 link, u32 flits) {
+  const LinkState& ls = dev.links[link];
+  return ls.proto.tokens < static_cast<i64>(flits) ||
+         ls.proto.retry_buf_flits + flits >
+             dev.config().link_retry_buffer_flits ||
+         ls.rqst.full();
+}
+
 }  // namespace
+
+bool LinkLayer::refuse(Device& dev, u32 link, u32 flits, Cycle cycle) {
+  if (!retraining(dev, link, cycle) && !lacks_room(dev, link, flits)) {
+    return false;
+  }
+  ++dev.stats.link_token_stalls;
+  return true;
+}
 
 LinkArrival LinkLayer::arrive(Device& dev, u32 link, RequestEntry& entry,
                               Cycle cycle) {
-  LinkState& ls = dev.links[link];
-  LinkProtoState& st = ls.proto;
-  const DeviceConfig& cfg = dev.config();
+  LinkProtoState& st = dev.links[link].proto;
   if (st.dead) return LinkArrival::Dead;
-  if (retraining(dev, link, cycle)) {
-    ++dev.stats.link_token_stalls;
-    return LinkArrival::TokenStall;
-  }
-  const u32 flits = entry.pkt.flits;
-  if (st.tokens < static_cast<i64>(flits) ||
-      st.retry_buf_flits + flits > cfg.link_retry_buffer_flits ||
-      ls.rqst.full()) {
-    ++dev.stats.link_token_stalls;
-    return LinkArrival::TokenStall;
-  }
+  if (refuse(dev, link, entry.pkt.flits, cycle)) return LinkArrival::TokenStall;
   bool seq_flavor = false;
   if (roll_corrupt(dev, st, seq_flavor)) {
     enter_abort(dev, st, std::move(entry), cycle, seq_flavor);
@@ -121,9 +127,7 @@ bool LinkLayer::step_replay(Device& dev, u32 link, Cycle cycle,
   // The replay needs the same resources a fresh transmission would; stay
   // pending (without consuming a retry) until they free up.
   const u32 flits = st.replay.pkt.flits;
-  if (st.tokens < static_cast<i64>(flits) ||
-      st.retry_buf_flits + flits > cfg.link_retry_buffer_flits ||
-      ls.rqst.full()) {
+  if (lacks_room(dev, link, flits)) {
     ++dev.stats.link_token_stalls;
     return false;
   }

@@ -91,6 +91,12 @@ class LinkLayer {
   static LinkArrival arrive(Device& dev, u32 link, RequestEntry& entry,
                             Cycle cycle);
 
+  /// The token-stall condition, stated once: true, after counting a
+  /// `link_token_stalls`, when the link is retraining or lacks the
+  /// tokens, retry-buffer FLITs or queue slot for a `flits`-FLIT packet.
+  /// arrive() asks it, and Simulator::send asks it before it decodes.
+  static bool refuse(Device& dev, u32 link, u32 flits, Cycle cycle);
+
   /// Per-cycle transmitter step for one link, run from the owning device's
   /// crossbar stage: when the error-abort retrain window has elapsed,
   /// replay the held packet from the retry buffer (re-validating its

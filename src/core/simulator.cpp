@@ -73,12 +73,25 @@ Status Simulator::init(const SimConfig& config, Topology topo,
   devices_.clear();
   root_devices_.clear();
   child_devices_.clear();
+  wiring_.assign(config.num_devices, LinkWiring{});
   for (u32 d = 0; d < config.num_devices; ++d) {
     devices_.push_back(std::make_unique<Device>(d, config.device));
     if (topo_.is_root(CubeId{d})) {
       root_devices_.push_back(d);
     } else {
       child_devices_.push_back(d);
+    }
+    for (u32 l = 0; l < config.device.num_links; ++l) {
+      switch (topo_.endpoint(CubeId{d}, LinkId{l}).kind) {
+        case EndpointKind::Host:
+          wiring_[d].host |= 1u << l;
+          break;
+        case EndpointKind::Device:
+          wiring_[d].peer |= 1u << l;
+          break;
+        case EndpointKind::Unconnected:
+          break;
+      }
     }
   }
 
@@ -213,17 +226,29 @@ bool Simulator::quiescent() const {
 
 Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
   if (!initialized() || dev >= devices_.size() ||
-      link >= config_.device.num_links) {
-    return Status::InvalidArgument;
-  }
-  if (topo_.endpoint(CubeId{dev}, LinkId{link}).kind != EndpointKind::Host) {
+      link >= config_.device.num_links ||
+      (wiring_[dev].host & (1u << link)) == 0) {
     return Status::InvalidArgument;
   }
 
   Device& d = *devices_[dev];
+  const u8 raw_cmd = static_cast<u8>(extract(packet.header(), 0, 6));
+  // A link that cannot take the packet refuses it before the decode and
+  // its CRC check, moving exactly the counters a failed push or arrive
+  // below would.  Flow packets never enter the queue and a dead link
+  // answers LINK_FAILED, so neither is refused here.  (A malformed packet
+  // offered to a full link therefore reads Stalled, not MalformedPacket.)
+  if (!is_flow(static_cast<Command>(raw_cmd)) && !d.links[link].proto.dead &&
+      (config_.device.link_protocol
+           ? LinkLayer::refuse(d, link, packet.flits, cycle_)
+           : d.links[link].rqst.refuse_if_full())) {
+    ff_invalidate();
+    ++d.stats.send_stalls;
+    return Status::Stalled;
+  }
+
   RequestEntry entry;
   entry.pkt = packet;
-  const u8 raw_cmd = static_cast<u8>(extract(packet.header(), 0, 6));
   if (const CustomCommandDef* custom = custom_.find(raw_cmd)) {
     const Status ds = decode_custom_request(packet, *custom, entry.req);
     if (!ok(ds)) return ds;
@@ -293,10 +318,8 @@ Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
 
 Status Simulator::recv(u32 dev, u32 link, PacketBuffer& out) {
   if (!initialized() || dev >= devices_.size() ||
-      link >= config_.device.num_links) {
-    return Status::InvalidArgument;
-  }
-  if (topo_.endpoint(CubeId{dev}, LinkId{link}).kind != EndpointKind::Host) {
+      link >= config_.device.num_links ||
+      (wiring_[dev].host & (1u << link)) == 0) {
     return Status::InvalidArgument;
   }
   Device& d = *devices_[dev];
@@ -570,9 +593,7 @@ bool Simulator::ff_queues_idle() const {
       if (link.proto.replay_pending) return false;
       // Host-link responses are inert (stage 5 skips host links; only
       // recv() pops them, and recv() invalidates), so they do not block.
-      if (!link.rsp.empty() &&
-          topo_.endpoint(CubeId{dev.id()}, LinkId{l}).kind ==
-              EndpointKind::Device) {
+      if (!link.rsp.empty() && (wiring_[dev.id()].peer & (1u << l)) != 0) {
         return false;
       }
     }
@@ -636,8 +657,7 @@ bool Simulator::ff_arm() {
       // Response budgets refill only on device-to-device links (stage 5
       // never touches host links), so host-link rsp budgets sit at their
       // last value and need no check.
-      if (topo_.endpoint(CubeId{dev.id()}, LinkId{l}).kind ==
-              EndpointKind::Device &&
+      if ((wiring_[dev.id()].peer & (1u << l)) != 0 &&
           link.rsp_budget != steady) {
         return false;
       }
@@ -1582,9 +1602,10 @@ void Simulator::drain_response_queue(Device& dev,
 
 void Simulator::transfer_link_responses(Device& dev) {
   const DeviceConfig& cfg = dev.config();
-  for (u32 link = 0; link < cfg.num_links; ++link) {
+  // Only device links, in ascending order: host links drain by recv.
+  for (u32 peers = wiring_[dev.id()].peer; peers != 0; peers &= peers - 1) {
+    const u32 link = static_cast<u32>(std::countr_zero(peers));
     const LinkEndpoint& ep = topo_.endpoint(CubeId{dev.id()}, LinkId{link});
-    if (ep.kind != EndpointKind::Device) continue;  // host links drain by recv
     LinkState& link_state = dev.links[link];
     BoundedQueue<ResponseEntry>& queue = link_state.rsp;
     link_state.rsp_budget =

@@ -485,6 +485,15 @@ class Simulator {
   /// Device processing order caches for stages 1/2/5.
   std::vector<u32> root_devices_;
   std::vector<u32> child_devices_;
+  /// Per device, the links wired to the host and those wired to a peer
+  /// device, as bit masks.  The wiring is fixed once init installs the
+  /// topology (a checkpoint restore runs init too), so the host edge and
+  /// stage 5 test a bit instead of asking the topology.
+  struct LinkWiring {
+    u32 host{0};
+    u32 peer{0};
+  };
+  std::vector<LinkWiring> wiring_;
   /// Stage 1-2 outboxes, one per device in stage order, sized at init so
   /// the hot loop never allocates.
   std::vector<XbarScratch> xbar_scratch_;

@@ -7,12 +7,8 @@
 namespace hmcsim {
 
 u32 packet_crc(const PacketBuffer& p) {
-  // CRC over the whole packet with the tail's CRC field [63:32] zeroed:
-  // fold every word before the tail, then the tail with that field masked.
-  const u64 tail = deposit(p.tail(), 32, 32, 0);
-  const u32 state =
-      crc::update_words(crc::init(), {p.words.data(), p.word_count() - 1});
-  return crc::finish(crc::update_words(state, {&tail, 1}));
+  // The CRC field is masked inside the fold, so the packet is not copied.
+  return crc::crc32k_packet({p.words.data(), p.word_count()});
 }
 
 void seal_crc(PacketBuffer& p) {

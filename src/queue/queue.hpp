@@ -93,14 +93,19 @@ class BoundedQueue {
     return size_ >= capacity_ ? 0 : capacity_ - size_;
   }
 
+  /// True when every slot is valid, counting the refusal as a failed push
+  /// does: a caller may turn an entry away before it builds it.
+  bool refuse_if_full() {
+    if (!full()) return false;
+    ++stats_.rejected_full;
+    return true;
+  }
+
   /// Append at the FIFO back with the given key.  Returns false (and counts
   /// a rejection) when every slot is valid — the caller turns this into a
   /// stall signal.
   bool push(Entry e, u32 key = 0) {
-    if (full()) {
-      ++stats_.rejected_full;
-      return false;
-    }
+    if (refuse_if_full()) return false;
     occupy(std::move(e), key);
     ++stats_.total_pushes;
     return true;

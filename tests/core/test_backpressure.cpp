@@ -23,8 +23,40 @@ TEST(Backpressure, SendStallsWhenXbarQueueFull) {
   EXPECT_EQ(send_request(sim, 0, 0, Command::Rd16, 0x400, 9),
             Status::Stalled);
   EXPECT_EQ(sim.stats(0).send_stalls, 1u);
+
+  // The full link refuses before it decodes: a packet with a flipped CRC
+  // bit and one with an unknown command read Stalled too, each counting a
+  // send stall and a refused push, as the well-formed one did.
+  const QueueStats& link0 = sim.device(0).links[0].rqst.stats();
+  EXPECT_EQ(link0.rejected_full, 1u);
+  PacketBuffer corrupt;
+  ASSERT_EQ(build_memrequest(0, 0x480, 11, Command::Rd16, 0, {}, corrupt),
+            Status::Ok);
+  corrupt.tail() ^= u64{1} << 40;  // one bit of the CRC field
+  ASSERT_FALSE(check_crc(corrupt));
+  EXPECT_EQ(sim.send(0, 0, corrupt), Status::Stalled);
+  EXPECT_EQ(sim.stats(0).send_stalls, 2u);
+  EXPECT_EQ(link0.rejected_full, 2u);
+  PacketBuffer unknown;
+  ASSERT_EQ(build_memrequest(0, 0x4c0, 12, Command::Rd16, 0, {}, unknown),
+            Status::Ok);
+  unknown.header() = deposit(unknown.header(), 0, 6, 0x3f);
+  seal_crc(unknown);
+  EXPECT_EQ(sim.send(0, 0, unknown), Status::Stalled);
+  EXPECT_EQ(sim.stats(0).send_stalls, 3u);
+  EXPECT_EQ(link0.rejected_full, 3u);
+  // A flow packet never enters the queue, so the full link takes it.
+  PacketBuffer tret;
+  ASSERT_EQ(build_memrequest(0, 0, 0, Command::Tret, 0, {}, tret), Status::Ok);
+  EXPECT_EQ(sim.send(0, 0, tret), Status::Ok);
+  EXPECT_EQ(sim.stats(0).flow_packets, 1u);
+  EXPECT_EQ(sim.stats(0).send_stalls, 3u);
+
   // Other links are independent queues and still accept.
   EXPECT_EQ(send_request(sim, 0, 1, Command::Rd16, 0x440, 10), Status::Ok);
+  // With room, the corrupt packet is decoded and bounced.
+  EXPECT_EQ(sim.send(0, 1, corrupt), Status::MalformedPacket);
+  EXPECT_EQ(sim.stats(0).send_stalls, 3u);
 }
 
 TEST(Backpressure, StallClearsAfterClocking) {

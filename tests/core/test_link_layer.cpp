@@ -338,6 +338,32 @@ TEST(LinkLayer, CorruptPacketsRejectedAtEveryIngress) {
   EXPECT_EQ(sim.stats(0).link_errors, 0u);
 }
 
+TEST(LinkLayer, RetrainingLinkRefusesBeforeDecoding) {
+  // The link-protocol twin of Backpressure.SendStallsWhenXbarQueueFull: a
+  // link that cannot transmit refuses a corrupt packet before decoding it,
+  // counting a token stall; a dead link is never refused (it answers
+  // LINK_FAILED), so there the same packet is decoded and bounced.
+  DeviceConfig dc = proto_device();
+  dc.link_stuck_interval_cycles = 64;
+  dc.link_stuck_window_cycles = 8;
+  Simulator sim = test::make_simple_sim(dc);
+  while (!link_in_stuck_retrain(dc, sim.now())) sim.clock();
+
+  PacketBuffer corrupt;
+  ASSERT_EQ(build_memrequest(0, 0x40, 1, Command::Rd16, 0, {}, corrupt),
+            Status::Ok);
+  corrupt.words[0] ^= u64{1} << 40;  // a header bit, after sealing
+  ASSERT_FALSE(check_crc(corrupt));
+  EXPECT_EQ(sim.send(0, 0, corrupt), Status::Stalled);
+  EXPECT_EQ(sim.stats(0).link_token_stalls, 1u);
+  EXPECT_EQ(sim.stats(0).send_stalls, 1u);
+
+  sim.device(0).links[0].proto.dead = true;
+  EXPECT_EQ(sim.send(0, 0, corrupt), Status::MalformedPacket);
+  EXPECT_EQ(sim.stats(0).link_token_stalls, 1u);
+  EXPECT_EQ(sim.stats(0).send_stalls, 1u);
+}
+
 TEST(LinkLayer, FastForwardStaysBitIdenticalUnderProtocol) {
   // The idle-cycle fast path must refuse to skip over pending link
   // recovery; with that guard, skipping and slow-stepping agree exactly.

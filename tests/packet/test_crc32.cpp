@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,30 +49,56 @@ TEST(Crc32k, TableMatchesBitwiseReference) {
   }
 }
 
-TEST(Crc32k, IncrementalMatchesOneShot) {
-  SplitMix64 rng(42);
-  std::vector<u8> data(137);
+/// Both engines where this host runs both; slicing-by-8 alone otherwise.
+std::vector<const Engine*> engines() {
+  std::vector<const Engine*> all = {&slicing_by_8()};
+  if (const Engine* clmul = carry_less()) all.push_back(clmul);
+  return all;
+}
+
+TEST(Crc32k, EveryEngineMatchesTheReference) {
+  // Every length 0..300 from every start offset 0..15, so each engine sees
+  // every block count, every byte tail and every alignment.
+  SplitMix64 rng(0x50434c4d);
+  std::vector<u8> data(16 + 300);
   for (auto& b : data) b = static_cast<u8>(rng.next());
-  // Split at every offset, so both halves start on and off 8-byte
-  // boundaries and end with every possible byte remainder.
-  for (usize split = 0; split <= data.size(); ++split) {
-    u32 state = init();
-    state = update(state, {data.data(), split});
-    state = update(state, {data.data() + split, data.size() - split});
-    EXPECT_EQ(finish(state), crc32k(data)) << "split " << split;
+  for (usize offset = 0; offset < 16; ++offset) {
+    for (usize len = 0; len <= 300; ++len) {
+      const std::span<const u8> bytes{data.data() + offset, len};
+      const u32 ref = crc32k_reference(bytes);
+      for (const Engine* e : engines()) {
+        ASSERT_EQ(e->bytes(bytes), ref)
+            << e->name << " offset " << offset << " len " << len;
+      }
+    }
+  }
+  std::vector<u8> mib(usize{1} << 20);
+  for (auto& b : mib) b = static_cast<u8>(rng.next());
+  const u32 ref = crc32k_reference(mib);
+  for (const Engine* e : engines()) EXPECT_EQ(e->bytes(mib), ref) << e->name;
+  if (carry_less() == nullptr) {
+    GTEST_SKIP() << "the carry-less engine is not built for this target or "
+                    "this CPU lacks PCLMULQDQ/SSE4.1; only slicing-by-8 "
+                    "was checked";
   }
 }
 
 TEST(Crc32k, WordsMatchesBitwiseReference) {
-  // The word fold against the independent bit-serial oracle, at every word
-  // count a packet can have (0..18).
+  // Each engine's packet entry against the independent bit-serial oracle,
+  // at every word count a packet can have (2..18), with garbage in the
+  // CRC field the packet CRC reads as zero.
   SplitMix64 rng(0x6b6f6f70);
-  for (usize count = 0; count <= 18; ++count) {
+  for (usize count = 2; count <= 18; count += 2) {
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<u64> words(count);
       for (auto& w : words) w = rng.next();
-      ASSERT_EQ(crc32k_words(words), crc32k_reference(le_bytes_of(words)))
-          << "count " << count << " trial " << trial;
+      words.back() |= u64{1} << 63;
+      std::vector<u8> image = le_bytes_of(words);
+      std::fill(image.end() - 4, image.end(), u8{0});
+      for (const Engine* e : engines()) {
+        ASSERT_EQ(e->packet(words), crc32k_reference(image))
+            << e->name << " count " << count << " trial " << trial;
+      }
     }
   }
 }
@@ -99,9 +127,14 @@ TEST(Crc32k, DetectsAdjacentSwaps) {
 }
 
 TEST(Crc32k, WordsMatchesBytesLittleEndian) {
+  // An engine's packet entry equals its byte entry over the same words,
+  // read little-endian, with the CRC field zeroed.
   const std::vector<u64> words = {0x0123456789abcdefull, 0xfedcba9876543210ull,
-                                  0x0000000000000001ull};
-  EXPECT_EQ(crc32k_words(words), crc32k(le_bytes_of(words)));
+                                  0x0000000000000001ull, 0x00000000deadbeefull};
+  const std::vector<u8> bytes = le_bytes_of(words);
+  for (const Engine* e : engines()) {
+    EXPECT_EQ(e->packet(words), e->bytes(bytes)) << e->name;
+  }
 }
 
 TEST(Crc32k, Deterministic) {

@@ -344,6 +344,20 @@ TEST(PacketCrc, MatchesBitwiseReferenceAtEveryLength) {
     const u32 rs_ref = crc::crc32k_reference(crc_image(rs));
     EXPECT_EQ(packet_crc(rs), rs_ref);
     EXPECT_EQ(field::crc_of(rs.tail()), rs_ref);
+
+    // Each engine on random words, with nonzero garbage in the CRC field.
+    SplitMix64 rng(0x9e3779b9u + flits);
+    PacketBuffer raw;
+    raw.flits = flits;
+    for (usize i = 0; i < raw.word_count(); ++i) raw.words[i] = rng.next();
+    raw.tail() = deposit(raw.tail(), 32, 32, 0xa5a5a5a5u);
+    const u32 raw_ref = crc::crc32k_reference(crc_image(raw));
+    EXPECT_EQ(packet_crc(raw), raw_ref);
+    const std::span<const u64> words{raw.words.data(), raw.word_count()};
+    EXPECT_EQ(crc::slicing_by_8().packet(words), raw_ref);
+    if (const crc::Engine* clmul = crc::carry_less()) {
+      EXPECT_EQ(clmul->packet(words), raw_ref);
+    }
   }
 }
 
